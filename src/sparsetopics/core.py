@@ -144,8 +144,9 @@ class Corpus:
 class TopicMatrix:
     """Row-stochastic matrix of term distributions, one row per topic.
 
-    The constructor only checks shape; use validate_topic_matrix for a
-    diagnosis, or TopicMatrix.normalized to build a guaranteed-valid one.
+    The constructor only checks shape; use validate_topic_matrix (or its
+    cached result, problems) for a diagnosis, or TopicMatrix.normalized to
+    build a guaranteed-valid one.
     """
 
     rows: np.ndarray
@@ -182,6 +183,12 @@ class TopicMatrix:
     @property
     def vocab_size(self) -> int:
         return int(self.rows.shape[1])
+
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """validate_topic_matrix's findings, computed on first use only:
+        the rows are read-only."""
+        return tuple(validate_topic_matrix(self))
 
 
 def validate_topic_matrix(topics: TopicMatrix) -> list[str]:

@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import Document, TopicMatrix, validate_topic_matrix
+from .core import Document, TopicMatrix
 from .errors import (
     DomainViolationError,
     InvalidArgumentError,
@@ -44,6 +44,22 @@ def is_concave(objective) -> bool:
     return getattr(objective, "concave", True)
 
 
+def vertex_values(objective) -> np.ndarray:
+    """The objective's values at the dim simplex vertices: its own
+    vertex_values() when it has one, one value() call per vertex
+    otherwise."""
+    own = getattr(objective, "vertex_values", None)
+    if own is not None:
+        return own()
+    values = np.empty(objective.dim)
+    basis = np.zeros(objective.dim)
+    for i in range(objective.dim):
+        basis[i] = 1.0
+        values[i] = objective.value(basis)
+        basis[i] = 0.0
+    return values
+
+
 class Objective:
     """Interface: concave scalar function on the simplex with a gradient.
 
@@ -52,9 +68,12 @@ class Objective:
     read the flag with is_concave.
 
     line_restriction returns (g, dg), the function and derivative of
-    a |-> f((1-a) * theta + a * s) for a sparse target point s; solvers use
-    it for one-dimensional searches.  The default builds the chord point
-    explicitly; subclasses override it when they can do better.
+    a |-> f((1-a) * theta + a * s) for a sparse target point s; the solvers'
+    line search uses dg.  The default builds the chord point explicitly;
+    subclasses override it when they can do better.
+
+    An objective may also offer vertex_values(), its values at all
+    vertices at once; read them with vertex_values.
     """
 
     domain: str = FULL_SIMPLEX
@@ -92,7 +111,7 @@ class MlObjective(Objective):
     domain = FULL_SIMPLEX
 
     def __init__(self, document: Document, topics: TopicMatrix):
-        problems = validate_topic_matrix(topics)
+        problems = topics.problems
         if problems:
             raise InvalidArgumentError("invalid topic matrix: " + "; ".join(problems))
         if int(document.term_ids[-1]) >= topics.vocab_size:
@@ -114,6 +133,10 @@ class MlObjective(Objective):
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         p = np.asarray(theta, dtype=np.float64) @ self.term_columns
         return self.term_columns @ (self._counts / p)
+
+    def vertex_values(self) -> np.ndarray:
+        """value() at every vertex e_k, in one pass over the slab."""
+        return np.log(self.term_columns) @ self._counts
 
     def line_restriction(self, theta, s_ids, s_vals):
         p0 = np.asarray(theta, dtype=np.float64) @ self.term_columns

@@ -6,6 +6,11 @@ is the whole sparsity story.  The capped variant only changes the inner
 linear subproblem (a greedy fill against per-coordinate caps) and shares
 every other instruction, which keeps its iterates bitwise identical to
 the plain solver when all caps are one.
+
+Each step costs one gradient, one linear subproblem and a one-dimensional
+search: a Brent root search on the derivative of the objective along the
+step, accurate to SolverConfig.line_search_tol.  The best-vertex start
+scores all K vertices in one pass when the objective can (vertex_values).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .errors import (
     NonconcavePriorError,
     NumericFailureError,
 )
-from .objectives import INTERIOR_ONLY, Objective, is_concave
+from .objectives import INTERIOR_ONLY, Objective, is_concave, vertex_values
 
 # Support entries below this are squashed to exact zero (full-simplex runs).
 PRUNE_TOL = 1e-15
@@ -39,7 +44,9 @@ PRUNE_TOL = 1e-15
 # Interior-only objectives never step all the way onto a face.
 ALPHA_MARGIN = 1e-9
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Machine epsilon; the line search never asks for a bracket finer than
+# rounding at its estimate.
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,70 +78,89 @@ class Trace:
         return self.records[i]
 
 
+def _probe(dg: Callable[[float], float], a: float) -> float:
+    d = dg(a)
+    if math.isnan(d):
+        raise NumericFailureError("NaN in line-search derivative")
+    return d
+
+
 def line_search(
-    g: Callable[[float], float],
-    dg: Callable[[float], float] | None = None,
+    dg: Callable[[float], float],
+    *,
     tol: float = 1e-10,
     max_steps: int = 60,
     upper: float = 1.0,
 ) -> float:
-    """Maximize a concave scalar function on [0, upper].
+    """Maximize a concave scalar function on [0, upper], given only its
+    derivative dg, by finding where dg changes sign.
 
-    With a derivative, bisect on its sign (concavity makes it monotone
-    nonincreasing); otherwise fall back to golden-section on values.  A NaN
-    from either callable aborts the whole solve.
+    Concavity makes dg nonincreasing: dg(0) <= 0 returns 0 and
+    dg(upper) >= 0 returns upper.  Otherwise Brent's zeroin (Brent 1973,
+    Algorithms for Minimization without Derivatives, ch. 4) keeps a
+    bracket [b, c] around the sign change and steps from b, the end with
+    the smaller |dg|, by inverse quadratic or linear interpolation when
+    that step stays well inside the bracket and shrinks fast enough, and
+    by bisection when it does not.  It returns b once the bracket is
+    narrower than tol (or than rounding at b), at a probe where dg is
+    exactly 0, or after max_steps interior probes; dg is called at most
+    max_steps + 2 times.  Where dg is flat at its root (a multiple root)
+    interpolation converges only linearly and the step budget can run out
+    first.  A NaN from dg aborts the whole solve.
     """
     if not (0.0 < upper <= 1.0):
         raise InvalidArgumentError("upper must lie in (0, 1]")
-    if dg is not None:
-        d = dg(0.0)
-        if math.isnan(d):
-            raise NumericFailureError("NaN in line-search derivative")
-        if d <= 0.0:
-            return 0.0
-        d = dg(upper)
-        if math.isnan(d):
-            raise NumericFailureError("NaN in line-search derivative")
-        if d >= 0.0:
-            return upper
-        lo, hi = 0.0, upper
-        for _ in range(max_steps):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            d = dg(mid)
-            if math.isnan(d):
-                raise NumericFailureError("NaN in line-search derivative")
-            if d > 0.0:
-                lo = mid
-            elif d < 0.0:
-                hi = mid
-            else:
-                return mid
-        return 0.5 * (lo + hi)
-
-    lo, hi = 0.0, upper
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    gc, gd = g(c), g(d)
-    if math.isnan(gc) or math.isnan(gd):
-        raise NumericFailureError("NaN in line-search objective")
+    fa = _probe(dg, 0.0)
+    if fa <= 0.0:
+        return 0.0
+    fb = _probe(dg, upper)
+    if fb >= 0.0:
+        return upper
+    # b: current estimate; c: the far end of the bracket; a: the previous b.
+    # d is the last step and e the one before it.
+    a, b, c, fc = 0.0, upper, 0.0, fa
+    d = e = upper
     for _ in range(max_steps):
-        if hi - lo <= tol:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        half = 0.5 * (c - b)
+        min_step = 2.0 * _EPS * abs(b) + 0.5 * tol
+        if abs(half) <= min_step:
             break
-        if gc >= gd:
-            hi, d, gd = d, c, gc
-            c = hi - _INV_PHI * (hi - lo)
-            gc = g(c)
-            if math.isnan(gc):
-                raise NumericFailureError("NaN in line-search objective")
+        if abs(e) >= min_step and abs(fa) > abs(fb):
+            # Secant through a and b when a is the far end, inverse
+            # quadratic through a, b and c otherwise.
+            s = fb / fa
+            if a == c:
+                p = 2.0 * half * s
+                q = 1.0 - s
+            else:
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # Keep the step only if it lands inside the bracket and is under
+            # half the step before last; otherwise bisect.
+            if 2.0 * p < min(3.0 * half * q - abs(min_step * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
         else:
-            lo, c, gc = c, d, gd
-            d = lo + _INV_PHI * (hi - lo)
-            gd = g(d)
-            if math.isnan(gd):
-                raise NumericFailureError("NaN in line-search objective")
-    return 0.5 * (lo + hi)
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > min_step else math.copysign(min_step, half)
+        fb = _probe(dg, b)
+        if fb == 0.0:
+            return b
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    return b
 
 
 def _greedy_capped(scores: np.ndarray, caps: np.ndarray):
@@ -183,7 +209,7 @@ def _validate_caps(caps: np.ndarray) -> None:
 
 
 def _require_concave(objective) -> None:
-    # The exact line search and the convergence guarantee both rest on
+    # The derivative root search and the convergence guarantee both rest on
     # concavity, so an uncertified objective is refused before it is
     # evaluated.
     if not is_concave(objective):
@@ -207,9 +233,8 @@ def _solve_loop(objective, theta, start_vertex, lp, config, prune, upper):
         if np.any(np.isnan(grad)):
             raise NumericFailureError("gradient is NaN")
         s_ids, s_vals, lead = lp(grad)
-        g, dg = objective.line_restriction(theta, s_ids, s_vals)
+        _, dg = objective.line_restriction(theta, s_ids, s_vals)
         alpha = line_search(
-            g,
             dg,
             tol=config.line_search_tol,
             max_steps=config.line_search_max_steps,
@@ -285,12 +310,7 @@ def fw_solve(
         )
     t0 = time.perf_counter()
     if config.start == START_BEST_VERTEX:
-        values = np.empty(k)
-        basis = np.zeros(k)
-        for i in range(k):
-            basis[i] = 1.0
-            values[i] = objective.value(basis)
-            basis[i] = 0.0
+        values = vertex_values(objective)
         if np.any(np.isnan(values)):
             raise NumericFailureError("objective is NaN at a vertex")
         start_vertex = int(np.argmax(values))

@@ -1,5 +1,6 @@
 """Independent oracles used by the tests: finite differences, exhaustive
-and zoomed grid search over the simplex, and a brute-force capped LP.
+and zoomed grid search over the simplex, a brute-force capped LP and a
+bisection line search.
 
 Nothing in here calls the solvers under test.
 """
@@ -153,6 +154,29 @@ def brute_force_capped_lp(scores: np.ndarray, caps: np.ndarray) -> float:
             if not (mask >> j & 1) and caps[j] >= rem - 1e-12:
                 best = max(best, base + scores[j] * rem)
     return best
+
+
+def bisection_line_search(dg, *, tol, max_steps, upper):
+    """Sign bisection of a nonincreasing derivative on [0, upper], with the
+    solver's line_search signature: the endpoint shortcuts, then halve the
+    bracket until it is narrower than tol and return its midpoint."""
+    if dg(0.0) <= 0.0:
+        return 0.0
+    if dg(upper) >= 0.0:
+        return upper
+    lo, hi = 0.0, upper
+    for _ in range(max_steps):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        d = dg(mid)
+        if d > 0.0:
+            lo = mid
+        elif d < 0.0:
+            hi = mid
+        else:
+            return mid
+    return 0.5 * (lo + hi)
 
 
 def random_ml_instance(rng, k: int, v: int):

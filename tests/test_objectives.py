@@ -25,6 +25,8 @@ from sparsetopics.objectives import (
     PenalizedObjective,
 )
 
+import sparsetopics.core as core
+
 from helpers import finite_diff_gradient, finite_diff_hessian, interior_point
 
 
@@ -86,6 +88,24 @@ class TestMlObjective:
         doc = Document(np.array([0]), np.array([1.0]))
         with pytest.raises(InvalidArgumentError):
             ml_objective(doc, TopicMatrix(np.array([[0.5, 0.4]])))
+
+    def test_invalid_topics_rejected_on_every_construction(self):
+        # The validation result is cached on the matrix; the refusal is not.
+        doc = Document(np.array([0]), np.array([1.0]))
+        topics = TopicMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
+        for _ in range(3):
+            with pytest.raises(InvalidArgumentError, match="row-sum: row 0"):
+                MlObjective(doc, topics)
+
+    def test_topics_validated_once(self, monkeypatch):
+        calls = []
+        real = core.validate_topic_matrix
+        monkeypatch.setattr(core, "validate_topic_matrix", lambda t: calls.append(t) or real(t))
+        topics = TopicMatrix.normalized(np.ones((3, 4)))
+        for term in range(4):
+            MlObjective(Document(np.array([term]), np.array([1.0])), topics)
+        assert len(calls) == 1 and calls[0] is topics
+        assert topics.problems == ()
 
     def test_rejects_out_of_vocabulary_document(self):
         topics = TopicMatrix.normalized(np.ones((2, 3)))

@@ -19,58 +19,132 @@ from sparsetopics import (
     ctm_map_objective,
     fw_solve,
     fw_solve_capped,
+    generate_synthetic_corpus,
     lda_map_objective,
     line_search,
     ml_objective,
 )
 
-from helpers import brute_force_capped_lp, random_ml_instance
+import sparsetopics.solver as solver_module
+from sparsetopics.objectives import vertex_values
+
+from helpers import bisection_line_search, brute_force_capped_lp, random_ml_instance
 
 
-def quadratic(peak):
-    g = lambda a: -((a - peak) ** 2)
-    dg = lambda a: -2.0 * (a - peak)
-    return g, dg
+def quadratic_dg(peak):
+    """Derivative of -(a - peak)^2."""
+    return lambda a: -2.0 * (a - peak)
+
+
+def quartic_dg(peak):
+    """Derivative of -(a - peak)^2 / 2 - (a - peak)^4: concave with a
+    simple, nonlinear root, so no interpolation step lands on it exactly."""
+    return lambda a: -(a - peak) - 4.0 * (a - peak) ** 3
+
+
+def search(dg, root, tol=1e-10, max_steps=60, upper=1.0):
+    """line_search with the checks every case shares: alpha within tol of
+    the sign change and at most max_steps + 2 derivative calls."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return dg(a)
+
+    alpha = line_search(counted, tol=tol, max_steps=max_steps, upper=upper)
+    assert abs(alpha - root) <= tol
+    assert len(calls) <= max_steps + 2
+    return alpha, calls
+
+
+def pole_dg(pole, root):
+    """dg(a) = 1 / (a - pole) - 1 / (root - pole): decreasing on either
+    side of the pole, zero at root."""
+    shift = 1.0 / (root - pole)
+    return lambda a: 1.0 / (a - pole) - shift
 
 
 class TestLineSearch:
     def test_interior_peak_with_derivative(self):
-        g, dg = quadratic(0.3)
-        assert line_search(g, dg) == pytest.approx(0.3, abs=1e-9)
+        dg = quadratic_dg(0.3)
+        assert line_search(dg) == pytest.approx(0.3, abs=1e-9)
 
-    def test_interior_peak_without_derivative(self):
-        g, _ = quadratic(0.3)
-        assert line_search(g) == pytest.approx(0.3, abs=1e-9)
+    def test_interior_peak_nonlinear_derivative(self):
+        alpha, _ = search(quartic_dg(0.3), 0.3)
+        assert alpha == pytest.approx(0.3, abs=1e-9)
 
     def test_peak_below_zero_clamps(self):
-        g, dg = quadratic(-0.5)
-        assert line_search(g, dg) == 0.0
-        assert line_search(g) == pytest.approx(0.0, abs=1e-9)
+        dg = quadratic_dg(-0.5)
+        assert line_search(dg) == 0.0
+        alpha, calls = search(quartic_dg(-0.5), 0.0)
+        assert alpha == pytest.approx(0.0, abs=1e-9)
+        assert calls == [0.0]
 
     def test_peak_above_upper_clamps(self):
-        g, dg = quadratic(1.5)
-        assert line_search(g, dg) == 1.0
-        assert line_search(g) == pytest.approx(1.0, abs=1e-9)
+        dg = quadratic_dg(1.5)
+        assert line_search(dg) == 1.0
+        alpha, calls = search(quartic_dg(1.5), 1.0)
+        assert alpha == pytest.approx(1.0, abs=1e-9)
+        assert calls == [0.0, 1.0]
 
     def test_custom_upper(self):
-        g, dg = quadratic(0.9)
-        assert line_search(g, dg, upper=0.4) == 0.4
-        assert line_search(g, dg, upper=0.95) == pytest.approx(0.9, abs=1e-9)
+        dg = quadratic_dg(0.9)
+        assert line_search(dg, upper=0.4) == 0.4
+        assert line_search(dg, upper=0.95) == pytest.approx(0.9, abs=1e-9)
 
     def test_rejects_bad_upper(self):
-        g, dg = quadratic(0.5)
+        dg = quadratic_dg(0.5)
         with pytest.raises(InvalidArgumentError):
-            line_search(g, dg, upper=0.0)
+            line_search(dg, upper=0.0)
         with pytest.raises(InvalidArgumentError):
-            line_search(g, dg, upper=1.5)
+            line_search(dg, upper=1.5)
 
     def test_nan_derivative_raises(self):
         with pytest.raises(NumericFailureError):
-            line_search(lambda a: 0.0, lambda a: float("nan"))
-
-    def test_nan_value_raises(self):
-        with pytest.raises(NumericFailureError):
             line_search(lambda a: float("nan"))
+
+    def test_nan_at_interior_probe_raises(self):
+        # Finite with a sign change at both ends, NaN everywhere between.
+        dg = lambda a: 1.0 - 2.0 * a if a in (0.0, 1.0) else float("nan")
+        with pytest.raises(NumericFailureError):
+            line_search(dg)
+
+    @pytest.mark.parametrize("root", [1e-7, 1e-3, 0.5, 0.999])
+    def test_pole_just_below_zero(self, root):
+        dg = pole_dg(-1e-12, root)
+        assert dg(0.0) > 1e9
+        search(dg, root)
+
+    @pytest.mark.parametrize("root", [1e-7, 1e-3, 0.5, 0.9, 0.999])
+    def test_pole_just_above_upper(self, root):
+        dg = pole_dg(1.0 + 1e-12, root)
+        # |dg| spans at least nine orders of magnitude over [0, 1].
+        assert -dg(1.0) >= 1e9 * dg(0.0) > 0.0
+        search(dg, root)
+
+    def test_upper_just_below_one(self):
+        upper = 1.0 - 1e-9
+        search(quadratic_dg(0.9), 0.9, upper=upper)
+        alpha, _ = search(quadratic_dg(1.0), upper, upper=upper)
+        assert alpha == upper
+
+    def test_linear_derivative(self):
+        alpha, calls = search(lambda a: 0.7 - a, 0.7)
+        # Interpolation is exact for a linear derivative.
+        assert len(calls) <= 5
+
+    def test_exact_zero_at_a_probe_returns_it(self):
+        alpha, calls = search(lambda a: 0.5 - a, 0.5)
+        assert alpha == 0.5
+        assert calls[-1] == 0.5
+        assert len(calls) == 3
+
+    def test_step_budget_is_respected(self):
+        # A triple root: interpolation converges only linearly there, so
+        # small budgets run out before the bracket reaches tol.
+        flat = lambda a: -((a - 0.3) ** 3)
+        for steps in (1, 2, 5, 20):
+            search(flat, 0.3, tol=0.5, max_steps=steps)
 
 
 def separable_instance():
@@ -207,6 +281,104 @@ class TestFwSolve:
         report, _ = fw_solve(f, config=SolverConfig(start="barycenter"))
         theta = report.theta.dense(2)
         assert theta.min() > 0.1
+
+
+class TestVertexStart:
+    def test_ml_vertex_values_match_the_value_loop(self):
+        rng = np.random.default_rng(77)
+        for _ in range(30):
+            k = int(rng.integers(1, 40))
+            topics, doc = random_ml_instance(rng, k=k, v=int(rng.integers(2, 60)))
+            f = ml_objective(doc, topics)
+            loop = np.array([f.value(np.eye(k)[i]) for i in range(k)])
+            fast = f.vertex_values()
+            np.testing.assert_allclose(fast, loop, rtol=1e-12, atol=0.0)
+            assert int(np.argmax(fast)) == int(np.argmax(loop))
+
+    def test_objectives_without_the_method_use_the_loop(self):
+        topics, doc = random_ml_instance(np.random.default_rng(78), k=6, v=20)
+        f = lda_map_objective(doc, topics, alpha=1.0)
+        assert not hasattr(f, "vertex_values")
+        loop = np.array([f.value(np.eye(6)[i]) for i in range(6)])
+        assert vertex_values(f).tolist() == loop.tolist()
+        _, trace = fw_solve(f)
+        assert trace[0].vertex == int(np.argmax(loop))
+
+
+class CountingObjective:
+    """Delegates to an objective and counts calls of the line-search
+    derivatives it hands out."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dg_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        g, dg = self.inner.line_restriction(theta, s_ids, s_vals)
+
+        def counted(a):
+            self.dg_calls += 1
+            return dg(a)
+
+        return g, counted
+
+
+class TestLineSearchCost:
+    """Derivative calls per FW step, and final objectives against the same
+    solves run with a bisection line search.  Counts only; no timing."""
+
+    def instances(self):
+        rng = np.random.default_rng(909)
+        for _ in range(20):
+            k = int(rng.integers(2, 30))
+            topics, doc = random_ml_instance(rng, k=k, v=60)
+            yield ml_objective(doc, topics)
+        data = generate_synthetic_corpus(
+            num_topics=40, vocab_size=300, num_docs=20, doc_length=200,
+            doc_alpha=0.05, topic_concentration=0.2, seed=9,
+        )
+        for doc in data.corpus.documents:
+            yield ml_objective(doc, data.topics)
+
+    def capped_ctm(self):
+        k = 12
+        rng = np.random.default_rng(910)
+        topics, doc = random_ml_instance(rng, k=k, v=40)
+        a = rng.random((k, k))
+        prior = CtmPrior(a @ a.T + k * np.eye(k), mean=np.log(np.full(k, 0.3)))
+        assert prior.certified
+        return ctm_full_objective(doc, topics, prior), ctm_caps(prior)
+
+    def test_derivative_calls_per_step(self):
+        dg_calls = iterations = 0
+        for f in self.instances():
+            counting = CountingObjective(f)
+            report, _ = fw_solve(counting)
+            dg_calls += counting.dg_calls
+            iterations += report.iterations
+        f, caps = self.capped_ctm()
+        counting = CountingObjective(f)
+        report, _ = fw_solve_capped(counting, caps)
+        dg_calls += counting.dg_calls
+        iterations += report.iterations
+        assert iterations > 100
+        assert dg_calls / iterations <= 12.0
+
+    def test_objectives_match_bisection(self, monkeypatch):
+        solves = [(f, None) for f in self.instances()] + [self.capped_ctm()]
+
+        def run(f, caps):
+            if caps is None:
+                return fw_solve(f)[0].objective
+            return fw_solve_capped(f, caps)[0].objective
+
+        brent = [run(f, caps) for f, caps in solves]
+        monkeypatch.setattr(solver_module, "line_search", bisection_line_search)
+        oracle = [run(f, caps) for f, caps in solves]
+        np.testing.assert_allclose(brent, oracle, rtol=1e-9, atol=0.0)
 
 
 class TestCappedLinearStep:
