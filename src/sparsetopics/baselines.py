@@ -11,7 +11,6 @@ import dataclasses
 import time
 
 import numpy as np
-from scipy.special import digamma
 
 from .core import Document, InferenceReport, SolverConfig, TopicMatrix, TopicProportion
 from .errors import InvalidArgumentError
@@ -103,6 +102,9 @@ def vb_infer(
 
     Returns (InferenceReport, VbState).
     """
+    # Imported here so that importing the package loads numpy only.
+    from scipy.special import digamma
+
     config = config or SolverConfig()
     k = topics.num_topics
     a = np.atleast_1d(np.asarray(alpha, dtype=np.float64))

@@ -2,20 +2,26 @@
 precision-matrix files, and the CSV reports.
 
 The model format stores floats with %.17g so a save/load cycle reproduces
-every entry bit for bit.
+every entry bit for bit.  The corpus and model loaders stream their files:
+numpy's C text reader parses the numbers, and a line-by-line walk runs only
+to name the first bad line of a file it refused.  Numbers in these files
+therefore follow numpy's grammar, which is float()'s and int()'s without
+digit-group underscores or non-ASCII digits, and their lines end at \n,
+\r\n or \r only.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .core import Corpus, Document, TopicMatrix, Vocabulary, validate_topic_matrix
+from .core import Corpus, Document, TopicMatrix, Vocabulary
 from .errors import (
     CorpusBoundsError,
     CorpusFormatError,
@@ -29,65 +35,96 @@ MODEL_MAGIC = "sparsetopics-model"
 MODEL_VERSION = 1
 
 
+def _plain_number(text, kind):
+    """kind(text) under numpy's grammar: ASCII only, no underscores."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return kind(text)
+
+
+def _parse_int(line_no, text, what):
+    try:
+        return _plain_number(text, int)
+    except ValueError:
+        raise CorpusFormatError(f"expected an integer {what}, got {text!r}", line_no) from None
+
+
+# One "docID wordID count" triple per row of numpy's reader.
+_TRIPLE = np.dtype([("doc", np.int64), ("word", np.int64), ("count", np.float64)])
+
+
+def _read_triples(lines):
+    """Every remaining triple in one C-level pass that skips blank lines,
+    or None when the reader refuses a line."""
+    for first in lines:
+        if first.strip():
+            break
+    else:
+        return np.empty(0, dtype=_TRIPLE)
+    try:
+        return np.loadtxt(itertools.chain([first], lines), dtype=_TRIPLE, comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _raise_first_bad_triple(path, num_docs, vocab_size, num_triples):
+    """Raise the error of the first bad line after the header, walking the
+    file line by line; called once the fast path has found a fault."""
+    seen = 0
+    with open(path) as fh:
+        for line_no, raw in enumerate(itertools.islice(fh, 3, None), start=4):
+            text = raw.strip()
+            if not text:
+                continue
+            seen += 1
+            if seen > num_triples:
+                raise CorpusFormatError(f"more than the declared {num_triples} triples", line_no)
+            parts = text.split()
+            if len(parts) != 3:
+                raise CorpusFormatError(f"expected 'docID wordID count', got {text!r}", line_no)
+            doc_id = _parse_int(line_no, parts[0], "document id")
+            word_id = _parse_int(line_no, parts[1], "word id")
+            try:
+                count = _plain_number(parts[2], float)
+            except ValueError:
+                raise CorpusFormatError(f"expected a numeric count, got {parts[2]!r}", line_no) from None
+            if not (1 <= doc_id <= num_docs):
+                raise CorpusBoundsError(f"document id {doc_id} outside 1..{num_docs}", line_no)
+            if not (1 <= word_id <= vocab_size):
+                raise CorpusBoundsError(f"word id {word_id} outside 1..{vocab_size}", line_no)
+            if not (count > 0) or not np.isfinite(count):
+                raise CorpusFormatError(f"count must be positive, got {parts[2]}", line_no)
+    if seen != num_triples:
+        raise CorpusFormatError(f"declared {num_triples} triples but found {seen}")
+    raise CorpusFormatError("triples that numpy's reader refuses")
+
+
 def load_uci_bow(docword_path, vocab_path=None) -> Corpus:
     """Read a bag-of-words file: three header lines (documents, vocabulary
     size, number of triples) followed by 1-based "docID wordID count"
-    triples.  Documents that end up empty are dropped with a warning.
+    triples.  Duplicate triples add up in file order.  Documents that end
+    up empty are dropped with a warning.
 
     Without a vocabulary file, terms are named w1..wW.
     """
-    lines = Path(docword_path).read_text().splitlines()
-
-    def parse_int(line_no, text, what):
-        try:
-            return int(text)
-        except ValueError:
-            raise CorpusFormatError(f"expected an integer {what}, got {text!r}", line_no) from None
-
-    if len(lines) < 3:
-        raise CorpusFormatError("file has fewer than three header lines")
-    num_docs = parse_int(1, lines[0].strip(), "document count")
-    vocab_size = parse_int(2, lines[1].strip(), "vocabulary size")
-    num_triples = parse_int(3, lines[2].strip(), "triple count")
-    if num_docs < 1 or num_triples < 1:
-        raise CorpusFormatError("no documents")
-    if vocab_size < 1:
-        raise CorpusFormatError("vocabulary size must be positive", 2)
-
-    entries = [dict() for _ in range(num_docs)]
-    seen = 0
-    for line_no, raw in enumerate(lines[3:], start=4):
-        text = raw.strip()
-        if not text:
-            continue
-        seen += 1
-        if seen > num_triples:
-            raise CorpusFormatError(
-                f"more than the declared {num_triples} triples", line_no
-            )
-        parts = text.split()
-        if len(parts) != 3:
-            raise CorpusFormatError(f"expected 'docID wordID count', got {text!r}", line_no)
-        doc_id = parse_int(line_no, parts[0], "document id")
-        word_id = parse_int(line_no, parts[1], "word id")
-        try:
-            count = float(parts[2])
-        except ValueError:
-            raise CorpusFormatError(f"expected a numeric count, got {parts[2]!r}", line_no) from None
-        if not (1 <= doc_id <= num_docs):
-            raise CorpusBoundsError(
-                f"document id {doc_id} outside 1..{num_docs}", line_no
-            )
-        if not (1 <= word_id <= vocab_size):
-            raise CorpusBoundsError(
-                f"word id {word_id} outside 1..{vocab_size}", line_no
-            )
-        if not (count > 0) or not np.isfinite(count):
-            raise CorpusFormatError(f"count must be positive, got {parts[2]}", line_no)
-        bucket = entries[doc_id - 1]
-        bucket[word_id - 1] = bucket.get(word_id - 1, 0.0) + count
-    if seen != num_triples:
-        raise CorpusFormatError(f"declared {num_triples} triples but found {seen}")
+    with open(docword_path) as fh:
+        header = list(itertools.islice(fh, 3))
+        if len(header) < 3:
+            raise CorpusFormatError("file has fewer than three header lines")
+        num_docs = _parse_int(1, header[0].strip(), "document count")
+        vocab_size = _parse_int(2, header[1].strip(), "vocabulary size")
+        num_triples = _parse_int(3, header[2].strip(), "triple count")
+        if num_docs < 1 or num_triples < 1:
+            raise CorpusFormatError("no documents")
+        if vocab_size < 1:
+            raise CorpusFormatError("vocabulary size must be positive", 2)
+        triples = _read_triples(fh)
+    if triples is None or triples.size != num_triples:
+        _raise_first_bad_triple(docword_path, num_docs, vocab_size, num_triples)
+    doc, word, count = triples["doc"], triples["word"], triples["count"]
+    in_range = (doc >= 1) & (doc <= num_docs) & (word >= 1) & (word <= vocab_size)
+    if not np.all(in_range & (count > 0) & (count < np.inf)):
+        _raise_first_bad_triple(docword_path, num_docs, vocab_size, num_triples)
 
     if vocab_path is None:
         vocab = Vocabulary(tuple(f"w{j}" for j in range(1, vocab_size + 1)))
@@ -101,17 +138,19 @@ def load_uci_bow(docword_path, vocab_path=None) -> Corpus:
             )
         vocab = Vocabulary(tuple(t.strip() for t in terms))
 
-    documents = []
-    dropped = 0
-    for bucket in entries:
-        if not bucket:
-            dropped += 1
-            continue
-        documents.append(Document.from_pairs(bucket.items()))
-    if dropped:
-        warnings.warn(f"dropped {dropped} empty document(s)")
-    if not documents:
-        raise CorpusFormatError("no documents")
+    # The stable sort keeps the duplicates of a (doc, word) pair in file
+    # order, and add.at sums them one at a time from 0.0.
+    order = np.lexsort((word, doc))
+    doc, word, count = doc[order], word[order], count[order]
+    new_pair = np.ones(doc.size, dtype=bool)
+    new_pair[1:] = (doc[1:] != doc[:-1]) | (word[1:] != word[:-1])
+    sums = np.zeros(int(new_pair.sum()))
+    np.add.at(sums, np.cumsum(new_pair) - 1, count)
+    doc, term_ids = doc[new_pair], word[new_pair] - 1
+    cuts = np.flatnonzero(doc[1:] != doc[:-1]) + 1
+    documents = [Document(ids, c) for ids, c in zip(np.split(term_ids, cuts), np.split(sums, cuts))]
+    if len(documents) < num_docs:
+        warnings.warn(f"dropped {num_docs - len(documents)} empty document(s)")
     return Corpus(vocab, tuple(documents))
 
 
@@ -123,9 +162,8 @@ class ModelFile:
 
 
 def save_model(path, topics: TopicMatrix, metadata: dict | None = None) -> None:
-    problems = validate_topic_matrix(topics)
-    if problems:
-        raise InvalidArgumentError("refusing to save an invalid model: " + "; ".join(problems))
+    if topics.problems:
+        raise InvalidArgumentError("refusing to save an invalid model: " + "; ".join(topics.problems))
     with open(path, "w") as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
         fh.write(f"{topics.num_topics} {topics.vocab_size}\n")
@@ -135,56 +173,85 @@ def save_model(path, topics: TopicMatrix, metadata: dict | None = None) -> None:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def load_model(path) -> ModelFile:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ModelFormatError("empty model file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != MODEL_MAGIC:
-        raise ModelFormatError("missing model header")
-    try:
-        version = int(header[1])
-    except ValueError:
-        raise ModelFormatError(f"bad version field {header[1]!r}") from None
-    if version != MODEL_VERSION:
-        raise UnsupportedVersionError(
-            f"model version {version} is not supported (this reader handles {MODEL_VERSION})"
-        )
-    if len(lines) < 2:
-        raise ModelFormatError("missing dimensions line")
-    dims = lines[1].split()
-    if len(dims) != 2:
-        raise ModelFormatError("dimensions line must hold two integers")
-    try:
-        k, v = int(dims[0]), int(dims[1])
-    except ValueError:
-        raise ModelFormatError("dimensions line must hold two integers") from None
-    if k < 1 or v < 1:
-        raise ModelFormatError("dimensions must be positive")
-    body = 2
-    metadata = None
-    if body < len(lines) and lines[body].startswith("meta "):
-        try:
-            metadata = json.loads(lines[body][5:])
-        except json.JSONDecodeError:
-            raise ModelFormatError("bad metadata json") from None
-        body += 1
-    rows = []
+def _model_rows(lines, k):
+    """Yield the next k lines, one per topic row; a blank or missing line
+    means the file ends early."""
     for r in range(k):
-        idx = body + r
-        if idx >= len(lines) or not lines[idx].strip():
+        line = next(lines, "")
+        if not line.strip():
             raise ModelFormatError(f"model file ends early: expected {k} rows, found {r}")
-        parts = lines[idx].split()
+        yield line
+
+
+def _read_rows(fh, k, v):
+    """The next k lines of fh as a (k, v) float64 array, parsed in one
+    C-level pass; if numpy's reader refuses them, a line-by-line walk
+    raises the error of the first bad row."""
+    start = fh.tell()
+    try:
+        rows = np.loadtxt(_model_rows(fh, k), comments=None, ndmin=2)
+        if rows.shape == (k, v):
+            return rows
+    except ValueError:
+        pass
+    fh.seek(start)
+    for r, line in enumerate(_model_rows(fh, k)):
+        parts = line.split()
         if len(parts) != v:
             raise ModelFormatError(f"row {r} has {len(parts)} entries, expected {v}")
         try:
-            rows.append([float(x) for x in parts])
+            for x in parts:
+                _plain_number(x, float)
         except ValueError:
             raise ModelFormatError(f"row {r} holds a non-numeric entry") from None
-    topics = TopicMatrix(np.array(rows))
-    problems = validate_topic_matrix(topics)
-    if problems:
-        raise ModelFormatError("invalid topic matrix: " + "; ".join(problems))
+    raise ModelFormatError("topic rows that numpy's reader refuses")
+
+
+def load_model(path) -> ModelFile:
+    """Read a model file.  Its K rows stream into one float64 array whose
+    entries are bitwise equal to float() of their tokens; lines after row
+    K are ignored."""
+    with open(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise ModelFormatError("empty model file")
+        header = first.split()
+        if len(header) != 2 or header[0] != MODEL_MAGIC:
+            raise ModelFormatError("missing model header")
+        try:
+            version = _plain_number(header[1], int)
+        except ValueError:
+            raise ModelFormatError(f"bad version field {header[1]!r}") from None
+        if version != MODEL_VERSION:
+            raise UnsupportedVersionError(
+                f"model version {version} is not supported (this reader handles {MODEL_VERSION})"
+            )
+        second = fh.readline()
+        if not second:
+            raise ModelFormatError("missing dimensions line")
+        dims = second.split()
+        if len(dims) != 2:
+            raise ModelFormatError("dimensions line must hold two integers")
+        try:
+            k, v = _plain_number(dims[0], int), _plain_number(dims[1], int)
+        except ValueError:
+            raise ModelFormatError("dimensions line must hold two integers") from None
+        if k < 1 or v < 1:
+            raise ModelFormatError("dimensions must be positive")
+        body = fh.tell()
+        metadata = None
+        line = fh.readline()
+        if line.startswith("meta "):
+            try:
+                metadata = json.loads(line[5:])
+            except json.JSONDecodeError:
+                raise ModelFormatError("bad metadata json") from None
+        else:
+            fh.seek(body)
+        rows = _read_rows(fh, k, v)
+    topics = TopicMatrix(rows)
+    if topics.problems:
+        raise ModelFormatError("invalid topic matrix: " + "; ".join(topics.problems))
     return ModelFile(topics=topics, version=version, metadata=metadata)
 
 

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import digamma
 
+import sparsetopics
 from sparsetopics import (
     Document,
     InvalidArgumentError,
@@ -133,3 +138,11 @@ def test_digamma_reference_values():
     assert digamma(1.0) == pytest.approx(-0.5772156649015329, abs=1e-12)
     for x in (0.5, 1.0, 2.5, 7.0):
         assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, abs=1e-12)
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # vb_infer imports scipy.special on its first call, not at import time.
+    code = "import sys, sparsetopics; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(sparsetopics.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,6 @@
 import csv
+import io
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from sparsetopics import (
     save_uci_bow,
     save_vocab,
 )
+from sparsetopics import core
 from sparsetopics.corpus_io import (
+    _read_rows,
     write_eval_csv,
     write_likelihood_csv,
     write_proportions,
@@ -39,6 +43,63 @@ def write(path, text):
 
 
 BOW = "2\n3\n3\n1 1 2\n1 3 1\n2 2 5\n"
+
+# Malformed bag-of-words files, each with the error type, line and message
+# the line-by-line loader gave before the vectorized parse: the first bad
+# line in file order wins.
+MALFORMED_BOW = {
+    "non-integer doc id": (
+        "2\n3\n2\n1 1 2\n1.0 2 1\n", CorpusFormatError, 5,
+        "expected an integer document id, got '1.0'"),
+    "non-integer word id": (
+        "2\n3\n2\n1 1 2\n2 x 1\n", CorpusFormatError, 5, "expected an integer word id, got 'x'"),
+    "doc id zero": ("2\n3\n2\n1 1 2\n0 2 1\n", CorpusBoundsError, 5, "document id 0 outside 1..2"),
+    "doc id above range": ("2\n3\n2\n1 1 2\n3 2 1\n", CorpusBoundsError, 5, "document id 3 outside 1..2"),
+    "word id above range": ("2\n3\n2\n1 1 2\n2 4 1\n", CorpusBoundsError, 5, "word id 4 outside 1..3"),
+    "id beyond int64": (
+        "2\n3\n2\n1 1 2\n2 99999999999999999999 1\n", CorpusBoundsError, 5,
+        "word id 99999999999999999999 outside 1..3"),
+    "zero count": ("2\n3\n2\n1 1 2\n2 2 0\n", CorpusFormatError, 5, "count must be positive, got 0"),
+    "negative count": ("2\n3\n2\n1 1 2\n2 2 -1\n", CorpusFormatError, 5, "count must be positive, got -1"),
+    "nan count": ("2\n3\n2\n1 1 2\n2 2 nan\n", CorpusFormatError, 5, "count must be positive, got nan"),
+    "inf count": ("2\n3\n2\n1 1 2\n2 2 inf\n", CorpusFormatError, 5, "count must be positive, got inf"),
+    "non-numeric count": (
+        "2\n3\n2\n1 1 2\n2 2 many\n", CorpusFormatError, 5, "expected a numeric count, got 'many'"),
+    "two fields": ("2\n3\n2\n1 1 2\n2 2\n", CorpusFormatError, 5, "expected 'docID wordID count', got '2 2'"),
+    "four fields": (
+        "2\n3\n2\n1 1 2\n2 2 1 1\n", CorpusFormatError, 5, "expected 'docID wordID count', got '2 2 1 1'"),
+    "too many triples": ("2\n3\n1\n1 1 2\n\n2 2 1\n", CorpusFormatError, 6, "more than the declared 1 triples"),
+    "too many, the extra one malformed": (
+        "2\n3\n1\n1 1 2\n2 x\n", CorpusFormatError, 5, "more than the declared 1 triples"),
+    "too few triples": ("2\n3\n3\n1 1 2\n\n2 2 1\n", CorpusFormatError, None, "declared 3 triples but found 2"),
+    "blank lines only": ("2\n3\n1\n\n \t\n", CorpusFormatError, None, "declared 1 triples but found 0"),
+    "bounds before a parse fault": (
+        "2\n3\n3\n1 1 2\n2 4 1\n2 2 x\n", CorpusBoundsError, 5, "word id 4 outside 1..3"),
+    "parse fault before bounds": (
+        "2\n3\n3\n1 1 2\n2 2 x\n2 4 1\n", CorpusFormatError, 5, "expected a numeric count, got 'x'"),
+    "count before width": ("2\n3\n3\n1 1 0\n\n2 2\n", CorpusFormatError, 4, "count must be positive, got 0"),
+    "width before too many": (
+        "2\n3\n2\n1 1\n2 2 1\n1 3 1\n", CorpusFormatError, 4, "expected 'docID wordID count', got '1 1'"),
+}
+
+
+def bow_by_running_sums(text):
+    """The bag-of-words parse as a per-triple loop: {doc id: {word id:
+    running sum of its counts in file order}}."""
+    docs = {}
+    for raw in text.splitlines()[3:]:
+        if raw.strip():
+            d, w, c = raw.split()
+            bucket = docs.setdefault(int(d) - 1, {})
+            bucket[int(w) - 1] = bucket.get(int(w) - 1, 0.0) + float(c)
+    return docs
+
+
+def awkward_doubles(rng, n, low, high):
+    """n doubles spread evenly over the bit patterns between low and high,
+    so every binary exponent in the range turns up."""
+    bits = rng.integers(np.float64(low).view(np.int64), np.float64(high).view(np.int64), n)
+    return bits.view(np.float64)
 
 
 class TestLoadUciBow:
@@ -120,6 +181,75 @@ class TestLoadUciBow:
         with pytest.raises(CorpusFormatError, match="declared 2 triples but found 1"):
             load_uci_bow(write(tmp_path / "d.txt", text))
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED_BOW))
+    def test_malformed_file_names_first_bad_line(self, tmp_path, name):
+        text, error, line, message = MALFORMED_BOW[name]
+        with pytest.raises(CorpusFormatError) as info, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_uci_bow(write(tmp_path / "d.txt", text))
+        assert type(info.value) is error
+        assert info.value.line == line
+        assert str(info.value) == (f"line {line}: {message}" if line else message)
+
+    def test_duplicates_sum_in_file_order(self, tmp_path):
+        # 1e16 + 1 rounds back to 1e16, so the order of the additions shows.
+        counts = [1e16] + [1.0] * 12
+        lines = [f"2 3 {c:.17g}" for c in counts] + ["1 1 1"] + [f"2 1 {c:.17g}" for c in counts[::-1]]
+        text = f"2\n3\n{len(lines)}\n" + "\n".join(lines) + "\n"
+        doc = load_uci_bow(write(tmp_path / "d.txt", text)).documents[1]
+        forward = backward = 0.0
+        for c in counts:
+            forward += c
+        for c in counts[::-1]:
+            backward += c
+        assert forward != backward
+        assert doc.term_ids.tolist() == [0, 2]
+        assert doc.counts.tolist() == [backward, forward]
+
+    def test_matches_running_sums_bitwise(self, tmp_path):
+        rng = np.random.default_rng(404)
+        for trial in range(10):
+            num_docs, vocab = int(rng.integers(1, 30)), int(rng.integers(1, 50))
+            n = int(rng.integers(1, 400))
+            ids = np.c_[rng.integers(1, num_docs + 1, n), rng.integers(1, vocab + 1, n)]
+            counts = np.r_[awkward_doubles(rng, n - 3, 5e-324, 1e300), 5e-324, 2.2250738585072009e-308, 1e-10]
+            rng.shuffle(counts)
+            lines = [f"{d} {w} {c:.17g}" for (d, w), c in zip(ids, counts)]
+            for at in rng.integers(0, n, 5):
+                lines.insert(int(at), " " * int(at % 3))
+            text = f"{num_docs}\n{vocab}\n{n}\n" + "\n".join(lines) + "\n"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                corpus = load_uci_bow(write(tmp_path / "d.txt", text))
+            expected = bow_by_running_sums(text)
+            assert len(corpus.documents) == len(expected)
+            for doc, m in zip(corpus.documents, sorted(expected)):
+                words = sorted(expected[m])
+                assert doc.term_ids.tolist() == words
+                sums = np.array([expected[m][w] for w in words])
+                assert np.array_equal(doc.counts.view(np.int64), sums.view(np.int64)), trial
+
+    # Deliberate narrowings of the format: numbers follow numpy's grammar,
+    # and lines end at \n, \r\n or \r only.
+    def test_underscore_in_count_refused(self, tmp_path):
+        # float("1_0") is 10.0; numpy's reader refuses the digit separator.
+        with pytest.raises(CorpusFormatError, match="line 4: expected a numeric count, got '1_0'"):
+            load_uci_bow(write(tmp_path / "d.txt", "1\n3\n1\n1 1 1_0\n"))
+
+    def test_non_ascii_digit_in_id_refused(self, tmp_path):
+        with pytest.raises(CorpusFormatError, match="line 4: expected an integer document id"):
+            load_uci_bow(write(tmp_path / "d.txt", "1\n3\n1\n\u0661 1 2\n"))
+
+    def test_form_feed_is_whitespace_not_a_line_break(self, tmp_path):
+        corpus = load_uci_bow(write(tmp_path / "d.txt", "1\n3\n1\n1 2\x0c4\n"))
+        assert corpus.documents[0].term_ids.tolist() == [1]
+        assert corpus.documents[0].counts.tolist() == [4.0]
+
+    def test_carriage_return_line_ends(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"2\r\n3\r3\r\n1 1 2\r1 3 1\r\n2 2 5\r")
+        assert [d.counts.tolist() for d in load_uci_bow(path).documents] == [[2.0, 1.0], [5.0]]
+
 
 def test_save_uci_bow_round_trip(tmp_path):
     vocab = Vocabulary(("apple", "banana", "cherry"))
@@ -137,6 +267,34 @@ def test_save_uci_bow_round_trip(tmp_path):
     for a, b in zip(loaded.documents, docs):
         assert np.array_equal(a.term_ids, b.term_ids)
         assert np.array_equal(a.counts, b.counts)
+
+
+MODEL_HEAD = "sparsetopics-model 1\n"
+ROW = "0.25 0.75\n"
+
+# Malformed model files and the error each gave before the streamed parse.
+MALFORMED_MODEL = {
+    "blank row in the middle": (MODEL_HEAD + "3 2\n" + ROW + "\n" + ROW, "model file ends early: expected 3 rows, found 1"),
+    "whitespace row in the middle": (
+        MODEL_HEAD + "3 2\n" + ROW + ROW + " \t\n" + ROW, "model file ends early: expected 3 rows, found 2"),
+    "end of file": (MODEL_HEAD + "3 2\n" + ROW + ROW, "model file ends early: expected 3 rows, found 2"),
+    "end of file after meta": (MODEL_HEAD + "3 2\nmeta {}\n", "model file ends early: expected 3 rows, found 0"),
+    "end of file after dims": (MODEL_HEAD + "3 2\n", "model file ends early: expected 3 rows, found 0"),
+    "narrow row 2": (MODEL_HEAD + "3 2\n" + ROW + ROW + "0.25\n", "row 2 has 1 entries, expected 2"),
+    "wide row 1": (MODEL_HEAD + "3 2\n" + ROW + "0.25 0.5 0.25\n" + ROW, "row 1 has 3 entries, expected 2"),
+    "row 0 narrow, the rest right": (MODEL_HEAD + "3 2\n1\n" + ROW + ROW, "row 0 has 1 entries, expected 2"),
+    "every row too wide": (MODEL_HEAD + "2 2\n0.2 0.3 0.5\n0.2 0.3 0.5\n", "row 0 has 3 entries, expected 2"),
+    "non-numeric row 2": (MODEL_HEAD + "3 2\n" + ROW + ROW + "0.25 x\n", "row 2 holds a non-numeric entry"),
+    "non-numeric before a blank row": (
+        MODEL_HEAD + "4 2\n" + ROW + "0.25 x\n" + ROW + "\n", "row 1 holds a non-numeric entry"),
+    "width before non-numeric": (
+        MODEL_HEAD + "4 2\n" + ROW + "0.25\nx 0.75\n" + ROW, "row 1 has 1 entries, expected 2"),
+    "non-numeric before width": (
+        MODEL_HEAD + "4 2\n" + ROW + "x 0.75\n0.25\n" + ROW, "row 1 holds a non-numeric entry"),
+    "width checked before numbers": (MODEL_HEAD + "2 2\n" + ROW + "x y z\n", "row 1 has 3 entries, expected 2"),
+    "empty file": ("", "empty model file"),
+    "no dimensions line": (MODEL_HEAD, "missing dimensions line"),
+}
 
 
 class TestModelFiles:
@@ -193,6 +351,77 @@ class TestModelFiles:
         text = "sparsetopics-model 1\n1 2\nmeta {oops\n0.5 0.5\n"
         with pytest.raises(ModelFormatError, match="metadata"):
             load_model(write(tmp_path / "m.txt", text))
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_MODEL))
+    def test_malformed_rows_name_first_bad_row(self, tmp_path, name):
+        text, message = MALFORMED_MODEL[name]
+        with pytest.raises(ModelFormatError) as info:
+            load_model(write(tmp_path / "m.txt", text))
+        assert str(info.value) == message
+
+    def test_lines_after_last_row_ignored(self, tmp_path):
+        text = MODEL_HEAD + "2 2\n" + ROW + ROW + "not a row\n\n0.1 0.2 0.3\n"
+        rows = load_model(write(tmp_path / "m.txt", text)).topics.rows
+        assert rows.tolist() == [[0.25, 0.75], [0.25, 0.75]]
+
+    def test_single_column_and_single_row(self, tmp_path):
+        assert load_model(write(tmp_path / "m.txt", MODEL_HEAD + "2 1\n1\n1\n")).topics.rows.shape == (2, 1)
+        assert load_model(write(tmp_path / "m.txt", MODEL_HEAD + "1 2\n" + ROW)).topics.rows.shape == (1, 2)
+
+    def test_round_trip_awkward_doubles_bitwise(self, tmp_path):
+        rng = np.random.default_rng(72)
+        one_minus = np.nextafter(1.0, 0.0)
+        above_floor = np.nextafter(1e-10, 1.0)
+        path = tmp_path / "m.txt"
+        for trial in range(8):
+            v = int(rng.integers(3, 9))
+            rows = awkward_doubles(rng, (6, v), 1e-10, 1.0 / v)
+            rows[:, -1] = 1.0 - rows[:, :-1].sum(axis=1)
+            rows[0] = [one_minus] + [1e-10] * (v - 1)
+            rows[1] = [1.0, above_floor] + [1e-10] * (v - 2)
+            rows[2, :2] = [0.5, np.nextafter(0.5, 0.0)]
+            rows[2, 2:] = 1e-10
+            save_model(path, TopicMatrix(rows), metadata={"trial": trial})
+            loaded = load_model(path).topics.rows
+            tokens = np.array([[float(x) for x in line.split()] for line in path.read_text().splitlines()[3:]])
+            assert np.array_equal(loaded.view(np.int64), tokens.view(np.int64))
+            assert np.array_equal(loaded.view(np.int64), rows.view(np.int64))
+
+    def test_row_parse_bitwise_outside_the_valid_range(self):
+        # Subnormals, signed zeros and huge values fail validation, so the
+        # row reader is checked on its own.
+        rng = np.random.default_rng(73)
+        values = np.r_[awkward_doubles(rng, 40, 5e-324, 1e308), -awkward_doubles(rng, 20, 5e-324, 1e-300),
+                       5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, -0.0, 0.0, 1.7976931348623157e308]
+        tokens = [f"{x:.17g}" for x in values] + ["1e-400", "0.1", "1e500", "+.5e-3", "7.", "-INF"]
+        width = len(tokens) // 2
+        text = " ".join(tokens[:width]) + "\n" + " ".join(tokens[width:]) + "\n"
+        rows = _read_rows(io.StringIO(text), 2, width)
+        expected = np.array([float(x) for x in tokens]).reshape(2, width)
+        assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+
+    def test_underscore_in_row_refused(self, tmp_path):
+        # float("0.7_5") is 0.75; numpy's reader refuses the digit separator.
+        text = MODEL_HEAD + "2 2\n" + ROW + "0.25 0.7_5\n"
+        with pytest.raises(ModelFormatError, match="row 1 holds a non-numeric entry"):
+            load_model(write(tmp_path / "m.txt", text))
+
+    def test_underscore_in_dimensions_refused(self, tmp_path):
+        with pytest.raises(ModelFormatError, match="two integers"):
+            load_model(write(tmp_path / "m.txt", MODEL_HEAD + "1 0_2\n" + ROW))
+
+    def test_loaded_model_is_scanned_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.txt"
+        save_model(path, TopicMatrix.normalized(np.ones((3, 4))))
+        scans = []
+        real = core.validate_topic_matrix
+        monkeypatch.setattr(core, "validate_topic_matrix", lambda t: scans.append(t) or real(t))
+        topics = load_model(path).topics
+        doc = Document(np.array([0, 3]), np.array([1.0, 2.0]))
+        ml_objective(doc, topics)
+        ml_objective(doc, topics)
+        save_model(path, topics)
+        assert scans == [topics]
 
 
 class TestPriorFiles:
