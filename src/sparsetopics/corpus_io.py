@@ -4,10 +4,10 @@ precision-matrix files, and the CSV reports.
 The model format stores floats with %.17g so a save/load cycle reproduces
 every entry bit for bit.  The corpus and model loaders stream their files:
 numpy's C text reader parses the numbers, and a line-by-line walk runs only
-to name the first bad line of a file it refused.  Numbers in these files
-therefore follow numpy's grammar, which is float()'s and int()'s without
-digit-group underscores or non-ASCII digits, and their lines end at \n,
-\r\n or \r only.
+to name the first bad line of a file it refused.  Numbers after the
+header lines therefore follow numpy's grammar, which is float()'s and
+int()'s without digit-group underscores or non-ASCII digits, and lines end
+at \n, \r\n or \r only.
 """
 
 from __future__ import annotations
@@ -42,9 +42,15 @@ def _plain_number(text, kind):
     return kind(text)
 
 
-def _parse_int(line_no, text, what):
+def _plain_int(text):
+    return _plain_number(text, int)
+
+
+def _parse_int(line_no, text, what, parse=int):
+    """parse(text); header fields take int()'s grammar, body ids the
+    _plain_int one, so that the line walk refuses what numpy refuses."""
     try:
-        return _plain_number(text, int)
+        return parse(text)
     except ValueError:
         raise CorpusFormatError(f"expected an integer {what}, got {text!r}", line_no) from None
 
@@ -62,8 +68,12 @@ def _read_triples(lines):
     else:
         return np.empty(0, dtype=_TRIPLE)
     try:
-        return np.loadtxt(itertools.chain([first], lines), dtype=_TRIPLE, comments=None, ndmin=1)
-    except ValueError:
+        # numpy before 2.x parses a fractional id through a float, truncates
+        # it and only warns; as an error the warning refuses the line.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(itertools.chain([first], lines), dtype=_TRIPLE, comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
 
 
@@ -82,8 +92,8 @@ def _raise_first_bad_triple(path, num_docs, vocab_size, num_triples):
             parts = text.split()
             if len(parts) != 3:
                 raise CorpusFormatError(f"expected 'docID wordID count', got {text!r}", line_no)
-            doc_id = _parse_int(line_no, parts[0], "document id")
-            word_id = _parse_int(line_no, parts[1], "word id")
+            doc_id = _parse_int(line_no, parts[0], "document id", _plain_int)
+            word_id = _parse_int(line_no, parts[1], "word id", _plain_int)
             try:
                 count = _plain_number(parts[2], float)
             except ValueError:
@@ -219,7 +229,7 @@ def load_model(path) -> ModelFile:
         if len(header) != 2 or header[0] != MODEL_MAGIC:
             raise ModelFormatError("missing model header")
         try:
-            version = _plain_number(header[1], int)
+            version = int(header[1])
         except ValueError:
             raise ModelFormatError(f"bad version field {header[1]!r}") from None
         if version != MODEL_VERSION:
@@ -233,7 +243,7 @@ def load_model(path) -> ModelFile:
         if len(dims) != 2:
             raise ModelFormatError("dimensions line must hold two integers")
         try:
-            k, v = _plain_number(dims[0], int), _plain_number(dims[1], int)
+            k, v = int(dims[0]), int(dims[1])
         except ValueError:
             raise ModelFormatError("dimensions line must hold two integers") from None
         if k < 1 or v < 1:

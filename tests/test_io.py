@@ -184,12 +184,42 @@ class TestLoadUciBow:
     @pytest.mark.parametrize("name", sorted(MALFORMED_BOW))
     def test_malformed_file_names_first_bad_line(self, tmp_path, name):
         text, error, line, message = MALFORMED_BOW[name]
-        with pytest.raises(CorpusFormatError) as info, warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with pytest.raises(CorpusFormatError) as info:
             load_uci_bow(write(tmp_path / "d.txt", text))
         assert type(info.value) is error
         assert info.value.line == line
         assert str(info.value) == (f"line {line}: {message}" if line else message)
+
+    @pytest.mark.parametrize("token", ["1.0", "1.5", "2.7", "1e0"])
+    def test_fractional_id_refused_with_warnings_ignored(self, tmp_path, token):
+        text = f"2\n3\n2\n1 1 2\n{token} 2 1\n"
+        with pytest.raises(CorpusFormatError) as info, warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            load_uci_bow(write(tmp_path / "d.txt", text))
+        assert str(info.value) == f"line 5: expected an integer document id, got {token!r}"
+
+    def test_fractional_id_refused_by_a_reader_that_only_warns(self, tmp_path, monkeypatch):
+        # numpy before 2.x parses an integer field through a float,
+        # truncates it and only emits a DeprecationWarning.
+        def float_fallback_loadtxt(lines, dtype, **kwargs):
+            rows = []
+            for line in lines:
+                if line.strip():
+                    d, w, c = line.split()
+                    try:
+                        d = int(d)
+                    except ValueError:
+                        warnings.warn("parsing an integer via a float", DeprecationWarning)
+                        d = int(float(d))
+                    rows.append((d, int(w), float(c)))
+            return np.array(rows, dtype=dtype)
+
+        monkeypatch.setattr(np, "loadtxt", float_fallback_loadtxt)
+        path = write(tmp_path / "d.txt", "2\n3\n2\n1 1 2\n2.7 2 1\n")
+        with pytest.raises(CorpusFormatError) as info, warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            load_uci_bow(path)
+        assert str(info.value) == "line 5: expected an integer document id, got '2.7'"
 
     def test_duplicates_sum_in_file_order(self, tmp_path):
         # 1e16 + 1 rounds back to 1e16, so the order of the additions shows.
@@ -405,10 +435,6 @@ class TestModelFiles:
         text = MODEL_HEAD + "2 2\n" + ROW + "0.25 0.7_5\n"
         with pytest.raises(ModelFormatError, match="row 1 holds a non-numeric entry"):
             load_model(write(tmp_path / "m.txt", text))
-
-    def test_underscore_in_dimensions_refused(self, tmp_path):
-        with pytest.raises(ModelFormatError, match="two integers"):
-            load_model(write(tmp_path / "m.txt", MODEL_HEAD + "1 0_2\n" + ROW))
 
     def test_loaded_model_is_scanned_once(self, tmp_path, monkeypatch):
         path = tmp_path / "m.txt"
