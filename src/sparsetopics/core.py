@@ -26,8 +26,11 @@ _STARTS = (START_BEST_VERTEX, START_BARYCENTER)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
+    """a as a read-only contiguous array: a itself when it is already
+    read-only and owns its memory, so nobody else can write to it; a
+    copy otherwise."""
     out = np.ascontiguousarray(a)
-    if out is a:
+    if out is a and (a.flags.writeable or a.base is not None):
         out = out.copy()
     out.setflags(write=False)
     return out
@@ -146,7 +149,8 @@ class TopicMatrix:
 
     The constructor only checks shape; use validate_topic_matrix (or its
     cached result, problems) for a diagnosis, or TopicMatrix.normalized to
-    build a guaranteed-valid one.
+    build a guaranteed-valid one.  It copies the rows unless they are a
+    read-only array owning its memory, which it keeps as is.
     """
 
     rows: np.ndarray
@@ -269,7 +273,8 @@ class SolverConfig:
     """Knobs for the simplex solvers.
 
     max_nnz, when set, caps the support size of the result by limiting the
-    iteration count (vertex starts add at most one coordinate per step).
+    iteration count (vertex starts add at most one coordinate per step);
+    the solvers refuse it when the start point already has more nonzeros.
     """
 
     max_iters: int = 1000

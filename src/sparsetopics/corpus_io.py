@@ -259,6 +259,8 @@ def load_model(path) -> ModelFile:
         else:
             fh.seek(body)
         rows = _read_rows(fh, k, v)
+    # Read-only before the hand-over, so TopicMatrix keeps it uncopied.
+    rows.setflags(write=False)
     topics = TopicMatrix(rows)
     if topics.problems:
         raise ModelFormatError("invalid topic matrix: " + "; ".join(topics.problems))

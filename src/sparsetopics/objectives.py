@@ -31,7 +31,7 @@ LOG_CLAMP = 1e-12
 def _check_interior(theta: np.ndarray, dim: int) -> None:
     if theta.shape != (dim,):
         raise InvalidArgumentError(f"expected a vector of length {dim}")
-    if np.any(theta <= 0):
+    if (theta <= 0).any():
         raise DomainViolationError(
             "point has a zero or negative coordinate but the objective "
             "is defined only on the simplex interior"
@@ -86,22 +86,30 @@ class Objective:
         raise NotImplementedError
 
     def line_restriction(self, theta, s_ids, s_vals):
-        base = np.asarray(theta, dtype=np.float64)
-        direction = -base.copy()
-        direction[s_ids] += s_vals
-
-        def point(a: float) -> np.ndarray:
-            x = (1.0 - a) * base
-            x[s_ids] += a * s_vals
-            return x
+        direction, point = _chord(theta, s_ids, s_vals)
 
         def g(a: float) -> float:
             return self.value(point(a))
 
         def dg(a: float) -> float:
-            return float(direction @ self.gradient(point(a)))
+            return float(direction.dot(self.gradient(point(a)))) + 0.0
 
         return g, dg
+
+
+def _chord(theta, s_ids, s_vals):
+    """The step direction s - theta and the chord a |-> (1-a) theta + a s,
+    for a sparse target point s."""
+    base = np.asarray(theta, dtype=np.float64)
+    direction = -base.copy()
+    direction[s_ids] += s_vals
+
+    def point(a: float) -> np.ndarray:
+        x = (1.0 - a) * base
+        x[s_ids] += a * s_vals
+        return x
+
+    return direction, point
 
 
 class MlObjective(Objective):
@@ -125,30 +133,47 @@ class MlObjective(Objective):
         # this (K x nnz) slab.
         self.term_columns = np.ascontiguousarray(topics.rows[:, document.term_ids])
         self._counts = document.counts
+        # The last mixture p = theta . term_columns, keyed by theta's bytes
+        # (the solver mutates theta in place, so its identity is no key).
+        # One tuple, read once, so a key is never paired with another p.
+        self._memo = (None, None)
+
+    def _mixture(self, theta) -> np.ndarray:
+        """theta . term_columns, formed only when theta differs bitwise
+        from the last point asked for; read-only."""
+        theta = np.asarray(theta, dtype=np.float64)
+        key = theta.tobytes()
+        memo_key, p = self._memo
+        if key != memo_key:
+            p = theta @ self.term_columns
+            p.setflags(write=False)
+            self._memo = (key, p)
+        return p
 
     def value(self, theta: np.ndarray) -> float:
-        p = np.asarray(theta, dtype=np.float64) @ self.term_columns
-        return float(self._counts @ np.log(p))
+        # ndarray.dot is cheaper than @ and gives the same bits, except
+        # that on one term it keeps a -0.0 product where @ adds it to +0.0;
+        # the + 0.0 after every 1-d dot in this module does that addition.
+        return float(self._counts.dot(np.log(self._mixture(theta)))) + 0.0
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        p = np.asarray(theta, dtype=np.float64) @ self.term_columns
-        return self.term_columns @ (self._counts / p)
+        return self.term_columns @ (self._counts / self._mixture(theta))
 
     def vertex_values(self) -> np.ndarray:
         """value() at every vertex e_k, in one pass over the slab."""
         return np.log(self.term_columns) @ self._counts
 
     def line_restriction(self, theta, s_ids, s_vals):
-        p0 = np.asarray(theta, dtype=np.float64) @ self.term_columns
+        p0 = self._mixture(theta)
         ps = s_vals @ self.term_columns[s_ids, :]
         dp = ps - p0
         counts = self._counts
 
         def g(a: float) -> float:
-            return float(counts @ np.log(p0 + a * dp))
+            return float(counts.dot(np.log(p0 + a * dp))) + 0.0
 
         def dg(a: float) -> float:
-            return float(counts @ (dp / (p0 + a * dp)))
+            return float(counts.dot(dp / (p0 + a * dp))) + 0.0
 
         return g, dg
 
@@ -270,6 +295,21 @@ class GaussianLogPenalty(Objective):
         _check_interior(theta, self.dim)
         x = self._centered_log(theta, clamp=False)
         return -(self.prior.precision @ x) / theta
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        # The default chord, with dg taking the gradient's steps inline.
+        direction, point = _chord(theta, s_ids, s_vals)
+        precision = self.prior.precision
+
+        def g(a: float) -> float:
+            return self.value(point(a))
+
+        def dg(a: float) -> float:
+            x = point(a)
+            _check_interior(x, self.dim)
+            return float(direction.dot(-(precision @ self._centered_log(x, clamp=False)) / x)) + 0.0
+
+        return g, dg
 
 
 class PenalizedObjective(Objective):

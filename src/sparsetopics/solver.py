@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,13 +64,26 @@ class TraceRecord:
 
 @dataclasses.dataclass(frozen=True)
 class Trace:
-    records: tuple[TraceRecord, ...]
+    """A solver trace kept as four columns, one entry per record; the
+    TraceRecords are built when first read."""
+
+    objective: tuple[float, ...]
+    nnz: tuple[int, ...]
+    vertex: tuple[int, ...]
+    alpha: tuple[float, ...]
+
+    @cached_property
+    def records(self) -> tuple[TraceRecord, ...]:
+        return tuple(
+            TraceRecord(i, *row)
+            for i, row in enumerate(zip(self.objective, self.nnz, self.vertex, self.alpha))
+        )
 
     def objectives(self) -> np.ndarray:
-        return np.array([r.objective for r in self.records])
+        return np.array(self.objective)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.objective)
 
     def __iter__(self):
         return iter(self.records)
@@ -220,17 +234,24 @@ def _require_concave(objective) -> None:
 
 
 def _solve_loop(objective, theta, start_vertex, lp, config, prune, upper):
+    k = theta.size
+    nnz = int(np.count_nonzero(theta))
+    if config.max_nnz is not None and nnz > config.max_nnz:
+        raise InvalidConfigError(
+            f"max_nnz = {config.max_nnz} cannot cap a start point with {nnz} "
+            "nonzeros; use a vertex start"
+        )
     f_prev = objective.value(theta)
     if math.isnan(f_prev):
         raise NumericFailureError("objective is NaN at the start point")
-    records = [TraceRecord(0, f_prev, int(np.count_nonzero(theta)), start_vertex, 0.0)]
+    objectives, nnzs, vertices, alphas = [f_prev], [nnz], [start_vertex], [0.0]
     iter_cap = config.max_iters
     if config.max_nnz is not None:
         iter_cap = min(iter_cap, config.max_nnz - 1)
     iterations = 0
     for step in range(1, iter_cap + 1):
         grad = objective.gradient(theta)
-        if np.any(np.isnan(grad)):
+        if np.isnan(grad).any():
             raise NumericFailureError("gradient is NaN")
         s_ids, s_vals, lead = lp(grad)
         _, dg = objective.line_restriction(theta, s_ids, s_vals)
@@ -241,34 +262,41 @@ def _solve_loop(objective, theta, start_vertex, lp, config, prune, upper):
             upper=upper,
         )
         previous = theta.copy()
+        nnz_prev = nnz
         theta *= 1.0 - alpha
         theta[s_ids] += alpha * s_vals
+        nnz = int(np.count_nonzero(theta))
         if prune:
-            small = (theta > 0.0) & (theta < PRUNE_TOL)
-            if small.any():
-                theta[small] = 0.0
+            # theta >= 0, so an entry in (0, PRUNE_TOL) exists iff more
+            # entries lie below PRUNE_TOL than are zero.
+            below = int(np.count_nonzero(theta < PRUNE_TOL))
+            if below > k - nnz:
+                theta[theta < PRUNE_TOL] = 0.0
                 theta /= theta.sum()
+                nnz = k - below
         f_curr = objective.value(theta)
         if math.isnan(f_curr):
             raise NumericFailureError("objective is NaN")
         if f_curr < f_prev:
             # Float jitter produced a downhill step; keep the old point.
             theta = previous
+            nnz = nnz_prev
             f_curr = f_prev
             alpha = 0.0
         iterations = step
-        records.append(
-            TraceRecord(step, f_curr, int(np.count_nonzero(theta)), lead, alpha)
-        )
+        objectives.append(f_curr)
+        nnzs.append(nnz)
+        vertices.append(lead)
+        alphas.append(alpha)
         denom = abs(f_prev)
         delta = abs(f_curr - f_prev)
         f_prev = f_curr
         if (delta < config.rel_tol * denom) or (denom < 1e-12 and delta < config.rel_tol):
             break
-    return theta, f_prev, iterations, records
+    return theta, f_prev, iterations, Trace(tuple(objectives), tuple(nnzs), tuple(vertices), tuple(alphas))
 
 
-def _finish(theta, f_final, iterations, records, t0):
+def _finish(theta, f_final, iterations, trace, t0):
     theta = theta / theta.sum()
     point = TopicProportion.from_dense(theta)
     report = InferenceReport(
@@ -278,7 +306,7 @@ def _finish(theta, f_final, iterations, records, t0):
         seconds=time.perf_counter() - t0,
         nnz=point.nnz,
     )
-    return report, Trace(tuple(records))
+    return report, trace
 
 
 def fw_solve(
@@ -326,7 +354,7 @@ def fw_solve(
         lead = int(np.argmax(grad))
         return np.array([lead], dtype=np.int64), one, lead
 
-    theta, f_final, iterations, records = _solve_loop(
+    theta, f_final, iterations, trace = _solve_loop(
         objective,
         theta,
         start_vertex,
@@ -335,7 +363,7 @@ def fw_solve(
         prune=not interior,
         upper=1.0 if not interior else 1.0 - ALPHA_MARGIN,
     )
-    return _finish(theta, f_final, iterations, records, t0)
+    return _finish(theta, f_final, iterations, trace, t0)
 
 
 def fw_solve_capped(
@@ -362,7 +390,7 @@ def fw_solve_capped(
     def lp(grad):
         return _greedy_capped(grad, caps)
 
-    theta, f_final, iterations, records = _solve_loop(
+    theta, f_final, iterations, trace = _solve_loop(
         objective,
         theta,
         -1,
@@ -371,4 +399,4 @@ def fw_solve_capped(
         prune=not interior,
         upper=1.0 if not interior else 1.0 - ALPHA_MARGIN,
     )
-    return _finish(theta, f_final, iterations, records, t0)
+    return _finish(theta, f_final, iterations, trace, t0)

@@ -98,6 +98,21 @@ class TestInfer:
             weights = [float(c.split(":")[1]) for c in cells[1:]]
             assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
+    def test_support_cap_with_a_dense_start_is_an_error(self, workdir, capsys):
+        out = workdir / "theta.capped-map.txt"
+        rc = main(
+            [
+                "infer", *corpus_args(workdir),
+                "--objective", "lda-map",
+                "--alpha", "2",
+                "--max-nnz", "2",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "max_nnz" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lda_map(self, workdir):
         out = workdir / "theta.map.txt"
         rc = main(

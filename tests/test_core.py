@@ -117,6 +117,27 @@ class TestTopicMatrix:
         with pytest.raises(InvalidArgumentError):
             TopicMatrix.normalized(np.zeros((1, 3)))
 
+    def test_copies_a_writable_array(self):
+        raw = np.array([[0.25, 0.75], [0.5, 0.5]])
+        tm = TopicMatrix(raw)
+        raw[0, 0] = 9.0
+        assert tm.rows[0, 0] == 0.25
+        assert not tm.rows.flags.writeable
+        assert raw.flags.writeable
+
+    def test_copies_a_read_only_view(self):
+        raw = np.array([[0.25, 0.75], [0.5, 0.5]])
+        view = raw[:]
+        view.setflags(write=False)
+        tm = TopicMatrix(view)
+        raw[0, 0] = 9.0
+        assert tm.rows[0, 0] == 0.25
+
+    def test_keeps_a_read_only_array_it_can_own(self):
+        raw = np.array([[0.25, 0.75]])
+        raw.setflags(write=False)
+        assert TopicMatrix(raw).rows is raw
+
     def test_validation_flags_row_sum(self):
         tm = TopicMatrix(np.array([[0.5, 0.4]]))
         problems = validate_topic_matrix(tm)

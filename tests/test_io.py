@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -337,6 +338,28 @@ class TestModelFiles:
         assert loaded.version == 1
         assert loaded.metadata is None
         assert np.array_equal(loaded.topics.rows, topics.rows)
+
+    def test_loaded_rows_are_read_only(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(path, TopicMatrix.normalized(np.ones((3, 5))))
+        rows = load_model(path).topics.rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+    def test_load_holds_one_copy_of_the_matrix(self, tmp_path):
+        rng = np.random.default_rng(73)
+        topics = TopicMatrix.normalized(rng.random((300, 2000)))
+        path = tmp_path / "m.txt"
+        save_model(path, topics)
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.topics.rows, topics.rows)
+        assert peak < 1.5 * topics.rows.nbytes
 
     def test_metadata_round_trip(self, tmp_path):
         topics = TopicMatrix.normalized(np.ones((2, 3)))

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from sparsetopics import (
     INTERIOR_ONLY,
     InvalidArgumentError,
     NonconcavePriorError,
+    SolverConfig,
     TopicMatrix,
     ctm_caps,
     ctm_full_objective,
     ctm_map_objective,
     ctm_penalty_hessian,
+    fw_solve,
     lda_map_objective,
     ml_objective,
 )
@@ -27,7 +31,7 @@ from sparsetopics.objectives import (
 
 import sparsetopics.core as core
 
-from helpers import finite_diff_gradient, finite_diff_hessian, interior_point
+from helpers import finite_diff_gradient, finite_diff_hessian, interior_point, random_ml_instance
 
 
 def two_topic_instance():
@@ -391,3 +395,164 @@ def test_ml_line_restriction_uses_cached_columns():
     probe = np.array([0.75, 0.25])
     assert g(0.5) == pytest.approx(f.value(probe), abs=1e-12)
     assert dg is not None
+
+
+class HookedSlab(np.ndarray):
+    """A term-column slab that calls its hook() before every product
+    theta . slab formed with it (slices of it have no hook)."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        hook = getattr(self, "hook", None)
+        if hook is not None and ufunc is np.matmul and inputs[1] is self and np.ndim(inputs[0]) == 1:
+            hook()
+        plain = [x.view(np.ndarray) if isinstance(x, HookedSlab) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def hooked(f, hook):
+    f.term_columns = f.term_columns.view(HookedSlab)
+    f.term_columns.hook = hook
+    return f
+
+
+def evaluations(f, theta, s_ids, s_vals):
+    """Everything the solver reads from f at theta, as bytes."""
+    g, dg = f.line_restriction(theta, s_ids, s_vals)
+    probes = (0.0, 0.25, 0.5, 1.0)
+    return (
+        np.float64(f.value(theta)).tobytes(),
+        f.gradient(theta).tobytes(),
+        np.array([g(a) for a in probes]).tobytes(),
+        np.array([dg(a) for a in probes]).tobytes(),
+    )
+
+
+class TestMixtureMemo:
+    """MlObjective remembers its last theta . term_columns; every result
+    must be the one a fresh objective gives."""
+
+    def instance(self, seed):
+        rng = np.random.default_rng(seed)
+        topics, doc = random_ml_instance(rng, k=int(rng.integers(2, 9)), v=30)
+        thetas = [interior_point(rng, topics.num_topics) for _ in range(3)]
+        return doc, topics, thetas
+
+    def test_warm_and_cold_agree_bitwise(self):
+        for seed in range(10):
+            doc, topics, thetas = self.instance(seed)
+            s_ids, s_vals = np.array([0]), np.array([1.0])
+            warm = MlObjective(doc, topics)
+            for theta in thetas + thetas[::-1]:
+                cold = evaluations(MlObjective(doc, topics), theta, s_ids, s_vals)
+                assert evaluations(warm, theta, s_ids, s_vals) == cold
+                # and again with the memo holding exactly this theta
+                assert evaluations(warm, theta.copy(), s_ids, s_vals) == cold
+
+    def test_in_place_mutation_is_seen(self):
+        doc, topics, (a, b, _) = self.instance(3)
+        f = MlObjective(doc, topics)
+        theta = a.copy()
+        assert f.value(theta) == MlObjective(doc, topics).value(a)
+        theta[:] = b
+        assert f.value(theta) == MlObjective(doc, topics).value(b)
+        assert np.array_equal(f.gradient(theta), MlObjective(doc, topics).gradient(b))
+        theta *= 0.5
+        theta[0] += 0.5
+        fresh = MlObjective(doc, topics)
+        assert f.value(theta) == fresh.value(theta.copy())
+
+    def test_underflowed_single_term_sums_to_positive_zero(self):
+        # count * log p and count * dp / p round to -0.0; like a sum, the
+        # objective and the chord functions return +0.0
+        topics = TopicMatrix(np.array([[0.75, 0.25], [0.9, 0.1]]))
+        f = MlObjective(Document(np.array([0]), np.array([5e-324])), topics)
+        theta = np.array([0.0, 1.0])
+        g, dg = f.line_restriction(theta, np.array([0]), np.array([1.0]))
+        for value in (f.value(theta), g(0.0), dg(0.0)):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_cached_mixture_is_read_only(self):
+        doc, topics, (a, _, _) = self.instance(4)
+        f = MlObjective(doc, topics)
+        f.value(a)
+        with pytest.raises(ValueError):
+            f._memo[1][0] = 1.0
+
+    def test_reused_objective_solves_identically(self):
+        rng = np.random.default_rng(21)
+        config = SolverConfig(rel_tol=1e-12)
+        for _ in range(5):
+            topics, doc = random_ml_instance(rng, k=8, v=40)
+            f = MlObjective(doc, topics)
+            first, first_trace = fw_solve(f, config=config)
+            second, second_trace = fw_solve(f, config=config)
+            assert first.theta.topic_ids.tobytes() == second.theta.topic_ids.tobytes()
+            assert first.theta.weights.tobytes() == second.theta.weights.tobytes()
+            assert (first.iterations, first.objective) == (second.iterations, second.objective)
+            assert first_trace.records == second_trace.records
+
+    def test_threads_sharing_an_objective(self):
+        # A worker thread pauses inside its one theta . slab product while
+        # the main thread evaluates another theta on the same objective.
+        doc, topics, (a, b, _) = self.instance(5)
+        s_ids, s_vals = np.array([1]), np.array([1.0])
+        fresh_a, fresh_b = (evaluations(MlObjective(doc, topics), t, s_ids, s_vals) for t in (a, b))
+        paused, release = threading.Event(), threading.Event()
+
+        def pause_worker_once():
+            if threading.current_thread() is worker and not paused.is_set():
+                paused.set()
+                assert release.wait(10)
+
+        shared = hooked(MlObjective(doc, topics), pause_worker_once)
+        seen = {}
+        worker = threading.Thread(target=lambda: seen.setdefault("a", shared.value(a)))
+        worker.start()
+        try:
+            assert paused.wait(10)
+            seen["b"] = evaluations(shared, b, s_ids, s_vals)
+        finally:
+            release.set()
+            worker.join(10)
+        assert not worker.is_alive()
+        assert seen == {"a": MlObjective(doc, topics).value(a), "b": fresh_b}
+        # the memo the two threads left behind answers for both points
+        assert evaluations(shared, b, s_ids, s_vals) == fresh_b
+        assert evaluations(shared, a, s_ids, s_vals) == fresh_a
+
+    def test_threads_stress(self):
+        doc, topics, thetas = self.instance(6)
+        s_ids, s_vals = np.array([0]), np.array([1.0])
+        expected = [evaluations(MlObjective(doc, topics), t, s_ids, s_vals) for t in thetas]
+        shared = MlObjective(doc, topics)
+        mismatches = []
+
+        def work(offset):
+            for i in range(150):
+                which = (i + offset) % len(thetas)
+                if evaluations(shared, thetas[which], s_ids, s_vals) != expected[which]:
+                    mismatches.append(which)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert mismatches == []
+
+    def test_one_mixture_per_step(self):
+        rng = np.random.default_rng(23)
+        for start in ("best-vertex", "barycenter"):
+            for _ in range(10):
+                topics, doc = random_ml_instance(rng, k=int(rng.integers(2, 12)), v=40)
+                products = []
+                f = hooked(MlObjective(doc, topics), lambda: products.append(1))
+                report, trace = fw_solve(f, config=SolverConfig(rel_tol=1e-12, start=start))
+                still = sum(1 for r in trace.records[1:] if r.alpha == 0.0)
+                assert len(products) <= 1 + report.iterations + still

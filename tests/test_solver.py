@@ -209,6 +209,15 @@ class TestFwSolve:
         assert report.nnz == 1
         assert len(trace) == 1
 
+    def test_max_nnz_refuses_barycenter_start(self):
+        rng = np.random.default_rng(29)
+        topics, doc = random_ml_instance(rng, k=6, v=20)
+        config = SolverConfig(max_nnz=2, start="barycenter")
+        with pytest.raises(InvalidConfigError, match="max_nnz"):
+            fw_solve(RefusingObjective(ml_objective(doc, topics)), config=config)
+        report, _ = fw_solve(ml_objective(doc, topics), config=SolverConfig(max_nnz=6, start="barycenter"))
+        assert report.nnz <= 6
+
     def test_longer_run_extends_shorter_bitwise(self):
         rng = np.random.default_rng(19)
         topics, doc = random_ml_instance(rng, k=6, v=25)
@@ -303,6 +312,109 @@ class TestVertexStart:
         assert vertex_values(f).tolist() == loop.tolist()
         _, trace = fw_solve(f)
         assert trace[0].vertex == int(np.argmax(loop))
+
+
+class RefusingObjective:
+    """Delegates to an objective but fails the test if it is evaluated."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        if name in ("value", "gradient", "line_restriction", "vertex_values"):
+            pytest.fail(f"{name} called")
+        return getattr(self.inner, name)
+
+
+class TestTraceColumns:
+    def test_records_are_built_from_the_columns(self):
+        rng = np.random.default_rng(31)
+        topics, doc = random_ml_instance(rng, k=6, v=25)
+        report, trace = fw_solve(ml_objective(doc, topics), config=SolverConfig(rel_tol=1e-12))
+        assert len(trace) == report.iterations + 1
+        assert [r.iteration for r in trace] == list(range(len(trace)))
+        assert trace.records == tuple(trace)
+        assert trace[-1] == trace.records[-1]
+        assert trace[1:3] == trace.records[1:3]
+        assert trace.objectives().tolist() == [r.objective for r in trace.records]
+        assert trace.objectives().tolist() == list(trace.objective)
+        assert [r.nnz for r in trace] == list(trace.nnz)
+        assert [r.vertex for r in trace] == list(trace.vertex)
+        assert [r.alpha for r in trace] == list(trace.alpha)
+        assert trace[0].vertex == trace.vertex[0] >= 0
+        assert all(type(r.nnz) is int and type(r.objective) is float for r in trace)
+
+
+class ScriptedObjective:
+    """Linear value theta . (0, 1, ..., K-1) from vertex 0; step t moves
+    toward vertex t, and its line-search derivative vanishes at
+    roots[t - 1].  Records every point the solver evaluates."""
+
+    domain = "full-simplex"
+
+    def __init__(self, k, roots):
+        self.dim = k
+        self.roots = roots
+        self.points = []
+        self.steps = 0
+
+    def vertex_values(self):
+        return -np.arange(self.dim, dtype=np.float64)
+
+    def value(self, theta):
+        self.points.append(theta.copy())
+        return float(theta @ np.arange(self.dim, dtype=np.float64))
+
+    def gradient(self, theta):
+        self.steps += 1
+        grad = np.zeros(self.dim)
+        grad[self.steps] = 1.0
+        return grad
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        root = self.roots[self.steps - 1]
+        return None, lambda a: root - a
+
+
+class TestPruning:
+    """After each step, entries in (0, PRUNE_TOL) become zero and theta is
+    renormalized; with no such entry theta is left exactly as stepped."""
+
+    def replay(self, k, trace):
+        theta = np.zeros(k)
+        theta[0] = 1.0
+        points = [theta.copy()]
+        for record in trace.records[1:]:
+            theta *= 1.0 - record.alpha
+            theta[record.vertex] += record.alpha
+            small = (theta > 0.0) & (theta < solver_module.PRUNE_TOL)
+            if small.any():
+                theta[small] = 0.0
+                theta /= theta.sum()
+            points.append(theta.copy())
+        return points
+
+    def solve(self, k, roots):
+        f = ScriptedObjective(k, roots)
+        config = SolverConfig(max_iters=len(roots), rel_tol=1e-300, line_search_tol=1e-300)
+        _, trace = fw_solve(f, config=config)
+        assert len(trace) == len(roots) + 1
+        assert [p.tobytes() for p in f.points] == [p.tobytes() for p in self.replay(k, trace)]
+        assert [r.nnz for r in trace] == [int(np.count_nonzero(p)) for p in f.points]
+        return f.points
+
+    def test_tiny_entry_is_pruned(self):
+        points = self.solve(4, [1.0 - 5e-16])
+        assert points[1].tolist() == [0.0, 1.0, 0.0, 0.0]
+
+    def test_no_renormalization_without_a_tiny_entry(self):
+        rng = np.random.default_rng(41)
+        drifted = 0
+        for _ in range(20):
+            points = self.solve(12, list(rng.uniform(0.05, 0.6, size=11)))
+            drifted += sum(p.sum() != 1.0 for p in points)
+        # the sums drift, so a renormalization would show in the bits
+        assert drifted > 0
 
 
 class CountingObjective:
@@ -485,6 +597,12 @@ class TestFwSolveCapped:
     def test_caps_length_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             fw_solve_capped(separable_instance(), np.ones(3))
+
+    def test_max_nnz_below_the_cap_point_support_is_refused(self):
+        rng = np.random.default_rng(37)
+        topics, doc = random_ml_instance(rng, k=6, v=20)
+        with pytest.raises(InvalidConfigError, match="max_nnz"):
+            fw_solve_capped(RefusingObjective(ml_objective(doc, topics)), np.ones(6), SolverConfig(max_nnz=2))
 
     def test_trace_starts_at_cap_point(self):
         caps = np.array([0.9, 0.6])
