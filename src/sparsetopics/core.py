@@ -26,11 +26,8 @@ _STARTS = (START_BEST_VERTEX, START_BARYCENTER)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
-    """a as a read-only contiguous array: a itself when it is already
-    read-only and owns its memory, so nobody else can write to it; a
-    copy otherwise."""
     out = np.ascontiguousarray(a)
-    if out is a and (a.flags.writeable or a.base is not None):
+    if out is a:
         out = out.copy()
     out.setflags(write=False)
     return out
@@ -149,8 +146,7 @@ class TopicMatrix:
 
     The constructor only checks shape; use validate_topic_matrix (or its
     cached result, problems) for a diagnosis, or TopicMatrix.normalized to
-    build a guaranteed-valid one.  It copies the rows unless they are a
-    read-only array owning its memory, which it keeps as is.
+    build a guaranteed-valid one.
     """
 
     rows: np.ndarray
@@ -160,6 +156,16 @@ class TopicMatrix:
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise InvalidArgumentError("topic matrix must be 2-d and non-empty")
         object.__setattr__(self, "rows", _as_readonly(rows))
+
+    @classmethod
+    def _adopt(cls, rows: np.ndarray) -> "TopicMatrix":
+        """A TopicMatrix that takes over rows without the constructor's
+        copy.  For load_model only: rows is a non-empty 2-d C-contiguous
+        float64 array it has just parsed and keeps no other reference to."""
+        rows.setflags(write=False)
+        topics = object.__new__(cls)
+        object.__setattr__(topics, "rows", rows)
+        return topics
 
     @classmethod
     def normalized(cls, raw: np.ndarray, floor: float = EPS_BETA) -> "TopicMatrix":
@@ -274,7 +280,8 @@ class SolverConfig:
 
     max_nnz, when set, caps the support size of the result by limiting the
     iteration count (vertex starts add at most one coordinate per step);
-    the solvers refuse it when the start point already has more nonzeros.
+    the solvers refuse it when the start point already has more nonzeros,
+    and max_nnz >= K caps nothing.
     """
 
     max_iters: int = 1000

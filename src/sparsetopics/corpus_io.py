@@ -259,9 +259,7 @@ def load_model(path) -> ModelFile:
         else:
             fh.seek(body)
         rows = _read_rows(fh, k, v)
-    # Read-only before the hand-over, so TopicMatrix keeps it uncopied.
-    rows.setflags(write=False)
-    topics = TopicMatrix(rows)
+    topics = TopicMatrix._adopt(rows)
     if topics.problems:
         raise ModelFormatError("invalid topic matrix: " + "; ".join(topics.problems))
     return ModelFile(topics=topics, version=version, metadata=metadata)

@@ -86,30 +86,22 @@ class Objective:
         raise NotImplementedError
 
     def line_restriction(self, theta, s_ids, s_vals):
-        direction, point = _chord(theta, s_ids, s_vals)
+        base = np.asarray(theta, dtype=np.float64)
+        direction = -base.copy()
+        direction[s_ids] += s_vals
+
+        def point(a: float) -> np.ndarray:
+            x = (1.0 - a) * base
+            x[s_ids] += a * s_vals
+            return x
 
         def g(a: float) -> float:
             return self.value(point(a))
 
         def dg(a: float) -> float:
-            return float(direction.dot(self.gradient(point(a)))) + 0.0
+            return float(direction @ self.gradient(point(a)))
 
         return g, dg
-
-
-def _chord(theta, s_ids, s_vals):
-    """The step direction s - theta and the chord a |-> (1-a) theta + a s,
-    for a sparse target point s."""
-    base = np.asarray(theta, dtype=np.float64)
-    direction = -base.copy()
-    direction[s_ids] += s_vals
-
-    def point(a: float) -> np.ndarray:
-        x = (1.0 - a) * base
-        x[s_ids] += a * s_vals
-        return x
-
-    return direction, point
 
 
 class MlObjective(Objective):
@@ -151,10 +143,7 @@ class MlObjective(Objective):
         return p
 
     def value(self, theta: np.ndarray) -> float:
-        # ndarray.dot is cheaper than @ and gives the same bits, except
-        # that on one term it keeps a -0.0 product where @ adds it to +0.0;
-        # the + 0.0 after every 1-d dot in this module does that addition.
-        return float(self._counts.dot(np.log(self._mixture(theta)))) + 0.0
+        return float(self._counts @ np.log(self._mixture(theta)))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return self.term_columns @ (self._counts / self._mixture(theta))
@@ -170,9 +159,12 @@ class MlObjective(Objective):
         counts = self._counts
 
         def g(a: float) -> float:
-            return float(counts.dot(np.log(p0 + a * dp))) + 0.0
+            return float(counts @ np.log(p0 + a * dp))
 
         def dg(a: float) -> float:
+            # ndarray.dot is cheaper than @ on this hot probe and gives the
+            # same bits, except that on one term it keeps a -0.0 product
+            # where @ adds it to +0.0; the + 0.0 does that addition.
             return float(counts.dot(dp / (p0 + a * dp))) + 0.0
 
         return g, dg
@@ -295,21 +287,6 @@ class GaussianLogPenalty(Objective):
         _check_interior(theta, self.dim)
         x = self._centered_log(theta, clamp=False)
         return -(self.prior.precision @ x) / theta
-
-    def line_restriction(self, theta, s_ids, s_vals):
-        # The default chord, with dg taking the gradient's steps inline.
-        direction, point = _chord(theta, s_ids, s_vals)
-        precision = self.prior.precision
-
-        def g(a: float) -> float:
-            return self.value(point(a))
-
-        def dg(a: float) -> float:
-            x = point(a)
-            _check_interior(x, self.dim)
-            return float(direction.dot(-(precision @ self._centered_log(x, clamp=False)) / x)) + 0.0
-
-        return g, dg
 
 
 class PenalizedObjective(Objective):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -64,26 +63,13 @@ class TraceRecord:
 
 @dataclasses.dataclass(frozen=True)
 class Trace:
-    """A solver trace kept as four columns, one entry per record; the
-    TraceRecords are built when first read."""
-
-    objective: tuple[float, ...]
-    nnz: tuple[int, ...]
-    vertex: tuple[int, ...]
-    alpha: tuple[float, ...]
-
-    @cached_property
-    def records(self) -> tuple[TraceRecord, ...]:
-        return tuple(
-            TraceRecord(i, *row)
-            for i, row in enumerate(zip(self.objective, self.nnz, self.vertex, self.alpha))
-        )
+    records: tuple[TraceRecord, ...]
 
     def objectives(self) -> np.ndarray:
-        return np.array(self.objective)
+        return np.array([r.objective for r in self.records])
 
     def __len__(self) -> int:
-        return len(self.objective)
+        return len(self.records)
 
     def __iter__(self):
         return iter(self.records)
@@ -244,10 +230,12 @@ def _solve_loop(objective, theta, start_vertex, lp, config, prune, upper):
     f_prev = objective.value(theta)
     if math.isnan(f_prev):
         raise NumericFailureError("objective is NaN at the start point")
-    objectives, nnzs, vertices, alphas = [f_prev], [nnz], [start_vertex], [0.0]
+    records = [TraceRecord(0, f_prev, nnz, start_vertex, 0.0)]
     iter_cap = config.max_iters
-    if config.max_nnz is not None:
-        iter_cap = min(iter_cap, config.max_nnz - 1)
+    if config.max_nnz is not None and config.max_nnz < k:
+        # Dense starts were refused above; from a vertex each step adds at
+        # most one coordinate.  With max_nnz >= K there is nothing to cap.
+        iter_cap = min(iter_cap, config.max_nnz - nnz)
     iterations = 0
     for step in range(1, iter_cap + 1):
         grad = objective.gradient(theta)
@@ -284,19 +272,16 @@ def _solve_loop(objective, theta, start_vertex, lp, config, prune, upper):
             f_curr = f_prev
             alpha = 0.0
         iterations = step
-        objectives.append(f_curr)
-        nnzs.append(nnz)
-        vertices.append(lead)
-        alphas.append(alpha)
+        records.append(TraceRecord(step, f_curr, nnz, lead, alpha))
         denom = abs(f_prev)
         delta = abs(f_curr - f_prev)
         f_prev = f_curr
         if (delta < config.rel_tol * denom) or (denom < 1e-12 and delta < config.rel_tol):
             break
-    return theta, f_prev, iterations, Trace(tuple(objectives), tuple(nnzs), tuple(vertices), tuple(alphas))
+    return theta, f_prev, iterations, records
 
 
-def _finish(theta, f_final, iterations, trace, t0):
+def _finish(theta, f_final, iterations, records, t0):
     theta = theta / theta.sum()
     point = TopicProportion.from_dense(theta)
     report = InferenceReport(
@@ -306,7 +291,7 @@ def _finish(theta, f_final, iterations, trace, t0):
         seconds=time.perf_counter() - t0,
         nnz=point.nnz,
     )
-    return report, trace
+    return report, Trace(tuple(records))
 
 
 def fw_solve(
@@ -354,7 +339,7 @@ def fw_solve(
         lead = int(np.argmax(grad))
         return np.array([lead], dtype=np.int64), one, lead
 
-    theta, f_final, iterations, trace = _solve_loop(
+    theta, f_final, iterations, records = _solve_loop(
         objective,
         theta,
         start_vertex,
@@ -363,7 +348,7 @@ def fw_solve(
         prune=not interior,
         upper=1.0 if not interior else 1.0 - ALPHA_MARGIN,
     )
-    return _finish(theta, f_final, iterations, trace, t0)
+    return _finish(theta, f_final, iterations, records, t0)
 
 
 def fw_solve_capped(
@@ -390,7 +375,7 @@ def fw_solve_capped(
     def lp(grad):
         return _greedy_capped(grad, caps)
 
-    theta, f_final, iterations, trace = _solve_loop(
+    theta, f_final, iterations, records = _solve_loop(
         objective,
         theta,
         -1,
@@ -399,4 +384,4 @@ def fw_solve_capped(
         prune=not interior,
         upper=1.0 if not interior else 1.0 - ALPHA_MARGIN,
     )
-    return _finish(theta, f_final, iterations, trace, t0)
+    return _finish(theta, f_final, iterations, records, t0)

@@ -133,10 +133,14 @@ class TestTopicMatrix:
         raw[0, 0] = 9.0
         assert tm.rows[0, 0] == 0.25
 
-    def test_keeps_a_read_only_array_it_can_own(self):
+    def test_copies_a_read_only_array_that_owns_its_memory(self):
+        # its owner can make it writable again
         raw = np.array([[0.25, 0.75]])
         raw.setflags(write=False)
-        assert TopicMatrix(raw).rows is raw
+        tm = TopicMatrix(raw)
+        raw.setflags(write=True)
+        raw[0, 0] = 9.0
+        assert tm.rows[0, 0] == 0.25
 
     def test_validation_flags_row_sum(self):
         tm = TopicMatrix(np.array([[0.5, 0.4]]))

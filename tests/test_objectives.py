@@ -463,7 +463,8 @@ class TestMixtureMemo:
 
     def test_underflowed_single_term_sums_to_positive_zero(self):
         # count * log p and count * dp / p round to -0.0; like a sum, the
-        # objective and the chord functions return +0.0
+        # objective and the chord functions return +0.0 (dg reads its
+        # product with ndarray.dot, which keeps a lone -0.0)
         topics = TopicMatrix(np.array([[0.75, 0.25], [0.9, 0.1]]))
         f = MlObjective(Document(np.array([0]), np.array([5e-324])), topics)
         theta = np.array([0.0, 1.0])

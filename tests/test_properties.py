@@ -1,6 +1,6 @@
 """Property tests: solver invariants on random ML and certified-CTM
 instances, down to K = 1, single-term documents and counts from 1e-300 to
-1e300, and the log-normal penalty's direct chord against the default one."""
+1e300."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +19,6 @@ from sparsetopics import (
     ml_objective,
 )
 from sparsetopics.core import SIMPLEX_TOL
-from sparsetopics.objectives import GaussianLogPenalty, Objective
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 CONFIG = SolverConfig(max_iters=200, rel_tol=1e-9)
@@ -119,32 +118,3 @@ class TestCtmInvariants:
         assert np.all(report.theta.dense(topics.num_topics) <= caps * (1.0 + 1e-12))
         assert_monotone(trace)
 
-
-class TestPenaltyChord:
-    @SETTINGS
-    @given(st.data())
-    def test_direct_chord_is_the_default_bitwise(self, data):
-        k = data.draw(st.integers(1, 8))
-        prior = data.draw(certified_priors(k, with_mean=data.draw(st.booleans())))
-        penalty = GaussianLogPenalty(prior)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        theta = rng.dirichlet(np.ones(k)) * 0.9 + 0.1 / k
-        n = data.draw(st.integers(1, k))
-        s_ids = np.sort(rng.choice(k, size=n, replace=False)).astype(np.int64)
-        s_vals = rng.dirichlet(np.ones(n))
-        direct = penalty.line_restriction(theta, s_ids, s_vals)
-        default = Objective.line_restriction(penalty, theta, s_ids, s_vals)
-        direction = -theta
-        direction[s_ids] += s_vals
-
-        def reference(a):
-            # the chord point and derivative written out, with @
-            x = (1.0 - a) * theta
-            x[s_ids] += a * s_vals
-            return penalty.value(x), float(direction @ penalty.gradient(x))
-
-        alphas = data.draw(st.lists(st.floats(0.0, 1.0 - 1e-9), min_size=1, max_size=5))
-        for a in alphas:
-            expected = np.array(reference(a)).tobytes()
-            for g, dg in (direct, default):
-                assert np.array([g(a), dg(a)]).tobytes() == expected

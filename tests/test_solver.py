@@ -215,8 +215,20 @@ class TestFwSolve:
         config = SolverConfig(max_nnz=2, start="barycenter")
         with pytest.raises(InvalidConfigError, match="max_nnz"):
             fw_solve(RefusingObjective(ml_objective(doc, topics)), config=config)
-        report, _ = fw_solve(ml_objective(doc, topics), config=SolverConfig(max_nnz=6, start="barycenter"))
-        assert report.nnz <= 6
+
+    def test_max_nnz_of_k_caps_nothing(self):
+        # the support cannot outgrow K, so max_nnz = K leaves the solve as is
+        rng = np.random.default_rng(7)
+        topics, doc = random_ml_instance(rng, k=6, v=20)
+        for start in ("barycenter", "best-vertex"):
+            free = SolverConfig(start=start, rel_tol=1e-15)
+            capped = SolverConfig(start=start, rel_tol=1e-15, max_nnz=6)
+            a, a_trace = fw_solve(ml_objective(doc, topics), config=free)
+            b, b_trace = fw_solve(ml_objective(doc, topics), config=capped)
+            assert a.iterations > 5
+            assert a.iterations == b.iterations
+            assert a.theta.weights.tobytes() == b.theta.weights.tobytes()
+            assert a_trace.records == b_trace.records
 
     def test_longer_run_extends_shorter_bitwise(self):
         rng = np.random.default_rng(19)
@@ -326,22 +338,16 @@ class RefusingObjective:
         return getattr(self.inner, name)
 
 
-class TestTraceColumns:
-    def test_records_are_built_from_the_columns(self):
+class TestTraceRecords:
+    def test_records_track_the_support(self):
         rng = np.random.default_rng(31)
         topics, doc = random_ml_instance(rng, k=6, v=25)
         report, trace = fw_solve(ml_objective(doc, topics), config=SolverConfig(rel_tol=1e-12))
         assert len(trace) == report.iterations + 1
         assert [r.iteration for r in trace] == list(range(len(trace)))
-        assert trace.records == tuple(trace)
-        assert trace[-1] == trace.records[-1]
-        assert trace[1:3] == trace.records[1:3]
         assert trace.objectives().tolist() == [r.objective for r in trace.records]
-        assert trace.objectives().tolist() == list(trace.objective)
-        assert [r.nnz for r in trace] == list(trace.nnz)
-        assert [r.vertex for r in trace] == list(trace.vertex)
-        assert [r.alpha for r in trace] == list(trace.alpha)
-        assert trace[0].vertex == trace.vertex[0] >= 0
+        assert trace[-1].nnz == report.nnz
+        assert trace[0].vertex >= 0
         assert all(type(r.nnz) is int and type(r.objective) is float for r in trace)
 
 
