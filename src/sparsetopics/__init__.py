@@ -57,8 +57,6 @@ from .evaluation import (
     MethodResult,
     compare_methods,
     evaluate_inference,
-    perplexity,
-    sparsity,
     tradeoff_sweep,
 )
 from .objectives import (
@@ -72,7 +70,6 @@ from .objectives import (
     PenalizedObjective,
     ctm_caps,
     ctm_full_objective,
-    ctm_map_objective,
     ctm_penalty_hessian,
     lda_map_objective,
     ml_objective,

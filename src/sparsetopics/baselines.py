@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .core import Document, InferenceReport, SolverConfig, TopicMatrix, TopicProportion
+from .core import Document, InferenceReport, SolverConfig, TopicMatrix, TopicProportion, converged
 from .errors import InvalidArgumentError
 from .objectives import MlObjective
 
@@ -34,8 +34,6 @@ def folding_in(
     config = config or SolverConfig()
     objective = MlObjective(document, topics)
     k = topics.num_topics
-    cols = objective.term_columns
-    counts = document.counts
     length = document.length
 
     t0 = time.perf_counter()
@@ -44,8 +42,8 @@ def folding_in(
     trace = [f_prev]
     iterations = 0
     for step in range(1, config.max_iters + 1):
-        p = theta @ cols
-        theta_next = theta * (cols @ (counts / p)) / length
+        # The gradient reads the mixture value() formed at theta.
+        theta_next = theta * objective.gradient(theta) / length
         f_curr = objective.value(theta_next)
         if f_curr < f_prev:
             # EM is monotone; a float dip means we are at the fixed point.
@@ -53,10 +51,9 @@ def folding_in(
         theta = theta_next
         iterations = step
         trace.append(f_curr)
-        denom = abs(f_prev)
-        delta = abs(f_curr - f_prev)
+        done = converged(f_prev, f_curr, config.rel_tol)
         f_prev = f_curr
-        if (delta < config.rel_tol * denom) or (denom < 1e-12 and delta < config.rel_tol):
+        if done:
             break
     theta = theta / theta.sum()
     point = TopicProportion.from_dense(theta)

@@ -24,13 +24,11 @@ from .errors import InvalidArgumentError, InvalidConfigError
 from .evaluation import ALL_METHODS, compare_methods, tradeoff_sweep
 from .objectives import (
     INTERIOR_ONLY,
-    ctm_caps,
     ctm_full_objective,
-    ctm_map_objective,
     lda_map_objective,
     ml_objective,
 )
-from .solver import fw_solve, fw_solve_capped
+from .solver import fw_solve
 from .training import TrainConfig, generate_synthetic_corpus, train
 
 _START_NAMES = {"vertex": START_BEST_VERTEX, "barycenter": START_BARYCENTER}
@@ -71,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--em-tol", type=float, default=1e-4)
     p.add_argument("--m-step", choices=["responsibility", "hard"], default="responsibility")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     _add_stop_flags(p)
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=_cmd_train)
@@ -153,7 +150,6 @@ def _cmd_train(args) -> int:
         inner=SolverConfig(max_iters=args.iters, rel_tol=args.tol),
         seed=args.seed,
         m_step=args.m_step,
-        threads=args.threads,
     )
     topics, trace = train(corpus, config)
     corpus_io.save_model(args.out, topics, metadata={"topics": args.topics})
@@ -178,8 +174,6 @@ def _cmd_infer(args) -> int:
             return ml_objective(doc, topics)
         if args.objective == "lda-map":
             return lda_map_objective(doc, topics, args.alpha)
-        if prior.mean is None:
-            return ctm_map_objective(doc, topics, prior)
         return ctm_full_objective(doc, topics, prior)
 
     probe = make_objective(corpus.documents[0])
@@ -195,15 +189,7 @@ def _cmd_infer(args) -> int:
         max_nnz=args.max_nnz,
         start=start,
     )
-    capped = prior is not None and prior.mean is not None
-    reports = []
-    for doc in corpus.documents:
-        objective = make_objective(doc)
-        if capped:
-            report, _ = fw_solve_capped(objective, ctm_caps(prior), config)
-        else:
-            report, _ = fw_solve(objective, config=config)
-        reports.append(report)
+    reports = [fw_solve(make_objective(doc), config)[0] for doc in corpus.documents]
     corpus_io.write_theta(args.out, reports)
     mean_nnz = float(np.mean([r.nnz for r in reports]))
     print(f"inferred {len(reports)} documents; mean support {mean_nnz:.2f}")

@@ -276,11 +276,11 @@ def simplex_barycenter(num_topics: int) -> TopicProportion:
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the simplex solvers.
+    """Knobs for the simplex solver.
 
     max_nnz, when set, caps the support size of the result by limiting the
     iteration count (vertex starts add at most one coordinate per step);
-    the solvers refuse it when the start point already has more nonzeros,
+    fw_solve refuses it when the start point already has more nonzeros,
     and max_nnz >= K caps nothing.
     """
 
@@ -304,6 +304,15 @@ class SolverConfig:
             raise InvalidConfigError("line_search_tol must be positive")
         if self.line_search_max_steps < 1:
             raise InvalidConfigError("line_search_max_steps must be at least 1")
+
+
+def converged(previous: float, current: float, tol: float) -> bool:
+    """The stopping rule of every iterative method here: the change from
+    previous to current is below tol relative to |previous|, or below tol
+    itself once |previous| is under 1e-12."""
+    denom = abs(previous)
+    delta = abs(current - previous)
+    return (delta < tol * denom) or (denom < 1e-12 and delta < tol)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -50,13 +50,6 @@ class MethodResult:
     report: EvalReport
 
 
-def sparsity(theta, num_topics: int) -> float:
-    """Fraction of topics with nonzero weight."""
-    if num_topics < 1:
-        raise InvalidArgumentError("need at least one topic")
-    return theta.nnz / num_topics
-
-
 def _documents(testset) -> Sequence[Document]:
     docs = testset.documents if isinstance(testset, Corpus) else tuple(testset)
     if len(docs) == 0:
@@ -100,14 +93,6 @@ def evaluate_inference(
         total_seconds=float(sum(r.seconds for r in rows)),
         docs=tuple(rows),
     )
-
-
-def perplexity(
-    testset,
-    topics: TopicMatrix,
-    infer: Callable[[Document], InferenceReport],
-) -> float:
-    return evaluate_inference(testset, topics, infer).perplexity
 
 
 METHOD_FW = "fw"

@@ -63,12 +63,13 @@ def vertex_values(objective) -> np.ndarray:
 class Objective:
     """Interface: concave scalar function on the simplex with a gradient.
 
-    An objective that cannot certify concavity on the whole feasible
-    region sets the attribute concave = False, and the solvers refuse it;
-    read the flag with is_concave.
+    An objective that cannot certify concavity sets the attribute
+    concave = False, and fw_solve refuses it; read the flag with
+    is_concave.  One certified only on a capped simplex {theta <= caps}
+    sets the attribute caps, and fw_solve solves over that region.
 
     line_restriction returns (g, dg), the function and derivative of
-    a |-> f((1-a) * theta + a * s) for a sparse target point s; the solvers'
+    a |-> f((1-a) * theta + a * s) for a sparse target point s; the solver's
     line search uses dg.  The default builds the chord point explicitly;
     subclasses override it when they can do better.
 
@@ -216,7 +217,7 @@ class CtmPrior:
     precision matrix, optionally with a mean vector.
 
     Any SPD precision is accepted here and by the penalty's value,
-    gradient and Hessian, but the solvers take only certified priors:
+    gradient and Hessian, but fw_solve takes only certified priors:
     those whose precision is entrywise non-negative.  On the feasible
     region x = log theta - mu <= 0, so a non-negative P gives P x <= 0
     and the penalty Hessian -D (P - diag(P x)) D is negative definite.
@@ -260,7 +261,9 @@ class CtmPrior:
 class GaussianLogPenalty(Objective):
     """h(theta) = -1/2 (log theta - mu)^T P (log theta - mu); interior only.
 
-    Concave, and so solvable, only for a certified prior (see CtmPrior).
+    Concave, and so solvable, only for a certified prior (see CtmPrior),
+    and then only on theta <= caps: ctm_caps(prior) when the prior has a
+    mean, the whole simplex (caps None) when it has none.
     """
 
     domain = INTERIOR_ONLY
@@ -269,6 +272,7 @@ class GaussianLogPenalty(Objective):
         self.prior = prior
         self.dim = prior.num_topics
         self.concave = prior.certified
+        self.caps = None if prior.mean is None else ctm_caps(prior)
 
     def _centered_log(self, theta: np.ndarray, clamp: bool) -> np.ndarray:
         x = np.log(np.maximum(theta, LOG_CLAMP)) if clamp else np.log(theta)
@@ -303,6 +307,10 @@ class PenalizedObjective(Objective):
         self.weight = float(weight)
         self.dim = base.dim
         self.concave = is_concave(base) and is_concave(penalty)
+        # Certified concave where both parts are: under the tighter caps.
+        caps = [getattr(part, "caps", None) for part in (base, penalty)]
+        caps = [c for c in caps if c is not None]
+        self.caps = np.min(caps, axis=0) if caps else None
         self.domain = (
             INTERIOR_ONLY
             if INTERIOR_ONLY in (base.domain, penalty.domain)
@@ -345,31 +353,21 @@ def lda_map_objective(document: Document, topics: TopicMatrix, alpha) -> Objecti
     return PenalizedObjective(MlObjective(document, topics), DirichletLogPenalty(a))
 
 
-def ctm_map_objective(document: Document, topics: TopicMatrix, prior: CtmPrior) -> Objective:
-    """Likelihood plus zero-mean log-normal penalty (interior only).
-
-    Priors carrying a mean vector belong to the capped formulation; see
-    ctm_full_objective and ctm_caps.
-    """
-    if prior.mean is not None:
-        raise InvalidArgumentError(
-            "prior has a mean vector; use ctm_full_objective with fw_solve_capped"
-        )
-    _check_prior_dim(topics, prior)
-    return PenalizedObjective(MlObjective(document, topics), GaussianLogPenalty(prior))
-
-
 def ctm_full_objective(document: Document, topics: TopicMatrix, prior: CtmPrior) -> Objective:
-    """Likelihood plus log-normal penalty with an arbitrary mean.  Solve it
-    over the capped region from ctm_caps, where log theta - mu <= 0; with a
-    certified (entrywise non-negative) precision that keeps the penalty
-    concave, and the solvers refuse any other precision."""
+    """Likelihood plus log-normal penalty (interior only).
+
+    The penalty is certified concave only where log theta - mu <= 0, so a
+    prior with a mean makes the objective carry caps = ctm_caps(prior), and
+    fw_solve solves over them; without a mean the region is the simplex.
+    fw_solve refuses a precision with a negative entry.
+    """
     _check_prior_dim(topics, prior)
     return PenalizedObjective(MlObjective(document, topics), GaussianLogPenalty(prior))
 
 
 def ctm_caps(prior: CtmPrior) -> np.ndarray:
-    """Coordinate caps u_k = min(1, exp(mu_k)) for the capped formulation."""
+    """Coordinate caps u_k = min(1, exp(mu_k)), where log theta - mu <= 0;
+    all ones without a mean."""
     if prior.mean is None:
         return np.ones(prior.num_topics)
     return np.minimum(1.0, np.exp(prior.mean))

@@ -1,11 +1,12 @@
-"""Conditional-gradient solvers over the simplex and the capped simplex.
+"""The conditional-gradient (Frank-Wolfe) solver over the simplex and the
+capped simplex.
 
-The uncapped solver moves toward a single vertex per step, so a run of
-ell steps from a vertex start touches at most ell + 1 coordinates; that
-is the whole sparsity story.  The capped variant only changes the inner
-linear subproblem (a greedy fill against per-coordinate caps) and shares
-every other instruction, which keeps its iterates bitwise identical to
-the plain solver when all caps are one.
+Over the whole simplex each step moves toward a single vertex, so a run
+of ell steps from a vertex start touches at most ell + 1 coordinates;
+that is the whole sparsity story.  A capped region only changes the
+linear subproblem (a greedy fill against per-coordinate caps) and the
+start point, and shares every other instruction, which keeps its iterates
+bitwise identical to the barycenter solve when all caps are one.
 
 Each step costs one gradient, one linear subproblem and a one-dimensional
 search: a Brent root search on the derivative of the objective along the
@@ -28,6 +29,7 @@ from .core import (
     InferenceReport,
     SolverConfig,
     TopicProportion,
+    converged,
 )
 from .errors import (
     InfeasibleRegionError,
@@ -219,8 +221,10 @@ def _require_concave(objective) -> None:
         )
 
 
-def _solve_loop(objective, theta, start_vertex, lp, config, prune, upper):
+def _solve_loop(objective, theta, start_vertex, lp, config, interior, t0):
+    """FW steps from theta; returns (InferenceReport, Trace)."""
     k = theta.size
+    upper = 1.0 - ALPHA_MARGIN if interior else 1.0
     nnz = int(np.count_nonzero(theta))
     if config.max_nnz is not None and nnz > config.max_nnz:
         raise InvalidConfigError(
@@ -254,7 +258,7 @@ def _solve_loop(objective, theta, start_vertex, lp, config, prune, upper):
         theta *= 1.0 - alpha
         theta[s_ids] += alpha * s_vals
         nnz = int(np.count_nonzero(theta))
-        if prune:
+        if not interior:
             # theta >= 0, so an entry in (0, PRUNE_TOL) exists iff more
             # entries lie below PRUNE_TOL than are zero.
             below = int(np.count_nonzero(theta < PRUNE_TOL))
@@ -273,21 +277,15 @@ def _solve_loop(objective, theta, start_vertex, lp, config, prune, upper):
             alpha = 0.0
         iterations = step
         records.append(TraceRecord(step, f_curr, nnz, lead, alpha))
-        denom = abs(f_prev)
-        delta = abs(f_curr - f_prev)
+        done = converged(f_prev, f_curr, config.rel_tol)
         f_prev = f_curr
-        if (delta < config.rel_tol * denom) or (denom < 1e-12 and delta < config.rel_tol):
+        if done:
             break
-    return theta, f_prev, iterations, records
-
-
-def _finish(theta, f_final, iterations, records, t0):
-    theta = theta / theta.sum()
-    point = TopicProportion.from_dense(theta)
+    point = TopicProportion.from_dense(theta / theta.sum())
     report = InferenceReport(
         theta=point,
         iterations=iterations,
-        objective=f_final,
+        objective=f_prev,
         seconds=time.perf_counter() - t0,
         nnz=point.nnz,
     )
@@ -296,25 +294,44 @@ def _finish(theta, f_final, iterations, records, t0):
 
 def fw_solve(
     objective: Objective,
-    num_topics: int | None = None,
     config: SolverConfig | None = None,
+    *,
+    caps: np.ndarray | None = None,
 ):
-    """Maximize a concave objective over the simplex.
+    """Maximize a concave objective over the simplex or a capped simplex.
 
-    Returns (InferenceReport, Trace).  The best-vertex start picks the
-    vertex with the highest objective value (ties to the lowest index);
-    interior-only objectives require the barycenter start.  Objectives
-    flagged nonconcave raise NonconcavePriorError.
+    Returns (InferenceReport, Trace).  The feasible region is
+    {theta in simplex : theta <= caps}, where caps defaults to the
+    objective's own certified caps (its caps attribute); without either it
+    is the whole simplex.  On the whole simplex the linear step is the
+    argmax vertex and the solve starts from config.start: the best vertex
+    (highest objective value, ties to the lowest index) or the barycenter.
+    On a capped region the linear step is a greedy fill against the caps
+    and the solve starts from caps / sum(caps); with caps of all ones that
+    reproduces the barycenter solve exactly, step for step.
+
+    Interior-only objectives require start='barycenter' on either region.
+    Objectives flagged nonconcave, and caps above the objective's certified
+    caps, raise NonconcavePriorError.
     """
     _require_concave(objective)
     config = config or SolverConfig()
-    k = objective.dim if num_topics is None else num_topics
+    k = objective.dim
     if k < 1:
         raise InvalidArgumentError("need at least one topic")
-    if k != objective.dim:
-        raise InvalidArgumentError(
-            f"num_topics = {k} does not match the objective dimension {objective.dim}"
-        )
+    certified = getattr(objective, "caps", None)
+    if caps is None:
+        caps = certified
+    if caps is not None:
+        caps = np.asarray(caps, dtype=np.float64)
+        if caps.shape != (k,):
+            raise InvalidArgumentError("caps length must match the objective dimension")
+        _validate_caps(caps)
+        if certified is not None and np.any(caps > certified):
+            raise NonconcavePriorError(
+                "nonconcave-prior: caps exceed the region where the objective "
+                "is certified concave; solve within its own caps"
+            )
     interior = objective.domain == INTERIOR_ONLY
     if interior and config.start != START_BARYCENTER:
         raise InvalidConfigError(
@@ -322,7 +339,10 @@ def fw_solve(
             "use start='barycenter'"
         )
     t0 = time.perf_counter()
-    if config.start == START_BEST_VERTEX:
+    start_vertex = -1
+    if caps is not None:
+        theta = caps / caps.sum()
+    elif config.start == START_BEST_VERTEX:
         values = vertex_values(objective)
         if np.any(np.isnan(values)):
             raise NumericFailureError("objective is NaN at a vertex")
@@ -330,58 +350,18 @@ def fw_solve(
         theta = np.zeros(k)
         theta[start_vertex] = 1.0
     else:
-        start_vertex = -1
         theta = np.full(k, 1.0 / k)
-
     one = np.array([1.0])
 
     def lp(grad):
+        if caps is not None:
+            return _greedy_capped(grad, caps)
         lead = int(np.argmax(grad))
         return np.array([lead], dtype=np.int64), one, lead
 
-    theta, f_final, iterations, records = _solve_loop(
-        objective,
-        theta,
-        start_vertex,
-        lp,
-        config,
-        prune=not interior,
-        upper=1.0 if not interior else 1.0 - ALPHA_MARGIN,
-    )
-    return _finish(theta, f_final, iterations, records, t0)
+    return _solve_loop(objective, theta, start_vertex, lp, config, interior, t0)
 
 
-def fw_solve_capped(
-    objective: Objective,
-    caps: np.ndarray,
-    config: SolverConfig | None = None,
-):
-    """Maximize a concave objective over {theta in simplex : theta <= caps}.
-
-    Starts from caps / sum(caps) regardless of config.start.  With caps of
-    all ones this reproduces fw_solve from the barycenter exactly, step for
-    step.  Objectives flagged nonconcave raise NonconcavePriorError.
-    """
-    _require_concave(objective)
-    config = config or SolverConfig()
-    caps = np.asarray(caps, dtype=np.float64)
-    if caps.ndim != 1 or caps.size != objective.dim:
-        raise InvalidArgumentError("caps length must match the objective dimension")
-    _validate_caps(caps)
-    interior = objective.domain == INTERIOR_ONLY
-    t0 = time.perf_counter()
-    theta = caps / caps.sum()
-
-    def lp(grad):
-        return _greedy_capped(grad, caps)
-
-    theta, f_final, iterations, records = _solve_loop(
-        objective,
-        theta,
-        -1,
-        lp,
-        config,
-        prune=not interior,
-        upper=1.0 if not interior else 1.0 - ALPHA_MARGIN,
-    )
-    return _finish(theta, f_final, iterations, records, t0)
+def fw_solve_capped(objective: Objective, caps: np.ndarray, config: SolverConfig | None = None):
+    """fw_solve over {theta <= caps}; kept under this name for old callers."""
+    return fw_solve(objective, config, caps=caps)

@@ -10,11 +10,10 @@ from a vertex), the old proportions are kept for that document.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import Corpus, Document, SolverConfig, TopicMatrix, Vocabulary
+from .core import Corpus, Document, SolverConfig, TopicMatrix, Vocabulary, converged
 from .errors import InvalidArgumentError, InvalidConfigError
 from .objectives import MlObjective
 from .solver import fw_solve
@@ -29,8 +28,7 @@ class TrainConfig:
 
     m_step selects between full per-token responsibilities and a hard
     variant that credits terms to topics proportionally to theta alone.
-    threads > 1 splits the E-step over contiguous document ranges; results
-    are deterministic for a fixed thread count.
+    The E-step is serial: threads accepts only 1.
     """
 
     topics: int
@@ -55,28 +53,22 @@ class TrainConfig:
             raise InvalidConfigError(
                 f"m_step must be '{M_STEP_RESPONSIBILITY}' or '{M_STEP_HARD}'"
             )
-        if self.threads < 1:
-            raise InvalidConfigError("threads must be at least 1")
+        if self.threads != 1:
+            raise InvalidConfigError("threads must be 1; the E-step is serial")
 
 
-def _e_step_range(documents, beta, config, previous, lo, hi):
-    """Infer proportions for documents[lo:hi]; returns the sufficient
-    statistics block, the per-document proportions, and their likelihoods."""
+def _e_step_range(documents, beta, config, previous):
+    """Infer every document's proportions; returns the sufficient
+    statistics and the per-document proportions."""
     k = beta.num_topics
     stats = np.zeros((k, beta.vocab_size))
     thetas = []
-    values = []
-    for m in range(lo, hi):
-        doc = documents[m]
+    for doc, prev in zip(documents, previous):
         objective = MlObjective(doc, beta)
         report, _ = fw_solve(objective, config=config.inner)
         theta = report.theta.dense(k)
-        value = report.objective
-        if previous[m] is not None:
-            old_value = objective.value(previous[m])
-            if old_value > value:
-                theta = previous[m]
-                value = old_value
+        if prev is not None and objective.value(prev) > report.objective:
+            theta = prev
         support = np.flatnonzero(theta)
         weights = theta[support]
         cols = beta.rows[np.ix_(support, doc.term_ids)]
@@ -87,8 +79,7 @@ def _e_step_range(documents, beta, config, previous, lo, hi):
             contrib = (weights[:, None] * cols) * (doc.counts / mix)[None, :]
         stats[np.ix_(support, doc.term_ids)] += contrib
         thetas.append(theta)
-        values.append(value)
-    return stats, thetas, values
+    return stats, thetas
 
 
 def train(corpus: Corpus, config: TrainConfig):
@@ -104,27 +95,7 @@ def train(corpus: Corpus, config: TrainConfig):
     previous = [None] * len(documents)
     trace = []
     for _ in range(config.em_iters):
-        bounds = np.linspace(0, len(documents), config.threads + 1).astype(int)
-        ranges = [
-            (int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        if len(ranges) == 1:
-            parts = [_e_step_range(documents, beta, config, previous, *ranges[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-                parts = list(
-                    pool.map(
-                        lambda r: _e_step_range(documents, beta, config, previous, *r),
-                        ranges,
-                    )
-                )
-        stats = parts[0][0]
-        for part in parts[1:]:
-            stats += part[0]
-        previous = [t for part in parts for t in part[1]]
-
+        stats, previous = _e_step_range(documents, beta, config, previous)
         candidate = TopicMatrix.normalized(stats + config.smoothing)
         ll = 0.0
         for m, doc in enumerate(documents):
@@ -134,13 +105,8 @@ def train(corpus: Corpus, config: TrainConfig):
             break
         beta = candidate
         trace.append(ll)
-        if len(trace) >= 2:
-            denom = abs(trace[-2])
-            delta = abs(trace[-1] - trace[-2])
-            if (delta < config.em_rel_tol * denom) or (
-                denom < 1e-12 and delta < config.em_rel_tol
-            ):
-                break
+        if len(trace) >= 2 and converged(trace[-2], trace[-1], config.em_rel_tol):
+            break
     return beta, trace
 
 

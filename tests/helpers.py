@@ -192,3 +192,21 @@ def interior_point(rng, k: int) -> np.ndarray:
     """A random simplex point bounded away from the boundary."""
     theta = rng.dirichlet(np.ones(k))
     return 0.9 * theta + 0.1 / k
+
+
+class HookedSlab(np.ndarray):
+    """A term-column slab that calls its hook() before every product
+    theta . slab formed with it (slices of it have no hook)."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        hook = getattr(self, "hook", None)
+        if hook is not None and ufunc is np.matmul and inputs[1] is self and np.ndim(inputs[0]) == 1:
+            hook()
+        plain = [x.view(np.ndarray) if isinstance(x, HookedSlab) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def hooked(f, hook):
+    f.term_columns = f.term_columns.view(HookedSlab)
+    f.term_columns.hook = hook
+    return f

@@ -28,16 +28,14 @@ from sparsetopics import (
     capped_simplex_argmax,
     compare_methods,
     ctm_full_objective,
-    ctm_map_objective,
     ctm_penalty_hessian,
+    evaluate_inference,
     fw_solve,
-    fw_solve_capped,
     generate_synthetic_corpus,
     lda_map_objective,
     load_model,
     load_uci_bow,
     ml_objective,
-    perplexity,
     save_model,
     save_uci_bow,
     save_vocab,
@@ -195,7 +193,7 @@ def test_04_gradient_check():
                     prior = CtmPrior(precision, mean=0.5 * rng.normal(size=k))
                     objective = ctm_full_objective(doc, topics, prior)
                 else:
-                    objective = ctm_map_objective(doc, topics, CtmPrior(precision))
+                    objective = ctm_full_objective(doc, topics, CtmPrior(precision))
             theta = interior_point(rng, k)
             grad = objective.gradient(theta)
             approx = finite_diff_gradient(objective.value, theta, h=1e-6)
@@ -229,7 +227,7 @@ def test_05_ctm_hessian_negative_definite():
         theta = rng.dirichlet(np.ones(k))
         topics, doc = random_ml_instance(instances, k=k, v=8)
         try:
-            fw_solve(ctm_map_objective(doc, topics, prior), config=config)
+            fw_solve(ctm_full_objective(doc, topics, prior), config=config)
         except NonconcavePriorError:
             refused = True
         else:
@@ -278,7 +276,7 @@ def test_06_capped_step_exact():
         objective = ml_objective(doc, topics)
         config = SolverConfig(start="barycenter", rel_tol=1e-10)
         plain, plain_trace = fw_solve(objective, config=config)
-        capped, capped_trace = fw_solve_capped(objective, np.ones(k), config=config)
+        capped, capped_trace = fw_solve(objective, config, caps=np.ones(k))
         same = (
             np.array_equal(plain.theta.dense(k), capped.theta.dense(k))
             and len(plain_trace) == len(capped_trace)
@@ -303,8 +301,8 @@ def test_07_perplexity_sanity(synthetic, trained):
     _, _, test_docs = synthetic
     topics, _ = trained
     uniform = TopicMatrix.normalized(np.ones((10, 200)))
-    p_uniform = perplexity(test_docs, uniform, trained_infer(uniform))
-    p_trained = perplexity(test_docs, topics, trained_infer(topics))
+    p_uniform = evaluate_inference(test_docs, uniform, trained_infer(uniform)).perplexity
+    p_trained = evaluate_inference(test_docs, topics, trained_infer(topics)).perplexity
     ok = (
         abs(p_uniform - 200.0) <= 200.0 * PERPLEXITY_REL_TOL
         and p_trained < 200.0
@@ -430,10 +428,10 @@ def test_11_model_round_trip(synthetic, trained, tmp_path):
     reloaded_corpus = load_uci_bow(bow_path, vocab_path)
     reloaded_model = load_model(model_path)
     bitwise = np.array_equal(reloaded_model.topics.rows, topics.rows)
-    p_before = perplexity(test_docs, topics, trained_infer(topics))
-    p_after = perplexity(
+    p_before = evaluate_inference(test_docs, topics, trained_infer(topics)).perplexity
+    p_after = evaluate_inference(
         reloaded_corpus, reloaded_model.topics, trained_infer(reloaded_model.topics)
-    )
+    ).perplexity
     drift = abs(p_before - p_after) / p_before
     ok = bitwise and drift <= ROUND_TRIP_TOL
     verdict(

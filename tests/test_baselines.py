@@ -20,7 +20,10 @@ from sparsetopics import (
     vb_infer,
 )
 
-from helpers import random_ml_instance
+import sparsetopics.baselines as baselines_module
+from sparsetopics.objectives import MlObjective
+
+from helpers import hooked, random_ml_instance
 
 
 def separated_topics():
@@ -72,6 +75,22 @@ class TestFoldingIn:
         topics, doc = random_ml_instance(rng, k=4, v=10)
         report, _ = folding_in(doc, topics)
         assert report.nnz == 4
+
+    def test_one_mixture_product_per_iteration(self, monkeypatch):
+        # the update reads the mixture value() formed at the same theta, so
+        # a run forms theta . slab once at the start and once per value
+        # at a new point, the one past a final dip included
+        rng = np.random.default_rng(59)
+        topics, doc = random_ml_instance(rng, k=10, v=40)
+        products = []
+
+        def counted(document, topics):
+            return hooked(MlObjective(document, topics), lambda: products.append(1))
+
+        monkeypatch.setattr(baselines_module, "MlObjective", counted)
+        report, _ = folding_in(doc, topics)
+        assert report.iterations > 20
+        assert len(products) <= report.iterations + 2
 
 
 class TestVbInfer:

@@ -201,17 +201,23 @@ class TestInfer:
             assert float(weights["1"]) <= cap + 1e-9
 
     def test_interior_objective_rejects_vertex_start(self, workdir, capsys):
-        rc = main(
-            [
-                "infer", *corpus_args(workdir),
-                "--objective", "lda-map",
-                "--alpha", "2.0",
-                "--start", "vertex",
-                "--out", str(workdir / "nope.txt"),
-            ]
-        )
-        assert rc == 2
-        assert "barycenter" in capsys.readouterr().err
+        # a CTM prior with a mean is solved over its caps, and the vertex
+        # start is refused there too
+        prior = workdir / "prior.vertex.txt"
+        prior.write_text("1 0 0\n0 1 0\n0 0 1\n-2.0 0 0\n")
+        for objective in (["lda-map", "--alpha", "2.0"], ["ctm", "--prior", str(prior)]):
+            out = workdir / "nope.txt"
+            rc = main(
+                [
+                    "infer", *corpus_args(workdir),
+                    "--objective", *objective,
+                    "--start", "vertex",
+                    "--out", str(out),
+                ]
+            )
+            assert rc == 2
+            assert "barycenter" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestEval:

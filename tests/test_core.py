@@ -228,3 +228,14 @@ def test_inference_report_consistency():
         InferenceReport(theta=point, iterations=3, objective=-1.0, seconds=0.0, nnz=1)
     with pytest.raises(InvalidArgumentError):
         InferenceReport(theta=point, iterations=-1, objective=-1.0, seconds=0.0, nnz=2)
+
+
+def test_converged_relative_then_absolute():
+    from sparsetopics.core import converged
+
+    assert converged(-100.0, -100.0 + 9e-5, 1e-6)
+    assert not converged(-100.0, -100.0 + 2e-4, 1e-6)
+    # below 1e-12 in |previous| the change is judged absolutely
+    assert converged(1e-13, 5e-7, 1e-6)
+    assert not converged(1e-11, 5e-7, 1e-6)
+    assert not converged(0.0, 2e-6, 1e-6)

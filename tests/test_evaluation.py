@@ -6,14 +6,11 @@ from sparsetopics import (
     InvalidArgumentError,
     SolverConfig,
     TopicMatrix,
-    TopicProportion,
     compare_methods,
     evaluate_inference,
     fw_solve,
     generate_synthetic_corpus,
     ml_objective,
-    perplexity,
-    sparsity,
     tradeoff_sweep,
 )
 from sparsetopics.evaluation import ALL_METHODS
@@ -32,14 +29,14 @@ class TestPerplexity:
         v = 200
         topics = TopicMatrix.normalized(np.ones((4, v)))
         data = generate_synthetic_corpus(4, v, 10, 50, seed=1)
-        value = perplexity(data.corpus, topics, fw_infer(topics))
+        value = evaluate_inference(data.corpus, topics, fw_infer(topics)).perplexity
         assert value == pytest.approx(float(v), rel=1e-9)
 
     def test_single_term_document(self):
         # one topic, term probability 0.2: perplexity is exactly 1/0.2
         topics = TopicMatrix.normalized(np.ones((1, 5)))
         doc = Document(np.array([2]), np.array([1.0]))
-        value = perplexity([doc], topics, fw_infer(topics))
+        value = evaluate_inference([doc], topics, fw_infer(topics)).perplexity
         assert value == pytest.approx(5.0, rel=1e-12)
 
     def test_matches_manual_aggregation(self):
@@ -51,8 +48,8 @@ class TestPerplexity:
 
     def test_accepts_document_sequence(self):
         data = generate_synthetic_corpus(3, 40, 6, 30, seed=6)
-        a = perplexity(data.corpus, data.topics, fw_infer(data.topics))
-        b = perplexity(list(data.corpus.documents), data.topics, fw_infer(data.topics))
+        a = evaluate_inference(data.corpus, data.topics, fw_infer(data.topics)).perplexity
+        b = evaluate_inference(list(data.corpus.documents), data.topics, fw_infer(data.topics)).perplexity
         assert a == b
 
     def test_empty_test_set(self):
@@ -74,14 +71,6 @@ class TestEvaluateInference:
             np.mean([r.nnz for r in report.docs]), abs=1e-12
         )
         assert report.mean_sparsity == pytest.approx(report.mean_nnz / 3, abs=1e-12)
-
-
-def test_sparsity_values():
-    point = TopicProportion.from_dense(np.array([0.5, 0.0, 0.5, 0.0]))
-    assert sparsity(point, 4) == 0.5
-    assert sparsity(point, 8) == 0.25
-    with pytest.raises(InvalidArgumentError):
-        sparsity(point, 0)
 
 
 class TestCompareMethods:

@@ -16,7 +16,6 @@ from sparsetopics import (
     TopicMatrix,
     ctm_caps,
     ctm_full_objective,
-    ctm_map_objective,
     ctm_penalty_hessian,
     fw_solve,
     lda_map_objective,
@@ -31,7 +30,13 @@ from sparsetopics.objectives import (
 
 import sparsetopics.core as core
 
-from helpers import finite_diff_gradient, finite_diff_hessian, interior_point, random_ml_instance
+from helpers import (
+    finite_diff_gradient,
+    finite_diff_hessian,
+    hooked,
+    interior_point,
+    random_ml_instance,
+)
 
 
 def two_topic_instance():
@@ -223,8 +228,7 @@ class TestCtmPrior:
         bad = CtmPrior(np.array([[2.0, -1.9], [-1.9, 2.0]]))
         assert GaussianLogPenalty(good).concave
         assert not GaussianLogPenalty(bad).concave
-        assert ctm_map_objective(doc, topics, good).concave
-        assert not ctm_map_objective(doc, topics, bad).concave
+        assert ctm_full_objective(doc, topics, good).concave
         assert not ctm_full_objective(doc, topics, bad).concave
         assert lda_map_objective(doc, topics, alpha=2.0).concave
 
@@ -261,17 +265,22 @@ class TestCtmObjectives:
     def test_map_objective_combines(self):
         doc, topics = two_topic_instance()
         prior = CtmPrior(np.eye(2))
-        f = ctm_map_objective(doc, topics, prior)
+        f = ctm_full_objective(doc, topics, prior)
         theta = np.array([0.5, 0.5])
         expected = ml_objective(doc, topics).value(theta) - math.log(2.0) ** 2
         assert f.value(theta) == pytest.approx(expected, abs=1e-12)
         assert f.domain == INTERIOR_ONLY
 
     def test_map_objective_rejects_mean(self):
+        # a mean certifies the penalty only under its caps, so the whole
+        # simplex is refused; without one there are no caps
         doc, topics = two_topic_instance()
         prior = CtmPrior(np.eye(2), mean=np.array([0.1, -0.1]))
-        with pytest.raises(InvalidArgumentError):
-            ctm_map_objective(doc, topics, prior)
+        f = ctm_full_objective(doc, topics, prior)
+        assert np.array_equal(f.caps, ctm_caps(prior))
+        assert ctm_full_objective(doc, topics, CtmPrior(np.eye(2))).caps is None
+        with pytest.raises(NonconcavePriorError, match="caps"):
+            fw_solve(f, SolverConfig(start="barycenter"), caps=np.ones(2))
 
     def test_full_objective_accepts_mean(self):
         doc, topics = two_topic_instance()
@@ -395,24 +404,6 @@ def test_ml_line_restriction_uses_cached_columns():
     probe = np.array([0.75, 0.25])
     assert g(0.5) == pytest.approx(f.value(probe), abs=1e-12)
     assert dg is not None
-
-
-class HookedSlab(np.ndarray):
-    """A term-column slab that calls its hook() before every product
-    theta . slab formed with it (slices of it have no hook)."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        hook = getattr(self, "hook", None)
-        if hook is not None and ufunc is np.matmul and inputs[1] is self and np.ndim(inputs[0]) == 1:
-            hook()
-        plain = [x.view(np.ndarray) if isinstance(x, HookedSlab) else x for x in inputs]
-        return getattr(ufunc, method)(*plain, **kwargs)
-
-
-def hooked(f, hook):
-    f.term_columns = f.term_columns.view(HookedSlab)
-    f.term_columns.hook = hook
-    return f
 
 
 def evaluations(f, theta, s_ids, s_vals):

@@ -13,15 +13,15 @@ from sparsetopics import (
     TopicMatrix,
     ctm_caps,
     ctm_full_objective,
-    ctm_map_objective,
     fw_solve,
-    fw_solve_capped,
     ml_objective,
 )
 from sparsetopics.core import SIMPLEX_TOL
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 CONFIG = SolverConfig(max_iters=200, rel_tol=1e-9)
+# CTM objectives are interior-only, so they start from the barycenter.
+CTM_CONFIG = SolverConfig(max_iters=200, rel_tol=1e-9, start="barycenter")
 
 
 @st.composite
@@ -102,18 +102,18 @@ class TestCtmInvariants:
     def test_zero_mean(self, data):
         topics, doc = data.draw(ml_instances())
         prior = data.draw(certified_priors(topics.num_topics, with_mean=False))
-        config = SolverConfig(max_iters=200, rel_tol=1e-9, start="barycenter")
-        report, trace = fw_solve(ctm_map_objective(doc, topics, prior), config=config)
+        report, trace = fw_solve(ctm_full_objective(doc, topics, prior), config=CTM_CONFIG)
         assert_on_simplex(report, topics.num_topics)
         assert_monotone(trace)
 
     @SETTINGS
     @given(st.data())
     def test_capped(self, data):
+        # a prior with a mean is solved over its own caps by default
         topics, doc = data.draw(ml_instances())
         prior = data.draw(certified_priors(topics.num_topics, with_mean=True))
         caps = ctm_caps(prior)
-        report, trace = fw_solve_capped(ctm_full_objective(doc, topics, prior), caps, CONFIG)
+        report, trace = fw_solve(ctm_full_objective(doc, topics, prior), CTM_CONFIG)
         assert_on_simplex(report, topics.num_topics)
         assert np.all(report.theta.dense(topics.num_topics) <= caps * (1.0 + 1e-12))
         assert_monotone(trace)

@@ -16,7 +16,6 @@ from sparsetopics import (
     capped_simplex_argmax,
     ctm_caps,
     ctm_full_objective,
-    ctm_map_objective,
     fw_solve,
     fw_solve_capped,
     generate_synthetic_corpus,
@@ -147,6 +146,9 @@ class TestLineSearch:
             search(flat, 0.3, tol=0.5, max_steps=steps)
 
 
+BARYCENTER = SolverConfig(start="barycenter")
+
+
 def separable_instance():
     """Topics with disjoint support; the optimum is theta_1 = 0.8125."""
     topics = TopicMatrix(np.array([[0.9, 0.1], [0.1, 0.9]]))
@@ -265,10 +267,15 @@ class TestFwSolve:
         assert np.all(report.theta.dense(2) > 0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            fw_solve(separable_instance(), num_topics=3)
-        with pytest.raises(InvalidArgumentError):
-            fw_solve(separable_instance(), num_topics=0)
+        with pytest.raises(InvalidArgumentError, match="caps length"):
+            fw_solve(separable_instance(), caps=np.ones(3))
+
+        class Empty:
+            domain = "full-simplex"
+            dim = 0
+
+        with pytest.raises(InvalidArgumentError, match="at least one topic"):
+            fw_solve(RefusingObjective(Empty()))
 
     def test_single_topic(self):
         topics = TopicMatrix.normalized(np.ones((1, 4)))
@@ -479,7 +486,7 @@ class TestLineSearchCost:
             iterations += report.iterations
         f, caps = self.capped_ctm()
         counting = CountingObjective(f)
-        report, _ = fw_solve_capped(counting, caps)
+        report, _ = fw_solve(counting, BARYCENTER, caps=caps)
         dg_calls += counting.dg_calls
         iterations += report.iterations
         assert iterations > 100
@@ -491,7 +498,7 @@ class TestLineSearchCost:
         def run(f, caps):
             if caps is None:
                 return fw_solve(f)[0].objective
-            return fw_solve_capped(f, caps)[0].objective
+            return fw_solve(f, BARYCENTER, caps=caps)[0].objective
 
         brent = [run(f, caps) for f, caps in solves]
         monkeypatch.setattr(solver_module, "line_search", bisection_line_search)
@@ -554,7 +561,7 @@ class TestFwSolveCapped:
             f = ml_objective(doc, topics)
             config = SolverConfig(start="barycenter", rel_tol=1e-10)
             plain_report, plain_trace = fw_solve(f, config=config)
-            capped_report, capped_trace = fw_solve_capped(f, np.ones(k), config=config)
+            capped_report, capped_trace = fw_solve(f, config, caps=np.ones(k))
             assert np.array_equal(
                 plain_report.theta.dense(k), capped_report.theta.dense(k)
             )
@@ -569,7 +576,7 @@ class TestFwSolveCapped:
             k = 4
             topics, doc = random_ml_instance(rng, k=k, v=12)
             caps = rng.uniform(0.3, 0.9, size=k)
-            report, _ = fw_solve_capped(ml_objective(doc, topics), caps)
+            report, _ = fw_solve(ml_objective(doc, topics), caps=caps)
             assert np.all(report.theta.dense(k) <= caps + 1e-9)
 
     def test_ctm_with_mean_runs_capped(self):
@@ -580,7 +587,8 @@ class TestFwSolveCapped:
         prior = CtmPrior(np.eye(3), mean=mean)
         f = ctm_full_objective(doc, topics, prior)
         caps = ctm_caps(prior)
-        report, trace = fw_solve_capped(f, caps)
+        # the objective's own caps are the default region
+        report, trace = fw_solve(f, BARYCENTER)
         theta = report.theta.dense(3)
         assert np.all(theta <= caps + 1e-9)
         assert np.all(theta > 0)
@@ -591,32 +599,73 @@ class TestFwSolveCapped:
         topics = TopicMatrix.normalized(rng.random((3, 8)) + 0.1)
         doc = Document(np.array([1, 5]), np.array([2.0, 2.0]))
         prior = CtmPrior(np.eye(3))
-        f = ctm_map_objective(doc, topics, prior)
-        plain, _ = fw_solve(f, config=SolverConfig(start="barycenter"))
-        capped, _ = fw_solve_capped(f, ctm_caps(prior))
+        f = ctm_full_objective(doc, topics, prior)
+        plain, _ = fw_solve(f, BARYCENTER)
+        capped, _ = fw_solve(f, BARYCENTER, caps=ctm_caps(prior))
         assert np.array_equal(plain.theta.dense(3), capped.theta.dense(3))
 
     def test_infeasible_caps(self):
         with pytest.raises(InfeasibleRegionError):
-            fw_solve_capped(separable_instance(), np.array([0.2, 0.3]))
+            fw_solve(separable_instance(), caps=np.array([0.2, 0.3]))
 
     def test_caps_length_mismatch(self):
         with pytest.raises(InvalidArgumentError):
-            fw_solve_capped(separable_instance(), np.ones(3))
+            fw_solve(separable_instance(), caps=np.ones(3))
 
     def test_max_nnz_below_the_cap_point_support_is_refused(self):
         rng = np.random.default_rng(37)
         topics, doc = random_ml_instance(rng, k=6, v=20)
         with pytest.raises(InvalidConfigError, match="max_nnz"):
-            fw_solve_capped(RefusingObjective(ml_objective(doc, topics)), np.ones(6), SolverConfig(max_nnz=2))
+            fw_solve(RefusingObjective(ml_objective(doc, topics)), SolverConfig(max_nnz=2), caps=np.ones(6))
 
     def test_trace_starts_at_cap_point(self):
         caps = np.array([0.9, 0.6])
-        _, trace = fw_solve_capped(separable_instance(), caps)
+        _, trace = fw_solve(separable_instance(), caps=caps)
         assert trace[0].vertex == -1
         assert trace[0].objective == pytest.approx(
             separable_instance().value(caps / caps.sum()), abs=1e-12
         )
+
+
+class TestRegionFromObjective:
+    """A CTM prior with a mean is certified concave only under its caps, so
+    fw_solve takes the objective's caps as its region unless told a
+    smaller one."""
+
+    def probe_instance(self, mean=(0.0, 0.0, math.log(0.02), math.log(0.02))):
+        # K = 4: the barycenter lies outside caps (1, 1, 0.02, 0.02), where
+        # the penalty has positive curvature
+        rng = np.random.default_rng(61)
+        a = rng.random((4, 4))
+        prior = CtmPrior(a @ a.T + 4.0 * np.eye(4), mean=np.array(mean))
+        assert prior.certified
+        topics, doc = random_ml_instance(rng, k=4, v=20)
+        return ctm_full_objective(doc, topics, prior), prior
+
+    def test_default_region_is_the_certified_caps(self):
+        f, prior = self.probe_instance()
+        report, trace = fw_solve(f, BARYCENTER)
+        capped, capped_trace = fw_solve_capped(f, ctm_caps(prior), BARYCENTER)
+        assert report.theta.dense(4).tobytes() == capped.theta.dense(4).tobytes()
+        assert trace.records == capped_trace.records
+        assert np.all(report.theta.dense(4) <= ctm_caps(prior))
+
+    def test_caps_above_the_certified_caps_are_refused(self):
+        f, _ = self.probe_instance()
+        with pytest.raises(NonconcavePriorError, match="caps"):
+            fw_solve(RefusingObjective(f), BARYCENTER, caps=np.ones(4))
+
+    def test_caps_summing_below_one_are_infeasible(self):
+        f, _ = self.probe_instance(mean=np.log([0.3, 0.3, 0.2, 0.1]))
+        with pytest.raises(InfeasibleRegionError):
+            fw_solve(RefusingObjective(f), BARYCENTER)
+
+    def test_vertex_start_refused_on_either_region(self):
+        f, _ = self.probe_instance()
+        with pytest.raises(InvalidConfigError, match="barycenter"):
+            fw_solve(RefusingObjective(f))
+        with pytest.raises(InvalidConfigError, match="barycenter"):
+            fw_solve(RefusingObjective(f), caps=np.array([0.5, 0.5, 0.02, 0.02]))
 
 
 class TestConcavityContract:
@@ -631,17 +680,17 @@ class TestConcavityContract:
 
     def test_fw_solve_refuses_mixed_sign_prior(self):
         doc, topics, prior = self.mixed_instance()
-        f = ctm_map_objective(doc, topics, prior)
+        f = ctm_full_objective(doc, topics, prior)
         with pytest.raises(NonconcavePriorError, match="nonconcave-prior"):
             fw_solve(f, config=SolverConfig(start="barycenter"))
 
     def test_fw_solve_capped_refuses_mixed_sign_prior(self):
         doc, topics, prior = self.mixed_instance()
         with pytest.raises(NonconcavePriorError, match="nonconcave-prior"):
-            fw_solve_capped(ctm_map_objective(doc, topics, prior), ctm_caps(prior))
+            fw_solve(ctm_full_objective(doc, topics, prior), BARYCENTER, caps=ctm_caps(prior))
         doc, topics, prior = self.mixed_instance(mean=np.array([-0.5, 0.0]))
         with pytest.raises(NonconcavePriorError, match="nonconcave-prior"):
-            fw_solve_capped(ctm_full_objective(doc, topics, prior), ctm_caps(prior))
+            fw_solve(ctm_full_objective(doc, topics, prior), BARYCENTER)
 
     def test_refusal_comes_before_any_evaluation(self):
         class Flagged:
@@ -657,4 +706,4 @@ class TestConcavityContract:
         with pytest.raises(NonconcavePriorError):
             fw_solve(Flagged())
         with pytest.raises(NonconcavePriorError):
-            fw_solve_capped(Flagged(), np.ones(2))
+            fw_solve(Flagged(), caps=np.ones(2))

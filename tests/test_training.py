@@ -91,23 +91,6 @@ class TestTrain:
         assert np.array_equal(b1.rows, b2.rows)
         assert t1 == t2
 
-    def test_threads_deterministic_for_fixed_count(self):
-        corpus = two_cluster_corpus()
-        config = TrainConfig(topics=2, em_iters=10, seed=0, threads=2)
-        b1, t1 = train(corpus, config)
-        b2, t2 = train(corpus, config)
-        assert np.array_equal(b1.rows, b2.rows)
-        assert t1 == t2
-
-    def test_threads_track_serial_run(self):
-        corpus = two_cluster_corpus()
-        serial, t1 = train(corpus, TrainConfig(topics=2, em_iters=10, seed=0))
-        pooled, t2 = train(corpus, TrainConfig(topics=2, em_iters=10, seed=0, threads=3))
-        # different accumulation order, same fixed point
-        assert np.allclose(serial.rows, pooled.rows, atol=1e-8)
-        assert len(t1) == len(t2)
-        assert np.allclose(t1, t2, rtol=1e-8)
-
     def test_hard_m_step(self):
         corpus = two_cluster_corpus()
         beta, trace = train(
@@ -135,6 +118,7 @@ class TestTrainConfig:
             dict(topics=2, smoothing=0.0),
             dict(topics=2, m_step="soft"),
             dict(topics=2, threads=0),
+            dict(topics=2, threads=2),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -185,11 +169,11 @@ class TestGenerateSyntheticCorpus:
             generate_synthetic_corpus(**kwargs)
 
     def test_true_model_beats_uniform(self):
-        from sparsetopics import perplexity
+        from sparsetopics import evaluate_inference
 
         data = generate_synthetic_corpus(5, 50, 40, 60, seed=9)
 
         def infer(doc):
             return fw_solve(ml_objective(doc, data.topics))[0]
 
-        assert perplexity(data.corpus, data.topics, infer) < 50.0
+        assert evaluate_inference(data.corpus, data.topics, infer).perplexity < 50.0
