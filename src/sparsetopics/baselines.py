@@ -55,14 +55,11 @@ def folding_in(
         f_prev = f_curr
         if done:
             break
-    theta = theta / theta.sum()
-    point = TopicProportion.from_dense(theta)
     report = InferenceReport(
-        theta=point,
+        theta=TopicProportion.from_dense(theta / theta.sum()),
         iterations=iterations,
         objective=f_prev,
         seconds=time.perf_counter() - t0,
-        nnz=point.nnz,
     )
     return report, trace
 
@@ -129,12 +126,10 @@ def vb_infer(
         if change < config.rel_tol:
             break
     theta = gamma / gamma.sum()
-    point = TopicProportion.from_dense(theta)
     report = InferenceReport(
-        theta=point,
+        theta=TopicProportion.from_dense(theta),
         iterations=iterations,
         objective=objective.value(theta),
         seconds=time.perf_counter() - t0,
-        nnz=point.nnz,
     )
     return report, VbState(gamma=gamma, iterations=iterations)

@@ -190,7 +190,7 @@ def _cmd_infer(args) -> int:
         start=start,
     )
     reports = [fw_solve(make_objective(doc), config)[0] for doc in corpus.documents]
-    corpus_io.write_theta(args.out, reports)
+    corpus_io.write_theta(args.out, reports, corpus.doc_ids)
     mean_nnz = float(np.mean([r.nnz for r in reports]))
     print(f"inferred {len(reports)} documents; mean support {mean_nnz:.2f}")
     return 0

@@ -115,15 +115,24 @@ class Document:
 
 @dataclasses.dataclass(frozen=True)
 class Corpus:
-    """A vocabulary plus at least one document with in-range term ids."""
+    """A vocabulary plus at least one document with in-range term ids.
+
+    doc_ids are the documents' 1-based ids in the file they were read
+    from, which skip the empty documents the loader drops; 1..M when not
+    given."""
 
     vocabulary: Vocabulary
     documents: tuple[Document, ...]
+    doc_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "documents", tuple(self.documents))
         if not self.documents:
             raise InvalidArgumentError("corpus must contain at least one document")
+        ids = range(1, len(self.documents) + 1) if self.doc_ids is None else self.doc_ids
+        object.__setattr__(self, "doc_ids", tuple(int(i) for i in ids))
+        if len(self.doc_ids) != len(self.documents):
+            raise InvalidArgumentError("need one document id per document")
         v = self.vocabulary.size
         for m, doc in enumerate(self.documents):
             if doc.term_ids[-1] >= v:
@@ -168,8 +177,8 @@ class TopicMatrix:
         return topics
 
     @classmethod
-    def normalized(cls, raw: np.ndarray, floor: float = EPS_BETA) -> "TopicMatrix":
-        """Floor entries at `floor`, then renormalize each row to sum to one."""
+    def normalized(cls, raw: np.ndarray) -> "TopicMatrix":
+        """Floor entries at EPS_BETA, then renormalize each row to sum to one."""
         rows = np.asarray(raw, dtype=np.float64)
         if rows.ndim != 2:
             raise InvalidArgumentError("topic matrix must be 2-d")
@@ -179,11 +188,11 @@ class TopicMatrix:
         if np.any(sums <= 0):
             raise InvalidArgumentError("every topic row needs positive mass")
         # The floor applies on the probability scale, so normalize first.
-        rows = np.maximum(rows / sums, floor)
+        rows = np.maximum(rows / sums, EPS_BETA)
         rows = rows / rows.sum(axis=1, keepdims=True)
         # That division drags floored entries a hair below the floor; clip
         # again (the row-sum drift is far inside SIMPLEX_TOL).
-        rows = np.maximum(rows, floor)
+        rows = np.maximum(rows, EPS_BETA)
         return cls(rows)
 
     @property
@@ -288,8 +297,6 @@ class SolverConfig:
     rel_tol: float = 1e-6
     max_nnz: int | None = None
     start: str = START_BEST_VERTEX
-    line_search_tol: float = 1e-10
-    line_search_max_steps: int = 60
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -300,19 +307,14 @@ class SolverConfig:
             raise InvalidConfigError("max_nnz must be at least 1 when set")
         if self.start not in _STARTS:
             raise InvalidConfigError(f"start must be one of {_STARTS}")
-        if not (self.line_search_tol > 0):
-            raise InvalidConfigError("line_search_tol must be positive")
-        if self.line_search_max_steps < 1:
-            raise InvalidConfigError("line_search_max_steps must be at least 1")
 
 
 def converged(previous: float, current: float, tol: float) -> bool:
     """The stopping rule of every iterative method here: the change from
-    previous to current is below tol relative to |previous|, or below tol
-    itself once |previous| is under 1e-12."""
-    denom = abs(previous)
-    delta = abs(current - previous)
-    return (delta < tol * denom) or (denom < 1e-12 and delta < tol)
+    previous to current is at most tol relative to |previous|.  Scaling
+    both values by the same factor never changes the verdict, and equal
+    values (zero included) have converged."""
+    return abs(current - previous) <= tol * abs(previous)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -323,10 +325,12 @@ class InferenceReport:
     iterations: int
     objective: float
     seconds: float
-    nnz: int
 
     def __post_init__(self):
-        if self.nnz != self.theta.nnz:
-            raise InvalidArgumentError("nnz does not match the support of theta")
         if self.iterations < 0:
             raise InvalidArgumentError("iterations must be nonnegative")
+
+    @property
+    def nnz(self) -> int:
+        """Support size of theta."""
+        return self.theta.nnz

@@ -113,7 +113,8 @@ def load_uci_bow(docword_path, vocab_path=None) -> Corpus:
     """Read a bag-of-words file: three header lines (documents, vocabulary
     size, number of triples) followed by 1-based "docID wordID count"
     triples.  Duplicate triples add up in file order.  Documents that end
-    up empty are dropped with a warning.
+    up empty are dropped with a warning; the corpus's doc_ids keep the
+    file ids of the others.
 
     Without a vocabulary file, terms are named w1..wW.
     """
@@ -161,13 +162,14 @@ def load_uci_bow(docword_path, vocab_path=None) -> Corpus:
     documents = [Document(ids, c) for ids, c in zip(np.split(term_ids, cuts), np.split(sums, cuts))]
     if len(documents) < num_docs:
         warnings.warn(f"dropped {num_docs - len(documents)} empty document(s)")
-    return Corpus(vocab, tuple(documents))
+    return Corpus(vocab, tuple(documents), doc[np.r_[0, cuts]].tolist())
 
 
 @dataclasses.dataclass(frozen=True)
 class ModelFile:
+    """A loaded model, of format version MODEL_VERSION (the only one read)."""
+
     topics: TopicMatrix
-    version: int
     metadata: dict | None = None
 
 
@@ -262,7 +264,7 @@ def load_model(path) -> ModelFile:
     topics = TopicMatrix._adopt(rows)
     if topics.problems:
         raise ModelFormatError("invalid topic matrix: " + "; ".join(topics.problems))
-    return ModelFile(topics=topics, version=version, metadata=metadata)
+    return ModelFile(topics=topics, metadata=metadata)
 
 
 def load_prior(path) -> CtmPrior:

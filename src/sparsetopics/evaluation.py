@@ -134,7 +134,6 @@ def tradeoff_sweep(
     topics: TopicMatrix,
     caps: Sequence[int],
     config: SolverConfig | None = None,
-    objective_factory: Callable[[Document], MlObjective] | None = None,
 ) -> list[MethodResult]:
     """Evaluate the solver at a strictly increasing series of iteration
     caps.  Because a longer run extends a shorter one step for step, each
@@ -146,14 +145,12 @@ def tradeoff_sweep(
     if any(b <= a for a, b in zip(caps, caps[1:])):
         raise InvalidArgumentError("caps must be strictly increasing")
     config = config or SolverConfig()
-    if objective_factory is None:
-        objective_factory = lambda doc: MlObjective(doc, topics)
     results = []
     for cap in caps:
         capped = dataclasses.replace(config, max_iters=cap)
 
         def infer(doc, _c=capped):
-            return fw_solve(objective_factory(doc), config=_c)[0]
+            return fw_solve(MlObjective(doc, topics), config=_c)[0]
 
         report = evaluate_inference(testset, topics, infer)
         results.append(MethodResult(method=METHOD_FW, cap=cap, report=report))

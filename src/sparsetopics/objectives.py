@@ -294,17 +294,13 @@ class GaussianLogPenalty(Objective):
 
 
 class PenalizedObjective(Objective):
-    """base(theta) + weight * penalty(theta), weight >= 0; concave when
-    both parts are."""
+    """base(theta) + penalty(theta); concave when both parts are."""
 
-    def __init__(self, base: Objective, penalty: Objective, weight: float = 1.0):
-        if not (weight >= 0):
-            raise InvalidArgumentError("penalty weight must be nonnegative")
+    def __init__(self, base: Objective, penalty: Objective):
         if base.dim != penalty.dim:
             raise InvalidArgumentError("base and penalty dimensions differ")
         self.base = base
         self.penalty = penalty
-        self.weight = float(weight)
         self.dim = base.dim
         self.concave = is_concave(base) and is_concave(penalty)
         # Certified concave where both parts are: under the tighter caps.
@@ -318,21 +314,20 @@ class PenalizedObjective(Objective):
         )
 
     def value(self, theta: np.ndarray) -> float:
-        return self.base.value(theta) + self.weight * self.penalty.value(theta)
+        return self.base.value(theta) + self.penalty.value(theta)
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self.base.gradient(theta) + self.weight * self.penalty.gradient(theta)
+        return self.base.gradient(theta) + self.penalty.gradient(theta)
 
     def line_restriction(self, theta, s_ids, s_vals):
         g1, dg1 = self.base.line_restriction(theta, s_ids, s_vals)
         g2, dg2 = self.penalty.line_restriction(theta, s_ids, s_vals)
-        w = self.weight
 
         def g(a: float) -> float:
-            return g1(a) + w * g2(a)
+            return g1(a) + g2(a)
 
         def dg(a: float) -> float:
-            return dg1(a) + w * dg2(a)
+            return dg1(a) + dg2(a)
 
         return g, dg
 

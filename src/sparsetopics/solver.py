@@ -10,7 +10,7 @@ bitwise identical to the barycenter solve when all caps are one.
 
 Each step costs one gradient, one linear subproblem and a one-dimensional
 search: a Brent root search on the derivative of the objective along the
-step, accurate to SolverConfig.line_search_tol.  The best-vertex start
+step, accurate to line_search's default tol of 1e-10.  The best-vertex start
 scores all K vertices in one pass when the objective can (vertex_values).
 """
 
@@ -247,12 +247,7 @@ def _solve_loop(objective, theta, start_vertex, lp, config, interior, t0):
             raise NumericFailureError("gradient is NaN")
         s_ids, s_vals, lead = lp(grad)
         _, dg = objective.line_restriction(theta, s_ids, s_vals)
-        alpha = line_search(
-            dg,
-            tol=config.line_search_tol,
-            max_steps=config.line_search_max_steps,
-            upper=upper,
-        )
+        alpha = line_search(dg, upper=upper)
         previous = theta.copy()
         nnz_prev = nnz
         theta *= 1.0 - alpha
@@ -281,13 +276,11 @@ def _solve_loop(objective, theta, start_vertex, lp, config, interior, t0):
         f_prev = f_curr
         if done:
             break
-    point = TopicProportion.from_dense(theta / theta.sum())
     report = InferenceReport(
-        theta=point,
+        theta=TopicProportion.from_dense(theta / theta.sum()),
         iterations=iterations,
         objective=f_prev,
         seconds=time.perf_counter() - t0,
-        nnz=point.nnz,
     )
     return report, Trace(tuple(records))
 

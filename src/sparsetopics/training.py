@@ -21,6 +21,9 @@ from .solver import fw_solve
 M_STEP_RESPONSIBILITY = "responsibility"
 M_STEP_HARD = "hard"
 
+# Added to every sufficient statistic before the M-step normalizes them.
+SMOOTHING = 1e-10
+
 
 @dataclasses.dataclass(frozen=True)
 class TrainConfig:
@@ -35,7 +38,6 @@ class TrainConfig:
     em_iters: int = 50
     em_rel_tol: float = 1e-4
     inner: SolverConfig = dataclasses.field(default_factory=SolverConfig)
-    smoothing: float = 1e-10
     seed: int = 0
     m_step: str = M_STEP_RESPONSIBILITY
     threads: int = 1
@@ -47,8 +49,6 @@ class TrainConfig:
             raise InvalidConfigError("em_iters must be at least 1")
         if not (self.em_rel_tol > 0):
             raise InvalidConfigError("em_rel_tol must be positive")
-        if not (self.smoothing > 0):
-            raise InvalidConfigError("smoothing must be positive")
         if self.m_step not in (M_STEP_RESPONSIBILITY, M_STEP_HARD):
             raise InvalidConfigError(
                 f"m_step must be '{M_STEP_RESPONSIBILITY}' or '{M_STEP_HARD}'"
@@ -59,7 +59,9 @@ class TrainConfig:
 
 def _e_step_range(documents, beta, config, previous):
     """Infer every document's proportions; returns the sufficient
-    statistics and the per-document proportions."""
+    statistics and the per-document proportions.  previous holds, per
+    document, None or the last EM step's proportions and their
+    log-likelihood under beta; a fresh solve below it keeps them."""
     k = beta.num_topics
     stats = np.zeros((k, beta.vocab_size))
     thetas = []
@@ -67,11 +69,11 @@ def _e_step_range(documents, beta, config, previous):
         objective = MlObjective(doc, beta)
         report, _ = fw_solve(objective, config=config.inner)
         theta = report.theta.dense(k)
-        if prev is not None and objective.value(prev) > report.objective:
-            theta = prev
+        if prev is not None and prev[1] > report.objective:
+            theta = prev[0]
         support = np.flatnonzero(theta)
         weights = theta[support]
-        cols = beta.rows[np.ix_(support, doc.term_ids)]
+        cols = objective.term_columns[support]
         if config.m_step == M_STEP_HARD:
             contrib = weights[:, None] * doc.counts[None, :]
         else:
@@ -95,15 +97,18 @@ def train(corpus: Corpus, config: TrainConfig):
     previous = [None] * len(documents)
     trace = []
     for _ in range(config.em_iters):
-        stats, previous = _e_step_range(documents, beta, config, previous)
-        candidate = TopicMatrix.normalized(stats + config.smoothing)
+        stats, thetas = _e_step_range(documents, beta, config, previous)
+        candidate = TopicMatrix.normalized(stats + SMOOTHING)
+        terms = []
         ll = 0.0
-        for m, doc in enumerate(documents):
-            ll += MlObjective(doc, candidate).value(previous[m])
+        for doc, theta in zip(documents, thetas):
+            terms.append(MlObjective(doc, candidate).value(theta))
+            ll += terms[-1]
         if trace and ll < trace[-1]:
             # The only way down is smoothing-floor noise; we are converged.
             break
         beta = candidate
+        previous = list(zip(thetas, terms))
         trace.append(ll)
         if len(trace) >= 2 and converged(trace[-2], trace[-1], config.em_rel_tol):
             break

@@ -156,10 +156,11 @@ def brute_force_capped_lp(scores: np.ndarray, caps: np.ndarray) -> float:
     return best
 
 
-def bisection_line_search(dg, *, tol, max_steps, upper):
+def bisection_line_search(dg, *, tol=1e-10, max_steps=60, upper=1.0):
     """Sign bisection of a nonincreasing derivative on [0, upper], with the
-    solver's line_search signature: the endpoint shortcuts, then halve the
-    bracket until it is narrower than tol and return its midpoint."""
+    solver's line_search signature and defaults: the endpoint shortcuts,
+    then halve the bracket until it is narrower than tol and return its
+    midpoint."""
     if dg(0.0) <= 0.0:
         return 0.0
     if dg(upper) >= 0.0:

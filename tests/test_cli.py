@@ -98,6 +98,17 @@ class TestInfer:
             weights = [float(c.split(":")[1]) for c in cells[1:]]
             assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
+    def test_lines_keep_the_file_ids_past_an_empty_document(self, workdir, tmp_path):
+        # document 2 has no triples, so the loader drops it
+        corpus = tmp_path / "gap.docword.txt"
+        corpus.write_text("3\n30\n4\n1 1 3\n1 2 1\n3 20 2\n3 30 5\n")
+        out = tmp_path / "theta.txt"
+        args = ["--corpus", str(corpus), "--model", str(workdir / "fit.model.txt")]
+        with pytest.warns(UserWarning, match="dropped 1 empty"):
+            rc = main(["infer", *args, "--out", str(out)])
+        assert rc == 0
+        assert [line.split()[0] for line in out.read_text().splitlines()] == ["1", "3"]
+
     def test_support_cap_with_a_dense_start_is_an_error(self, workdir, capsys):
         out = workdir / "theta.capped-map.txt"
         rc = main(

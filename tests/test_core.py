@@ -90,6 +90,14 @@ class TestCorpus:
         doc = Document(np.array([0]), np.array([1.0]))
         assert len(Corpus(vocab, (doc, doc))) == 2
 
+    def test_doc_ids(self):
+        vocab = Vocabulary(("a", "b"))
+        doc = Document(np.array([0]), np.array([1.0]))
+        assert Corpus(vocab, (doc, doc)).doc_ids == (1, 2)
+        assert Corpus(vocab, (doc, doc), (2, 5)).doc_ids == (2, 5)
+        with pytest.raises(InvalidArgumentError):
+            Corpus(vocab, (doc, doc), (1,))
+
 
 class TestTopicMatrix:
     def test_normalized_floors_zeros(self):
@@ -212,8 +220,6 @@ class TestSolverConfig:
             dict(rel_tol=-1e-6),
             dict(max_nnz=0),
             dict(start="middle"),
-            dict(line_search_tol=0.0),
-            dict(line_search_max_steps=0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -221,13 +227,11 @@ class TestSolverConfig:
             SolverConfig(**kwargs)
 
 
-def test_inference_report_consistency():
-    point = TopicProportion.from_dense(np.array([0.5, 0.5]))
-    InferenceReport(theta=point, iterations=3, objective=-1.0, seconds=0.0, nnz=2)
+def test_inference_report_nnz_is_the_support_of_theta():
+    point = TopicProportion.from_dense(np.array([0.5, 0.0, 0.5]))
+    assert InferenceReport(theta=point, iterations=3, objective=-1.0, seconds=0.0).nnz == 2
     with pytest.raises(InvalidArgumentError):
-        InferenceReport(theta=point, iterations=3, objective=-1.0, seconds=0.0, nnz=1)
-    with pytest.raises(InvalidArgumentError):
-        InferenceReport(theta=point, iterations=-1, objective=-1.0, seconds=0.0, nnz=2)
+        InferenceReport(theta=point, iterations=-1, objective=-1.0, seconds=0.0)
 
 
 def test_converged_relative_then_absolute():
@@ -235,7 +239,11 @@ def test_converged_relative_then_absolute():
 
     assert converged(-100.0, -100.0 + 9e-5, 1e-6)
     assert not converged(-100.0, -100.0 + 2e-4, 1e-6)
-    # below 1e-12 in |previous| the change is judged absolutely
-    assert converged(1e-13, 5e-7, 1e-6)
-    assert not converged(1e-11, 5e-7, 1e-6)
+    # the rule is relative at every scale: tiny values are judged alike
+    assert converged(-1e-300, -1e-300 + 9e-307, 1e-6)
+    assert not converged(-1e-300, -1e-300 + 2e-306, 1e-6)
+    assert not converged(1e-13, 5e-7, 1e-6)
     assert not converged(0.0, 2e-6, 1e-6)
+    # equal values have converged, zero included
+    assert converged(0.0, 0.0, 1e-6)
+    assert converged(-3.5, -3.5, 1e-6)

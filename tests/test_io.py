@@ -139,6 +139,7 @@ class TestLoadUciBow:
         with pytest.warns(UserWarning, match="dropped 1 empty"):
             corpus = load_uci_bow(write(tmp_path / "d.txt", text))
         assert len(corpus.documents) == 2
+        assert corpus.doc_ids == (1, 3)
 
     def test_no_documents(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="no documents"):
@@ -335,7 +336,6 @@ class TestModelFiles:
         path = tmp_path / "m.txt"
         save_model(path, topics)
         loaded = load_model(path)
-        assert loaded.version == 1
         assert loaded.metadata is None
         assert np.array_equal(loaded.topics.rows, topics.rows)
 

@@ -291,15 +291,17 @@ class TestCtmObjectives:
         expected = ml_objective(doc, topics).value(theta) - 0.5 * x @ x
         assert f.value(theta) == pytest.approx(expected, abs=1e-12)
 
-    def test_weight_scales_penalty(self):
+    def test_penalized_is_the_sum_of_its_parts(self):
         doc, topics = two_topic_instance()
-        prior = CtmPrior(np.eye(2))
-        half = PenalizedObjective(
-            ml_objective(doc, topics), GaussianLogPenalty(prior), weight=0.5
-        )
-        theta = np.array([0.5, 0.5])
-        expected = ml_objective(doc, topics).value(theta) - 0.5 * math.log(2.0) ** 2
-        assert half.value(theta) == pytest.approx(expected, abs=1e-12)
+        base, penalty = ml_objective(doc, topics), GaussianLogPenalty(CtmPrior(np.eye(2)))
+        f = PenalizedObjective(base, penalty)
+        theta = np.array([0.3, 0.7])
+        assert f.value(theta) == base.value(theta) + penalty.value(theta)
+        assert np.array_equal(f.gradient(theta), base.gradient(theta) + penalty.gradient(theta))
+        _, dg = f.line_restriction(theta, np.array([0]), np.array([1.0]))
+        _, dg1 = base.line_restriction(theta, np.array([0]), np.array([1.0]))
+        _, dg2 = penalty.line_restriction(theta, np.array([0]), np.array([1.0]))
+        assert dg(0.25) == dg1(0.25) + dg2(0.25)
 
     def test_caps_without_mean_are_ones(self):
         assert np.array_equal(ctm_caps(CtmPrior(np.eye(3))), np.ones(3))

@@ -1,20 +1,31 @@
 """Property tests: solver invariants on random ML and certified-CTM
 instances, down to K = 1, single-term documents and counts from 1e-300 to
-1e300."""
+1e300, and bitwise round trips through the corpus, model and prior
+files."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sparsetopics import (
+    Corpus,
     CtmPrior,
     Document,
     SolverConfig,
     TopicMatrix,
+    Vocabulary,
     ctm_caps,
     ctm_full_objective,
     fw_solve,
+    load_model,
+    load_prior,
+    load_uci_bow,
     ml_objective,
+    save_model,
+    save_uci_bow,
 )
 from sparsetopics.core import SIMPLEX_TOL
 
@@ -118,3 +129,50 @@ class TestCtmInvariants:
         assert np.all(report.theta.dense(topics.num_topics) <= caps * (1.0 + 1e-12))
         assert_monotone(trace)
 
+
+
+def round_trip(save, load):
+    """load(path) of the file save(path) wrote, in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.txt"
+        save(path)
+        return load(path)
+
+
+class TestFileRoundTrips:
+    @SETTINGS
+    @given(st.data())
+    def test_corpus(self, data):
+        v = data.draw(st.integers(1, 8))
+        docs = data.draw(st.lists(documents(v), min_size=1, max_size=4))
+        corpus = Corpus(Vocabulary(tuple(f"w{j}" for j in range(1, v + 1))), docs)
+        loaded = round_trip(lambda p: save_uci_bow(p, corpus), load_uci_bow)
+        assert loaded.vocabulary == corpus.vocabulary
+        assert loaded.doc_ids == corpus.doc_ids
+        for got, doc in zip(loaded.documents, corpus.documents, strict=True):
+            assert np.array_equal(got.term_ids, doc.term_ids)
+            assert got.counts.tobytes() == doc.counts.tobytes()
+
+    @SETTINGS
+    @given(st.integers(1, 6).flatmap(topic_matrices))
+    def test_model(self, topics):
+        loaded = round_trip(lambda p: save_model(p, topics), load_model)
+        assert loaded.topics.rows.tobytes() == topics.rows.tobytes()
+        assert loaded.topics.rows.shape == topics.rows.shape
+
+    @SETTINGS
+    @given(st.data())
+    def test_prior(self, data):
+        k = data.draw(st.integers(1, 6))
+        prior = data.draw(certified_priors(k, with_mean=data.draw(st.booleans())))
+        rows = list(prior.precision) + ([] if prior.mean is None else [prior.mean])
+
+        def save(path):
+            path.write_text("".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in rows))
+
+        loaded = round_trip(save, load_prior)
+        assert loaded.precision.tobytes() == prior.precision.tobytes()
+        if prior.mean is None:
+            assert loaded.mean is None
+        else:
+            assert loaded.mean.tobytes() == prior.mean.tobytes()

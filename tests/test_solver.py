@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -310,6 +311,16 @@ class TestFwSolve:
         theta = report.theta.dense(2)
         assert theta.min() > 0.1
 
+    @pytest.mark.parametrize("scale", [1e-20, 1e-100, 1e-300])
+    def test_tiny_counts_solve_as_at_unit_scale(self, scale):
+        # scaling every count scales the objective and leaves its argmax
+        # alone, so the stop rule must not end the tiny solve early
+        data = generate_synthetic_corpus(6, 40, 30, 8, seed=2)
+        for doc in data.corpus.documents:
+            unit = fw_solve(ml_objective(doc, data.topics))[0]
+            tiny = fw_solve(ml_objective(Document(doc.term_ids, doc.counts * scale), data.topics))[0]
+            np.testing.assert_allclose(tiny.theta.dense(6), unit.theta.dense(6), rtol=0, atol=1e-12)
+
 
 class TestVertexStart:
     def test_ml_vertex_values_match_the_value_loop(self):
@@ -409,8 +420,12 @@ class TestPruning:
 
     def solve(self, k, roots):
         f = ScriptedObjective(k, roots)
-        config = SolverConfig(max_iters=len(roots), rel_tol=1e-300, line_search_tol=1e-300)
-        _, trace = fw_solve(f, config=config)
+        config = SolverConfig(max_iters=len(roots), rel_tol=1e-300)
+        # a line search that lands on each scripted root to the last bit
+        exact = functools.partial(solver_module.line_search, tol=1e-300)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "line_search", exact)
+            _, trace = fw_solve(f, config=config)
         assert len(trace) == len(roots) + 1
         assert [p.tobytes() for p in f.points] == [p.tobytes() for p in self.replay(k, trace)]
         assert [r.nnz for r in trace] == [int(np.count_nonzero(p)) for p in f.points]

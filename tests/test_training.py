@@ -16,6 +16,7 @@ from sparsetopics import (
     ml_objective,
     train,
 )
+import sparsetopics.training as training_module
 
 
 def tiny_corpus():
@@ -55,7 +56,7 @@ class TestTrain:
         for doc in corpus.documents:
             cols = init.rows[0, doc.term_ids]
             stats[0, doc.term_ids] += cols * (doc.counts / cols)
-        raw = stats + config.smoothing
+        raw = stats + training_module.SMOOTHING
         rows = np.maximum(raw / raw.sum(axis=1, keepdims=True), 1e-10)
         rows = rows / rows.sum(axis=1, keepdims=True)
         rows = np.maximum(rows, 1e-10)
@@ -71,6 +72,31 @@ class TestTrain:
         _, trace = train(data.corpus, TrainConfig(topics=4, em_iters=15, seed=1))
         assert len(trace) >= 2
         assert np.all(np.diff(trace) >= 0.0)
+
+    def test_one_likelihood_per_document_per_em_step(self, monkeypatch):
+        # outside the solves, only the pass after each M-step evaluates the
+        # likelihood; the next E-step's keep-previous guard reuses its terms
+        real_solve = training_module.fw_solve
+        state = {"solving": False, "outside": 0}
+
+        class Counted(MlObjective):
+            def value(self, theta):
+                state["outside"] += not state["solving"]
+                return super().value(theta)
+
+        def solve(*args, **kwargs):
+            state["solving"] = True
+            try:
+                return real_solve(*args, **kwargs)
+            finally:
+                state["solving"] = False
+
+        monkeypatch.setattr(training_module, "MlObjective", Counted)
+        monkeypatch.setattr(training_module, "fw_solve", solve)
+        data = generate_synthetic_corpus(4, 30, 40, 30, seed=2)
+        _, trace = train(data.corpus, TrainConfig(topics=4, em_iters=5, em_rel_tol=1e-15, seed=1))
+        assert len(trace) == 5
+        assert state["outside"] == 5 * len(data.corpus.documents)
 
     def test_recovers_disjoint_clusters(self):
         corpus = two_cluster_corpus()
@@ -115,7 +141,6 @@ class TestTrainConfig:
             dict(topics=0),
             dict(topics=2, em_iters=0),
             dict(topics=2, em_rel_tol=0.0),
-            dict(topics=2, smoothing=0.0),
             dict(topics=2, m_step="soft"),
             dict(topics=2, threads=0),
             dict(topics=2, threads=2),
