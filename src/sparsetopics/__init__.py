@@ -6,7 +6,7 @@ trainer, and evaluation helpers for the speed/sparsity/perplexity
 trade-off.
 """
 
-from .baselines import VbState, folding_in, vb_infer
+from .baselines import folding_in, vb_infer
 from .core import (
     EPS_BETA,
     START_BARYCENTER,
@@ -18,7 +18,6 @@ from .core import (
     TopicMatrix,
     TopicProportion,
     Vocabulary,
-    simplex_barycenter,
     validate_topic_matrix,
 )
 from .corpus_io import (
@@ -33,7 +32,6 @@ from .corpus_io import (
     write_likelihood_csv,
     write_proportions,
     write_theta,
-    write_trace_csv,
 )
 from .errors import (
     CorpusBoundsError,

@@ -7,7 +7,6 @@ rel_tol) so timing and quality comparisons are apples to apples.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import numpy as np
@@ -64,23 +63,6 @@ def folding_in(
     return report, trace
 
 
-@dataclasses.dataclass(frozen=True)
-class VbState:
-    """Final variational parameters: gamma is the Dirichlet posterior over
-    topics, iterations the number of coordinate sweeps."""
-
-    gamma: np.ndarray
-    iterations: int
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=np.float64)
-        if g.ndim != 1 or np.any(g <= 0) or not np.all(np.isfinite(g)):
-            raise InvalidArgumentError("gamma must be a positive vector")
-        g = g.copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
-
-
 def vb_infer(
     document: Document,
     topics: TopicMatrix,
@@ -94,7 +76,8 @@ def vb_infer(
     the mean absolute relative change of gamma drops below rel_tol.  The
     point estimate is gamma normalized, so the support is always dense.
 
-    Returns (InferenceReport, VbState).
+    Returns (InferenceReport, gamma), gamma being the final Dirichlet
+    posterior parameters as a read-only array.
     """
     # Imported here so that importing the package loads numpy only.
     from scipy.special import digamma
@@ -132,4 +115,5 @@ def vb_infer(
         objective=objective.value(theta),
         seconds=time.perf_counter() - t0,
     )
-    return report, VbState(gamma=gamma, iterations=iterations)
+    gamma.setflags(write=False)
+    return report, gamma

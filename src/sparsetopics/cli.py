@@ -14,20 +14,10 @@ import sys
 import numpy as np
 
 from . import corpus_io
-from .core import (
-    START_BARYCENTER,
-    START_BEST_VERTEX,
-    SolverConfig,
-    TopicProportion,
-)
+from .core import START_BARYCENTER, START_BEST_VERTEX, SolverConfig, TopicProportion
 from .errors import InvalidArgumentError, InvalidConfigError
 from .evaluation import ALL_METHODS, compare_methods, tradeoff_sweep
-from .objectives import (
-    INTERIOR_ONLY,
-    ctm_full_objective,
-    lda_map_objective,
-    ml_objective,
-)
+from .objectives import ctm_full_objective, lda_map_objective, ml_objective
 from .solver import fw_solve
 from .training import TrainConfig, generate_synthetic_corpus, train
 
@@ -80,7 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0, help="Dirichlet concentration (lda-map)")
     p.add_argument("--prior", help="precision file (ctm)")
     p.add_argument("--max-nnz", type=int, help="cap on the support size")
-    p.add_argument("--start", choices=["vertex", "barycenter"])
+    p.add_argument(
+        "--start",
+        choices=["vertex", "barycenter"],
+        help="start point; by default caps / sum(caps) under a ctm prior with a "
+        "mean, the barycenter for other interior-only objectives (lda-map with "
+        "alpha > 1, ctm), else the best vertex",
+    )
     _add_stop_flags(p)
     p.add_argument("--out", required=True, help="proportions file to write")
     p.set_defaults(func=_cmd_infer)
@@ -176,18 +172,11 @@ def _cmd_infer(args) -> int:
             return lda_map_objective(doc, topics, args.alpha)
         return ctm_full_objective(doc, topics, prior)
 
-    probe = make_objective(corpus.documents[0])
-    if args.start is not None:
-        start = _START_NAMES[args.start]
-    elif probe.domain == INTERIOR_ONLY:
-        start = START_BARYCENTER
-    else:
-        start = START_BEST_VERTEX
     config = SolverConfig(
         max_iters=args.iters,
         rel_tol=args.tol,
         max_nnz=args.max_nnz,
-        start=start,
+        start=_START_NAMES.get(args.start),
     )
     reports = [fw_solve(make_objective(doc), config)[0] for doc in corpus.documents]
     corpus_io.write_theta(args.out, reports, corpus.doc_ids)
@@ -200,13 +189,9 @@ def _cmd_eval(args) -> int:
     corpus, topics = _load_pair(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     config = SolverConfig(max_iters=args.iters, rel_tol=args.tol)
-    results = compare_methods(corpus, topics, alpha=args.alpha, config=config, methods=methods)
-    if args.out:
-        corpus_io.write_eval_csv(args.out, results)
-        print(f"wrote {args.out}")
-    else:
-        corpus_io.write_eval_rows(sys.stdout, results)
-    return 0
+    return _write_results(
+        args, compare_methods(corpus, topics, alpha=args.alpha, config=config, methods=methods)
+    )
 
 
 def _cmd_tradeoff(args) -> int:
@@ -216,7 +201,11 @@ def _cmd_tradeoff(args) -> int:
     except ValueError:
         raise InvalidArgumentError(f"bad --caps value: {args.caps!r}") from None
     config = SolverConfig(rel_tol=args.tol)
-    results = tradeoff_sweep(corpus, topics, caps, config=config)
+    return _write_results(args, tradeoff_sweep(corpus, topics, caps, config=config))
+
+
+def _write_results(args, results) -> int:
+    """The CSV of eval and tradeoff, to --out or else to stdout."""
     if args.out:
         corpus_io.write_eval_csv(args.out, results)
         print(f"wrote {args.out}")

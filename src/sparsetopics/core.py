@@ -45,22 +45,12 @@ class Vocabulary:
         if len(set(self.terms)) != len(self.terms):
             raise InvalidArgumentError("vocabulary terms must be distinct")
 
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.terms)}
-
     @property
     def size(self) -> int:
         return len(self.terms)
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def id_of(self, term: str) -> int:
-        try:
-            return self.index[term]
-        except KeyError:
-            raise InvalidArgumentError(f"unknown term: {term!r}") from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,7 +109,8 @@ class Corpus:
 
     doc_ids are the documents' 1-based ids in the file they were read
     from, which skip the empty documents the loader drops; 1..M when not
-    given."""
+    given.  They must be positive and strictly increasing, because
+    save_uci_bow writes each document under its id."""
 
     vocabulary: Vocabulary
     documents: tuple[Document, ...]
@@ -133,6 +124,8 @@ class Corpus:
         object.__setattr__(self, "doc_ids", tuple(int(i) for i in ids))
         if len(self.doc_ids) != len(self.documents):
             raise InvalidArgumentError("need one document id per document")
+        if self.doc_ids[0] < 1 or any(b <= a for a, b in zip(self.doc_ids, self.doc_ids[1:])):
+            raise InvalidArgumentError("document ids must be positive and strictly increasing")
         v = self.vocabulary.size
         for m, doc in enumerate(self.documents):
             if doc.term_ids[-1] >= v:
@@ -273,16 +266,6 @@ class TopicProportion:
         return int(self.topic_ids.size)
 
 
-def simplex_barycenter(num_topics: int) -> TopicProportion:
-    """Uniform point (1/K, ..., 1/K)."""
-    if num_topics < 1:
-        raise InvalidArgumentError("need at least one topic")
-    return TopicProportion(
-        np.arange(num_topics, dtype=np.int64),
-        np.full(num_topics, 1.0 / num_topics),
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the simplex solver.
@@ -290,13 +273,14 @@ class SolverConfig:
     max_nnz, when set, caps the support size of the result by limiting the
     iteration count (vertex starts add at most one coordinate per step);
     fw_solve refuses it when the start point already has more nonzeros,
-    and max_nnz >= K caps nothing.
+    and max_nnz >= K caps nothing.  start None lets fw_solve derive the
+    start from the region and the objective.
     """
 
     max_iters: int = 1000
     rel_tol: float = 1e-6
     max_nnz: int | None = None
-    start: str = START_BEST_VERTEX
+    start: str | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -305,8 +289,8 @@ class SolverConfig:
             raise InvalidConfigError("rel_tol must be positive")
         if self.max_nnz is not None and self.max_nnz < 1:
             raise InvalidConfigError("max_nnz must be at least 1 when set")
-        if self.start not in _STARTS:
-            raise InvalidConfigError(f"start must be one of {_STARTS}")
+        if self.start is not None and self.start not in _STARTS:
+            raise InvalidConfigError(f"start must be None or one of {_STARTS}")
 
 
 def converged(previous: float, current: float, tol: float) -> bool:

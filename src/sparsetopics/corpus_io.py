@@ -301,11 +301,11 @@ def load_prior(path) -> CtmPrior:
 def save_uci_bow(path, corpus: Corpus) -> None:
     """Write a corpus in the bag-of-words format load_uci_bow reads."""
     triples = []
-    for m, doc in enumerate(corpus.documents, start=1):
+    for doc_id, doc in zip(corpus.doc_ids, corpus.documents):
         for term_id, count in zip(doc.term_ids, doc.counts):
-            triples.append((m, int(term_id) + 1, float(count)))
+            triples.append((doc_id, int(term_id) + 1, float(count)))
     with open(path, "w") as fh:
-        fh.write(f"{len(corpus.documents)}\n{corpus.vocabulary.size}\n{len(triples)}\n")
+        fh.write(f"{max(corpus.doc_ids)}\n{corpus.vocabulary.size}\n{len(triples)}\n")
         for doc_id, word_id, count in triples:
             fh.write(f"{doc_id} {word_id} {count:.17g}\n")
 
@@ -331,14 +331,6 @@ def write_proportions(path, points, doc_ids=None) -> None:
 
 def write_theta(path, reports, doc_ids=None) -> None:
     write_proportions(path, [r.theta for r in reports], doc_ids)
-
-
-def write_trace_csv(path, trace) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "objective", "nnz", "vertex", "alpha"])
-        for r in trace:
-            writer.writerow([r.iteration, f"{r.objective:.17g}", r.nnz, r.vertex, f"{r.alpha:.17g}"])
 
 
 def write_likelihood_csv(path, values) -> None:

@@ -145,13 +145,9 @@ def tradeoff_sweep(
     if any(b <= a for a, b in zip(caps, caps[1:])):
         raise InvalidArgumentError("caps must be strictly increasing")
     config = config or SolverConfig()
-    results = []
-    for cap in caps:
-        capped = dataclasses.replace(config, max_iters=cap)
-
-        def infer(doc, _c=capped):
-            return fw_solve(MlObjective(doc, topics), config=_c)[0]
-
-        report = evaluate_inference(testset, topics, infer)
-        results.append(MethodResult(method=METHOD_FW, cap=cap, report=report))
-    return results
+    return [
+        compare_methods(
+            testset, topics, config=dataclasses.replace(config, max_iters=cap), methods=(METHOD_FW,)
+        )[0]
+        for cap in caps
+    ]

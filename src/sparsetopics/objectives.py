@@ -356,7 +356,8 @@ def ctm_full_objective(document: Document, topics: TopicMatrix, prior: CtmPrior)
     fw_solve solves over them; without a mean the region is the simplex.
     fw_solve refuses a precision with a negative entry.
     """
-    _check_prior_dim(topics, prior)
+    if prior.num_topics != topics.num_topics:
+        raise InvalidArgumentError("prior dimension must match the number of topics")
     return PenalizedObjective(MlObjective(document, topics), GaussianLogPenalty(prior))
 
 
@@ -381,8 +382,3 @@ def ctm_penalty_hessian(theta: np.ndarray, prior: CtmPrior) -> np.ndarray:
     inv = 1.0 / theta
     inner = prior.precision - np.diag(prior.precision @ x)
     return -inner * np.outer(inv, inv)
-
-
-def _check_prior_dim(topics: TopicMatrix, prior: CtmPrior) -> None:
-    if prior.num_topics != topics.num_topics:
-        raise InvalidArgumentError("prior dimension must match the number of topics")

@@ -50,6 +50,10 @@ ALPHA_MARGIN = 1e-9
 # rounding at its estimate.
 _EPS = float(np.finfo(np.float64).eps)
 
+# A full-simplex step's vertex weight, built once: np.ones(1) per step is slow.
+_VERTEX_WEIGHT = np.ones(1)
+_VERTEX_WEIGHT.setflags(write=False)
+
 
 @dataclasses.dataclass(frozen=True)
 class TraceRecord:
@@ -221,15 +225,74 @@ def _require_concave(objective) -> None:
         )
 
 
-def _solve_loop(objective, theta, start_vertex, lp, config, interior, t0):
-    """FW steps from theta; returns (InferenceReport, Trace)."""
-    k = theta.size
+def fw_solve(
+    objective: Objective,
+    config: SolverConfig | None = None,
+    *,
+    caps: np.ndarray | None = None,
+):
+    """Maximize a concave objective over the simplex or a capped simplex.
+
+    Returns (InferenceReport, Trace).  The feasible region is
+    {theta in simplex : theta <= caps}, where caps defaults to the
+    objective's own certified caps (its caps attribute); without either it
+    is the whole simplex.  On the whole simplex the linear step is the
+    argmax vertex; on a capped region it is a greedy fill against the caps.
+
+    The start is config.start when set, else derived: a capped region
+    starts from caps / sum(caps) (with caps of all ones that reproduces the
+    barycenter solve exactly, step for step), an interior-only objective
+    from the barycenter, and any other objective from the best vertex
+    (highest objective value, ties to the lowest index).  An explicit
+    start='best-vertex' on an interior-only objective raises
+    InvalidConfigError.  Objectives flagged nonconcave, and caps above the
+    objective's certified caps, raise NonconcavePriorError.
+    """
+    _require_concave(objective)
+    config = config or SolverConfig()
+    k = objective.dim
+    if k < 1:
+        raise InvalidArgumentError("need at least one topic")
+    certified = getattr(objective, "caps", None)
+    if caps is None:
+        caps = certified
+    if caps is not None:
+        caps = np.asarray(caps, dtype=np.float64)
+        if caps.shape != (k,):
+            raise InvalidArgumentError("caps length must match the objective dimension")
+        _validate_caps(caps)
+        if certified is not None and np.any(caps > certified):
+            raise NonconcavePriorError(
+                "nonconcave-prior: caps exceed the region where the objective "
+                "is certified concave; solve within its own caps"
+            )
+    interior = objective.domain == INTERIOR_ONLY
+    if interior and config.start == START_BEST_VERTEX:
+        raise InvalidConfigError(
+            "interior-only objectives cannot start from a vertex; "
+            "use start='barycenter'"
+        )
+    t0 = time.perf_counter()
+    start_vertex = -1
+    if caps is not None:
+        theta = caps / caps.sum()
+    elif interior or config.start == START_BARYCENTER:
+        theta = np.full(k, 1.0 / k)
+    else:
+        values = vertex_values(objective)
+        if np.any(np.isnan(values)):
+            raise NumericFailureError("objective is NaN at a vertex")
+        start_vertex = int(np.argmax(values))
+        theta = np.zeros(k)
+        theta[start_vertex] = 1.0
+
     upper = 1.0 - ALPHA_MARGIN if interior else 1.0
     nnz = int(np.count_nonzero(theta))
     if config.max_nnz is not None and nnz > config.max_nnz:
         raise InvalidConfigError(
             f"max_nnz = {config.max_nnz} cannot cap a start point with {nnz} "
-            "nonzeros; use a vertex start"
+            "nonzeros; only the best-vertex start of an uncapped, "
+            "full-simplex objective can be capped"
         )
     f_prev = objective.value(theta)
     if math.isnan(f_prev):
@@ -245,7 +308,11 @@ def _solve_loop(objective, theta, start_vertex, lp, config, interior, t0):
         grad = objective.gradient(theta)
         if np.isnan(grad).any():
             raise NumericFailureError("gradient is NaN")
-        s_ids, s_vals, lead = lp(grad)
+        if caps is not None:
+            s_ids, s_vals, lead = _greedy_capped(grad, caps)
+        else:
+            lead = int(np.argmax(grad))
+            s_ids, s_vals = np.array([lead], dtype=np.int64), _VERTEX_WEIGHT
         _, dg = objective.line_restriction(theta, s_ids, s_vals)
         alpha = line_search(dg, upper=upper)
         previous = theta.copy()
@@ -283,76 +350,6 @@ def _solve_loop(objective, theta, start_vertex, lp, config, interior, t0):
         seconds=time.perf_counter() - t0,
     )
     return report, Trace(tuple(records))
-
-
-def fw_solve(
-    objective: Objective,
-    config: SolverConfig | None = None,
-    *,
-    caps: np.ndarray | None = None,
-):
-    """Maximize a concave objective over the simplex or a capped simplex.
-
-    Returns (InferenceReport, Trace).  The feasible region is
-    {theta in simplex : theta <= caps}, where caps defaults to the
-    objective's own certified caps (its caps attribute); without either it
-    is the whole simplex.  On the whole simplex the linear step is the
-    argmax vertex and the solve starts from config.start: the best vertex
-    (highest objective value, ties to the lowest index) or the barycenter.
-    On a capped region the linear step is a greedy fill against the caps
-    and the solve starts from caps / sum(caps); with caps of all ones that
-    reproduces the barycenter solve exactly, step for step.
-
-    Interior-only objectives require start='barycenter' on either region.
-    Objectives flagged nonconcave, and caps above the objective's certified
-    caps, raise NonconcavePriorError.
-    """
-    _require_concave(objective)
-    config = config or SolverConfig()
-    k = objective.dim
-    if k < 1:
-        raise InvalidArgumentError("need at least one topic")
-    certified = getattr(objective, "caps", None)
-    if caps is None:
-        caps = certified
-    if caps is not None:
-        caps = np.asarray(caps, dtype=np.float64)
-        if caps.shape != (k,):
-            raise InvalidArgumentError("caps length must match the objective dimension")
-        _validate_caps(caps)
-        if certified is not None and np.any(caps > certified):
-            raise NonconcavePriorError(
-                "nonconcave-prior: caps exceed the region where the objective "
-                "is certified concave; solve within its own caps"
-            )
-    interior = objective.domain == INTERIOR_ONLY
-    if interior and config.start != START_BARYCENTER:
-        raise InvalidConfigError(
-            "interior-only objectives cannot start from a vertex; "
-            "use start='barycenter'"
-        )
-    t0 = time.perf_counter()
-    start_vertex = -1
-    if caps is not None:
-        theta = caps / caps.sum()
-    elif config.start == START_BEST_VERTEX:
-        values = vertex_values(objective)
-        if np.any(np.isnan(values)):
-            raise NumericFailureError("objective is NaN at a vertex")
-        start_vertex = int(np.argmax(values))
-        theta = np.zeros(k)
-        theta[start_vertex] = 1.0
-    else:
-        theta = np.full(k, 1.0 / k)
-    one = np.array([1.0])
-
-    def lp(grad):
-        if caps is not None:
-            return _greedy_capped(grad, caps)
-        lead = int(np.argmax(grad))
-        return np.array([lead], dtype=np.int64), one, lead
-
-    return _solve_loop(objective, theta, start_vertex, lp, config, interior, t0)
 
 
 def fw_solve_capped(objective: Objective, caps: np.ndarray, config: SolverConfig | None = None):

@@ -99,16 +99,16 @@ class TestVbInfer:
         # alpha + |d| / K = (3, 3) and the loop stops immediately
         topics = TopicMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         doc = Document(np.array([0, 1]), np.array([3.0, 1.0]))
-        report, state = vb_infer(doc, topics, alpha=1.0)
-        assert np.allclose(state.gamma, [3.0, 3.0], atol=1e-12)
+        report, gamma = vb_infer(doc, topics, alpha=1.0)
+        assert np.allclose(gamma, [3.0, 3.0], atol=1e-12)
         assert np.allclose(report.theta.dense(2), [0.5, 0.5], atol=1e-12)
-        assert state.iterations == 2
+        assert report.iterations == 2
 
     def test_posterior_tracks_evidence(self):
         topics = TopicMatrix(np.array([[0.9, 0.1], [0.1, 0.9]]))
         doc = Document(np.array([0, 1]), np.array([3.0, 1.0]))
-        report, state = vb_infer(doc, topics, alpha=1.0)
-        assert state.gamma[0] > state.gamma[1]
+        report, gamma = vb_infer(doc, topics, alpha=1.0)
+        assert gamma[0] > gamma[1]
         assert report.theta.dense(2)[0] > 0.5
 
     def test_support_is_always_dense(self):
@@ -124,14 +124,14 @@ class TestVbInfer:
         rng = np.random.default_rng(61)
         topics, doc = random_ml_instance(rng, k=3, v=10)
         alpha = np.array([0.5, 1.5, 2.0])
-        _, state = vb_infer(doc, topics, alpha)
-        assert state.gamma.sum() == pytest.approx(alpha.sum() + doc.length, abs=1e-9)
+        _, gamma = vb_infer(doc, topics, alpha)
+        assert gamma.sum() == pytest.approx(alpha.sum() + doc.length, abs=1e-9)
 
     def test_single_topic(self):
         topics = TopicMatrix.normalized(np.ones((1, 3)))
         doc = Document(np.array([1]), np.array([2.0]))
-        report, state = vb_infer(doc, topics, alpha=1.0)
-        assert state.gamma.tolist() == [3.0]
+        report, gamma = vb_infer(doc, topics, alpha=1.0)
+        assert gamma.tolist() == [3.0]
         assert report.theta.dense(1).tolist() == [1.0]
 
     def test_rejects_bad_alpha(self):
@@ -144,12 +144,20 @@ class TestVbInfer:
         with pytest.raises(InvalidArgumentError):
             vb_infer(doc, topics, alpha=np.ones(3))
 
+    def test_gamma_is_read_only(self):
+        topics = TopicMatrix(np.array([[0.9, 0.1], [0.1, 0.9]]))
+        doc = Document(np.array([0, 1]), np.array([3.0, 1.0]))
+        _, gamma = vb_infer(doc, topics, alpha=1.0)
+        assert not gamma.flags.writeable
+        with pytest.raises(ValueError):
+            gamma[0] = 1.0
+
     def test_scalar_and_vector_alpha_agree(self):
         rng = np.random.default_rng(67)
         topics, doc = random_ml_instance(rng, k=3, v=10)
-        _, s1 = vb_infer(doc, topics, alpha=0.7)
-        _, s2 = vb_infer(doc, topics, alpha=np.full(3, 0.7))
-        assert np.array_equal(s1.gamma, s2.gamma)
+        _, g1 = vb_infer(doc, topics, alpha=0.7)
+        _, g2 = vb_infer(doc, topics, alpha=np.full(3, 0.7))
+        assert np.array_equal(g1, g2)
 
 
 def test_digamma_reference_values():

@@ -139,6 +139,15 @@ class TestInfer:
         for line in out.read_text().splitlines():
             assert len(line.split()) - 1 == 3
 
+    def test_lda_map_derives_the_barycenter_start(self, workdir):
+        outs = []
+        for start in ([], ["--start", "barycenter"]):
+            out = workdir / f"theta.map-start{len(start)}.txt"
+            args = ["--objective", "lda-map", "--alpha", "2", *start, "--out", str(out)]
+            assert main(["infer", *corpus_args(workdir), *args]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_sparsifying_alpha_is_an_error(self, workdir, capsys):
         rc = main(
             [

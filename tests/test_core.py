@@ -12,7 +12,6 @@ from sparsetopics import (
     TopicMatrix,
     TopicProportion,
     Vocabulary,
-    simplex_barycenter,
     validate_topic_matrix,
 )
 
@@ -21,8 +20,6 @@ class TestVocabulary:
     def test_index_and_lookup(self):
         vocab = Vocabulary(("alpha", "beta", "gamma"))
         assert vocab.size == 3
-        assert vocab.id_of("beta") == 1
-        assert vocab.index["gamma"] == 2
 
     def test_rejects_duplicates(self):
         with pytest.raises(InvalidArgumentError):
@@ -31,11 +28,6 @@ class TestVocabulary:
     def test_rejects_empty(self):
         with pytest.raises(InvalidArgumentError):
             Vocabulary(())
-
-    def test_unknown_term(self):
-        vocab = Vocabulary(("a",))
-        with pytest.raises(InvalidArgumentError):
-            vocab.id_of("b")
 
 
 class TestDocument:
@@ -97,6 +89,15 @@ class TestCorpus:
         assert Corpus(vocab, (doc, doc), (2, 5)).doc_ids == (2, 5)
         with pytest.raises(InvalidArgumentError):
             Corpus(vocab, (doc, doc), (1,))
+
+    @pytest.mark.parametrize("ids", [(1, 1), (2, 1), (0, 1)])
+    def test_doc_ids_positive_and_increasing(self, ids):
+        # save_uci_bow writes each document under its id, so (1, 1) would
+        # merge two documents in the file and (2, 1) would reorder them
+        vocab = Vocabulary(("a", "b"))
+        doc = Document(np.array([0]), np.array([1.0]))
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+            Corpus(vocab, (doc, doc), ids)
 
 
 class TestTopicMatrix:
@@ -196,21 +197,13 @@ class TestTopicProportion:
             TopicProportion(np.array([0, 1]), np.array([0.5, 0.5 + 5e-9]))
 
 
-def test_barycenter():
-    assert simplex_barycenter(1).dense(1).tolist() == [1.0]
-    point = simplex_barycenter(4)
-    assert np.allclose(point.dense(4), 0.25)
-    with pytest.raises(InvalidArgumentError):
-        simplex_barycenter(0)
-
-
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.max_iters == 1000
         assert cfg.rel_tol == 1e-6
         assert cfg.max_nnz is None
-        assert cfg.start == "best-vertex"
+        assert cfg.start is None
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -33,7 +33,6 @@ from sparsetopics.corpus_io import (
     write_likelihood_csv,
     write_proportions,
     write_theta,
-    write_trace_csv,
 )
 from sparsetopics.evaluation import DocEval, EvalReport, MethodResult
 
@@ -140,6 +139,20 @@ class TestLoadUciBow:
             corpus = load_uci_bow(write(tmp_path / "d.txt", text))
         assert len(corpus.documents) == 2
         assert corpus.doc_ids == (1, 3)
+
+    def test_saved_corpus_keeps_the_file_ids(self, tmp_path):
+        # document 2 is empty; saving writes documents 1 and 3 under their ids
+        text = "3\n3\n3\n1 1 1\n3 2 1\n3 3 2\n"
+        with pytest.warns(UserWarning, match="dropped 1 empty"):
+            corpus = load_uci_bow(write(tmp_path / "d.txt", text))
+        save_uci_bow(tmp_path / "saved.txt", corpus)
+        with pytest.warns(UserWarning, match="dropped 1 empty") as caught:
+            reloaded = load_uci_bow(tmp_path / "saved.txt")
+        assert len(caught) == 1
+        assert reloaded.doc_ids == (1, 3)
+        for a, b in zip(corpus.documents, reloaded.documents):
+            assert a.term_ids.tolist() == b.term_ids.tolist()
+            assert a.counts.tolist() == b.counts.tolist()
 
     def test_no_documents(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="no documents"):
@@ -533,19 +546,6 @@ class TestReportWriters:
         assert first[0] == "1"
         weights = dict(cell.split(":") for cell in first[1:])
         assert float(weights["1"]) == pytest.approx(0.8125, abs=1e-6)
-
-    def test_trace_csv(self, tmp_path):
-        topics = TopicMatrix(np.array([[0.9, 0.1], [0.1, 0.9]]))
-        doc = Document(np.array([0, 1]), np.array([3.0, 1.0]))
-        _, trace = fw_solve(ml_objective(doc, topics))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, trace)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["iteration", "objective", "nnz", "vertex", "alpha"]
-        assert len(rows) == len(trace) + 1
-        assert [int(r[0]) for r in rows[1:]] == list(range(len(trace)))
-        assert float(rows[1][1]) == trace[0].objective
 
     def test_likelihood_csv(self, tmp_path):
         path = tmp_path / "ll.csv"

@@ -263,7 +263,7 @@ class TestFwSolve:
         doc = Document(np.array([0, 1]), np.array([3.0, 1.0]))
         f = lda_map_objective(doc, topics, alpha=2.0)
         with pytest.raises(InvalidConfigError):
-            fw_solve(f)
+            fw_solve(f, SolverConfig(start="best-vertex"))
         report, _ = fw_solve(f, config=SolverConfig(start="barycenter"))
         assert np.all(report.theta.dense(2) > 0)
 
@@ -677,10 +677,35 @@ class TestRegionFromObjective:
 
     def test_vertex_start_refused_on_either_region(self):
         f, _ = self.probe_instance()
+        vertex = SolverConfig(start="best-vertex")
         with pytest.raises(InvalidConfigError, match="barycenter"):
-            fw_solve(RefusingObjective(f))
+            fw_solve(RefusingObjective(f), vertex)
         with pytest.raises(InvalidConfigError, match="barycenter"):
-            fw_solve(RefusingObjective(f), caps=np.array([0.5, 0.5, 0.02, 0.02]))
+            fw_solve(RefusingObjective(f), vertex, caps=np.array([0.5, 0.5, 0.02, 0.02]))
+
+
+class TestDerivedStart:
+    """With start left unset, an interior-only objective starts from the
+    barycenter (or, under caps, from caps / sum(caps)) and solves exactly
+    as with start='barycenter'."""
+
+    def instance(self, kind):
+        rng = np.random.default_rng(71)
+        topics, doc = random_ml_instance(rng, k=4, v=20)
+        if kind == "lda-map":
+            return lda_map_objective(doc, topics, alpha=2.0)
+        a = rng.random((4, 4))
+        mean = np.log([0.6, 0.6, 0.3, 0.3]) if kind == "ctm-mean" else None
+        return ctm_full_objective(doc, topics, CtmPrior(a @ a.T + 4.0 * np.eye(4), mean=mean))
+
+    @pytest.mark.parametrize("kind", ["lda-map", "ctm-zero-mean", "ctm-mean"])
+    def test_default_equals_barycenter(self, kind):
+        f = self.instance(kind)
+        report, trace = fw_solve(f)
+        explicit, explicit_trace = fw_solve(f, BARYCENTER)
+        assert report.theta.dense(4).tobytes() == explicit.theta.dense(4).tobytes()
+        assert trace.records == explicit_trace.records
+        assert trace[0].vertex == -1
 
 
 class TestConcavityContract:
