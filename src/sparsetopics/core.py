@@ -146,6 +146,9 @@ class Corpus:
 class TopicMatrix:
     """Row-stochastic matrix of term distributions, one row per topic.
 
+    rows is a read-only column-major (Fortran-order) copy, so that a
+    document's K x |d| slab rows[:, term_ids] is |d| contiguous reads.
+
     The constructor only checks shape; use validate_topic_matrix (or its
     cached result, problems) for a diagnosis, or TopicMatrix.normalized to
     build a guaranteed-valid one.
@@ -154,15 +157,16 @@ class TopicMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
+        rows = np.array(self.rows, dtype=np.float64, order="F")
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise InvalidArgumentError("topic matrix must be 2-d and non-empty")
-        object.__setattr__(self, "rows", _as_readonly(rows))
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def _adopt(cls, rows: np.ndarray) -> "TopicMatrix":
         """A TopicMatrix that takes over rows without the constructor's
-        copy.  For load_model only: rows is a non-empty 2-d C-contiguous
+        copy.  For load_model only: rows is a non-empty 2-d F-contiguous
         float64 array it has just parsed and keeps no other reference to."""
         rows.setflags(write=False)
         topics = object.__new__(cls)

@@ -195,14 +195,26 @@ def _model_rows(lines, k):
         yield line
 
 
+# Rows per np.loadtxt call; no second full copy of the matrix ever exists.
+_ROWS_PER_PARSE = 16
+
+
 def _read_rows(fh, k, v):
-    """The next k lines of fh as a (k, v) float64 array, parsed in one
-    C-level pass; if numpy's reader refuses them, a line-by-line walk
-    raises the error of the first bad row."""
+    """The next k lines of fh as a column-major (k, v) float64 array,
+    parsed by numpy's C reader _ROWS_PER_PARSE rows at a time; if the
+    reader refuses a chunk, a line-by-line walk from the first row raises
+    the error of the first bad row."""
     start = fh.tell()
+    rows = np.empty((k, v), order="F")
     try:
-        rows = np.loadtxt(_model_rows(fh, k), comments=None, ndmin=2)
-        if rows.shape == (k, v):
+        for r in range(0, k, _ROWS_PER_PARSE):
+            n = min(_ROWS_PER_PARSE, k - r)
+            # An early end raises ModelFormatError, a ValueError, too.
+            chunk = np.loadtxt(_model_rows(fh, n), comments=None, ndmin=2)
+            if chunk.shape != (n, v):
+                break
+            rows[r : r + n] = chunk
+        else:
             return rows
     except ValueError:
         pass
@@ -220,9 +232,9 @@ def _read_rows(fh, k, v):
 
 
 def load_model(path) -> ModelFile:
-    """Read a model file.  Its K rows stream into one float64 array whose
-    entries are bitwise equal to float() of their tokens; lines after row
-    K are ignored."""
+    """Read a model file.  Its K rows stream into one column-major float64
+    array whose entries are bitwise equal to float() of their tokens;
+    lines after row K are ignored."""
     with open(path) as fh:
         first = fh.readline()
         if not first:

@@ -123,8 +123,8 @@ class MlObjective(Objective):
         self.topics = topics
         self.dim = topics.num_topics
         # Columns for the document's terms only; everything below runs on
-        # this (K x nnz) slab.
-        self.term_columns = np.ascontiguousarray(topics.rows[:, document.term_ids])
+        # this (K x nnz) slab, gathered from the column-major rows.
+        self.term_columns = topics.rows[:, document.term_ids]
         self._counts = document.counts
         # The last mixture p = theta . term_columns, keyed by theta's bytes
         # (the solver mutates theta in place, so its identity is no key).

@@ -243,10 +243,11 @@ def fw_solve(
     starts from caps / sum(caps) (with caps of all ones that reproduces the
     barycenter solve exactly, step for step), an interior-only objective
     from the barycenter, and any other objective from the best vertex
-    (highest objective value, ties to the lowest index).  An explicit
-    start='best-vertex' on an interior-only objective raises
-    InvalidConfigError.  Objectives flagged nonconcave, and caps above the
-    objective's certified caps, raise NonconcavePriorError.
+    (highest objective value, ties to the lowest index).  On a capped
+    region start='barycenter' means caps / sum(caps); start='best-vertex'
+    raises InvalidConfigError there, as on an interior-only objective.
+    Objectives flagged nonconcave, and caps above the objective's
+    certified caps, raise NonconcavePriorError.
     """
     _require_concave(objective)
     config = config or SolverConfig()
@@ -267,10 +268,10 @@ def fw_solve(
                 "is certified concave; solve within its own caps"
             )
     interior = objective.domain == INTERIOR_ONLY
-    if interior and config.start == START_BEST_VERTEX:
+    if config.start == START_BEST_VERTEX and (interior or caps is not None):
         raise InvalidConfigError(
-            "interior-only objectives cannot start from a vertex; "
-            "use start='barycenter'"
+            "interior-only objectives and capped regions cannot start from "
+            "a vertex; use start='barycenter'"
         )
     t0 = time.perf_counter()
     start_vertex = -1

@@ -10,14 +10,19 @@ from sparsetopics import (
     Corpus,
     CorpusBoundsError,
     CorpusFormatError,
+    CtmPrior,
     Document,
     InvalidArgumentError,
     ModelFormatError,
+    SolverConfig,
     TopicMatrix,
     TopicProportion,
+    TrainConfig,
     UnsupportedVersionError,
     Vocabulary,
+    ctm_full_objective,
     fw_solve,
+    lda_map_objective,
     load_model,
     load_prior,
     load_uci_bow,
@@ -25,6 +30,7 @@ from sparsetopics import (
     save_model,
     save_uci_bow,
     save_vocab,
+    train,
 )
 from sparsetopics import core
 from sparsetopics.corpus_io import (
@@ -342,6 +348,23 @@ MALFORMED_MODEL = {
 }
 
 
+def test_every_construction_path_stores_read_only_column_major_rows(tmp_path):
+    rng = np.random.default_rng(75)
+    raw = rng.random((4, 9))
+    corpus = Corpus(Vocabulary(tuple(f"w{j}" for j in range(9))), (Document.from_dense(rng.integers(1, 5, size=9)),))
+    save_model(tmp_path / "m.txt", TopicMatrix.normalized(raw))
+    paths = {
+        "constructor": TopicMatrix(raw / raw.sum(axis=1, keepdims=True)),
+        "constructor, column-major input": TopicMatrix(np.asfortranarray(raw)),
+        "normalized": TopicMatrix.normalized(raw),
+        "load_model": load_model(tmp_path / "m.txt").topics,
+        "train": train(corpus, TrainConfig(topics=3, em_iters=2))[0],
+    }
+    for name, topics in paths.items():
+        assert topics.rows.flags.f_contiguous and not topics.rows.flags.c_contiguous, name
+        assert not topics.rows.flags.writeable, name
+
+
 class TestModelFiles:
     def test_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -373,6 +396,31 @@ class TestModelFiles:
             tracemalloc.stop()
         assert np.array_equal(loaded.topics.rows, topics.rows)
         assert peak < 1.5 * topics.rows.nbytes
+
+    def test_reloaded_model_solves_bitwise_alike(self, tmp_path):
+        # Bit for bit, where the model round trip of test_acceptance compares
+        # perplexities only to 1e-12.
+        rng = np.random.default_rng(74)
+        topics = TopicMatrix.normalized(rng.dirichlet(np.full(400, 0.1), size=30))
+        path = tmp_path / "m.txt"
+        save_model(path, topics)
+        loaded = load_model(path).topics
+        a = rng.random((30, 30))
+        prior = CtmPrior(a @ a.T + 30.0 * np.eye(30), mean=np.log(rng.uniform(0.1, 1.0, size=30)))
+        solves = {
+            "ml, max_nnz": (ml_objective, SolverConfig(max_nnz=5)),
+            "lda-map": (lambda d, t: lda_map_objective(d, t, alpha=2.0), None),
+            "capped ctm": (lambda d, t: ctm_full_objective(d, t, prior), None),
+        }
+        for m in range(3):
+            ids = np.sort(rng.choice(400, size=120, replace=False))
+            doc = Document(ids, rng.integers(1, 9, size=120).astype(np.float64))
+            for name, (make, config) in solves.items():
+                report, trace = fw_solve(make(doc, topics), config)
+                again, again_trace = fw_solve(make(doc, loaded), config)
+                assert report.iterations > 1, name
+                assert report.theta.dense(30).tobytes() == again.theta.dense(30).tobytes(), name
+                assert trace.records == again_trace.records, name
 
     def test_metadata_round_trip(self, tmp_path):
         topics = TopicMatrix.normalized(np.ones((2, 3)))

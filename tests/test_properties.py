@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from sparsetopics import (
     Corpus,
     CtmPrior,
     Document,
+    ModelFormatError,
     SolverConfig,
     TopicMatrix,
     Vocabulary,
@@ -28,6 +30,7 @@ from sparsetopics import (
     save_uci_bow,
 )
 from sparsetopics.core import SIMPLEX_TOL
+from sparsetopics.corpus_io import _ROWS_PER_PARSE
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 CONFIG = SolverConfig(max_iters=200, rel_tol=1e-9)
@@ -176,3 +179,67 @@ class TestFileRoundTrips:
             assert loaded.mean is None
         else:
             assert loaded.mean.tobytes() == prior.mean.tobytes()
+
+
+# load_model parses _ROWS_PER_PARSE rows per call of numpy's reader; these
+# K put the last row just before, on and just after a chunk boundary.
+CHUNK_KS = (_ROWS_PER_PARSE - 1, _ROWS_PER_PARSE, _ROWS_PER_PARSE + 1, 2 * _ROWS_PER_PARSE + 1)
+ROW_FAULTS = ("short row", "extra entry", "non-numeric token", "blank row", "early end of file")
+
+
+@st.composite
+def model_tokens(draw):
+    """The token rows of a valid K x V model, K from CHUNK_KS."""
+    k = draw(st.sampled_from(CHUNK_KS))
+    v = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.dirichlet(np.full(v, draw(st.sampled_from([0.05, 1.0]))), size=k)
+    form = draw(st.sampled_from(["{:.17g}", "{:.16e}", "{!r}"]))
+    return [[form.format(float(x)) for x in row] for row in TopicMatrix.normalized(raw).rows]
+
+
+def model_text(k, v, lines):
+    return f"sparsetopics-model 1\n{k} {v}\n" + "".join(line + "\n" for line in lines)
+
+
+class TestModelChunkBoundaries:
+    @SETTINGS
+    @given(model_tokens())
+    def test_valid_file_loads_float_of_each_token(self, tokens):
+        k, v = len(tokens), len(tokens[0])
+        text = model_text(k, v, [" ".join(row) for row in tokens])
+        loaded = round_trip(lambda p: p.write_text(text), load_model).topics.rows
+        expected = np.array([[float(t) for t in row] for row in tokens])
+        assert loaded.shape == (k, v)
+        assert loaded.tobytes() == expected.tobytes()
+
+    @SETTINGS
+    @given(model_tokens(), st.sampled_from(ROW_FAULTS), st.data())
+    def test_one_fault_at_a_chunk_edge_names_its_row(self, tokens, fault, data):
+        k, v = len(tokens), len(tokens[0])
+        firsts = range(0, k, _ROWS_PER_PARSE)
+        edges = sorted({*firsts, *(min(first + _ROWS_PER_PARSE, k) - 1 for first in firsts)})
+        r = data.draw(st.sampled_from(edges))
+        lines = [" ".join(row) for row in tokens]
+        ends_early = f"model file ends early: expected {k} rows, found {r}"
+        if fault == "short row":
+            lines[r] = " ".join(tokens[r][:-1])
+            message = f"row {r} has {v - 1} entries, expected {v}"
+        elif fault == "extra entry":
+            lines[r] += " 0.5"
+            message = f"row {r} has {v + 1} entries, expected {v}"
+        elif fault == "non-numeric token":
+            row = list(tokens[r])
+            row[data.draw(st.integers(0, v - 1))] = data.draw(st.sampled_from(["x", "0.5.5", "1_0", "--1"]))
+            lines[r] = " ".join(row)
+            message = f"row {r} holds a non-numeric entry"
+        elif fault == "blank row":
+            lines[r] = ""
+            message = ends_early
+        else:
+            lines = lines[:r]
+            message = ends_early
+        text = model_text(k, v, lines)
+        with pytest.raises(ModelFormatError) as info:
+            round_trip(lambda p: p.write_text(text), load_model)
+        assert str(info.value) == message

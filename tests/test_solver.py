@@ -683,6 +683,21 @@ class TestRegionFromObjective:
         with pytest.raises(InvalidConfigError, match="barycenter"):
             fw_solve(RefusingObjective(f), vertex, caps=np.array([0.5, 0.5, 0.02, 0.02]))
 
+    def test_capped_full_simplex_objective_refuses_a_vertex_start(self):
+        # A capped region starts from caps / sum(caps), which start='barycenter'
+        # names; an explicit vertex start there is refused, not ignored.
+        topics = TopicMatrix.normalized(np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
+        f = ml_objective(Document(np.array([0, 1]), np.array([2.0, 1.0])), topics)
+        caps = np.array([0.6, 0.6, 0.6])
+        for config in (SolverConfig(start="best-vertex"), SolverConfig(start="best-vertex", max_nnz=2)):
+            with pytest.raises(InvalidConfigError, match="capped regions cannot start from a vertex"):
+                fw_solve(RefusingObjective(f), config, caps=caps)
+        report, trace = fw_solve(f, BARYCENTER, caps=caps)
+        derived, derived_trace = fw_solve(f, caps=caps)
+        assert trace[0].vertex == -1 and trace[0].nnz == 3
+        assert report.theta.dense(3).tobytes() == derived.theta.dense(3).tobytes()
+        assert trace.records == derived_trace.records
+
 
 class TestDerivedStart:
     """With start left unset, an interior-only objective starts from the
