@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -120,13 +121,15 @@ def load_uci_bow(docword_path, vocab_path=None) -> Corpus:
     """
     with open(docword_path) as fh:
         header = list(itertools.islice(fh, 3))
-        if len(header) < 3:
-            raise CorpusFormatError("file has fewer than three header lines")
-        num_docs = _parse_int(1, header[0].strip(), "document count")
-        vocab_size = _parse_int(2, header[1].strip(), "vocabulary size")
-        num_triples = _parse_int(3, header[2].strip(), "triple count")
+        fields = [
+            _parse_int(line_no, text.strip(), what)
+            for line_no, text, what in zip((1, 2, 3), header, ("document count", "vocabulary size", "triple count"))
+        ]
+        if len(fields) < 3:
+            raise CorpusFormatError("file has fewer than three header lines", len(fields) + 1)
+        num_docs, vocab_size, num_triples = fields
         if num_docs < 1 or num_triples < 1:
-            raise CorpusFormatError("no documents")
+            raise CorpusFormatError("no documents", 1 if num_docs < 1 else 3)
         if vocab_size < 1:
             raise CorpusFormatError("vocabulary size must be positive", 2)
         triples = _read_triples(fh)
@@ -281,33 +284,34 @@ def load_model(path) -> ModelFile:
 
 def load_prior(path) -> CtmPrior:
     """Read a precision matrix from whitespace-separated text: K rows of K
-    numbers, optionally followed by one more row holding the mean."""
+    numbers, optionally followed by one more row holding the mean.  Blank
+    lines are skipped, and every row holds as many numbers as the first.
+    A malformed file raises CorpusFormatError naming its first bad line;
+    a file that ends early has none, and the error gives the row count."""
     rows = []
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         text = raw.strip()
         if not text:
             continue
         try:
-            rows.append(([float(x) for x in text.split()], line_no))
+            values = [float(x) for x in text.split()]
         except ValueError:
             raise CorpusFormatError("non-numeric entry in prior file", line_no) from None
-    if not rows:
-        raise CorpusFormatError("empty prior file")
-    k = len(rows[0][0])
-    for values, line_no in rows:
+        if not all(map(math.isfinite, values)):
+            raise CorpusFormatError(f"non-finite entry in prior file: {text!r}", line_no)
+        k = len(rows[0]) if rows else len(values)
+        need = f"prior file must hold {k} rows (precision) or {k + 1} (precision plus mean)"
         if len(values) != k:
             raise CorpusFormatError(f"expected {k} numbers per row", line_no)
-    if len(rows) == k:
-        mean = None
-    elif len(rows) == k + 1:
-        mean = np.array(rows[k][0])
-    else:
-        raise CorpusFormatError(
-            f"prior file must hold {k} rows (precision) or {k + 1} (precision plus mean), "
-            f"found {len(rows)}"
-        )
-    precision = np.array([values for values, _ in rows[:k]])
-    return CtmPrior(precision=precision, mean=mean)
+        if len(rows) == k + 1:
+            raise CorpusFormatError(need + ", found more", line_no)
+        rows.append(values)
+    if not rows:
+        raise CorpusFormatError("empty prior file", 1)
+    if len(rows) < k:
+        raise CorpusFormatError(need + f", found {len(rows)}")
+    mean = np.array(rows[k]) if len(rows) == k + 1 else None
+    return CtmPrior(precision=np.array(rows[:k]), mean=mean)
 
 
 def save_uci_bow(path, corpus: Corpus) -> None:

@@ -71,7 +71,9 @@ class Objective:
     line_restriction returns (g, dg), the function and derivative of
     a |-> f((1-a) * theta + a * s) for a sparse target point s; the solver's
     line search uses dg.  The default builds the chord point explicitly;
-    subclasses override it when they can do better.
+    subclasses override it when they can do better.  A dg may own scratch
+    arrays, so one restriction's dg must not be called from two threads
+    at once; each thread takes its own restriction.
 
     An objective may also offer vertex_values(), its values at all
     vertices at once; read them with vertex_values.
@@ -155,18 +157,27 @@ class MlObjective(Objective):
 
     def line_restriction(self, theta, s_ids, s_vals):
         p0 = self._mixture(theta)
-        ps = s_vals @ self.term_columns[s_ids, :]
+        if len(s_ids) == 1 and s_vals[0] == 1.0:
+            # A vertex: 1.0 @ its one slab row is that row, bit for bit.
+            ps = self.term_columns[s_ids[0]]
+        else:
+            ps = s_vals @ self.term_columns[s_ids, :]
         dp = ps - p0
         counts = self._counts
+        w = np.empty_like(dp)
 
         def g(a: float) -> float:
             return float(counts @ np.log(p0 + a * dp))
 
         def dg(a: float) -> float:
-            # ndarray.dot is cheaper than @ on this hot probe and gives the
-            # same bits, except that on one term it keeps a -0.0 product
-            # where @ adds it to +0.0; the + 0.0 does that addition.
-            return float(counts.dot(dp / (p0 + a * dp))) + 0.0
+            # dp / (p0 + a * dp), formed in w; a positional out costs less
+            # than out=.  ndarray.dot is cheaper than @ on this hot probe
+            # and gives the same bits, except that on one term it keeps a
+            # -0.0 product where @ adds it to +0.0; the + 0.0 does that.
+            np.multiply(dp, a, w)
+            np.add(p0, w, w)
+            np.divide(dp, w, w)
+            return float(counts.dot(w)) + 0.0
 
         return g, dg
 
@@ -291,6 +302,36 @@ class GaussianLogPenalty(Objective):
         _check_interior(theta, self.dim)
         x = self._centered_log(theta, clamp=False)
         return -(self.prior.precision @ x) / theta
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        # The default's chord point and gradient, formed in scratch arrays
+        # with the same operations, so dg gives the default's bits; only
+        # the sign of an exactly zero derivative may differ, because the
+        # minus goes on the scalar.  The line search treats +-0 alike.
+        base = np.asarray(theta, dtype=np.float64)
+        target = np.zeros(self.dim)
+        target[s_ids] = s_vals
+        direction = target - base
+        precision, mean = self.prior.precision, self.prior.mean
+        x, y = np.empty(self.dim), np.empty(self.dim)
+
+        def g(a: float) -> float:
+            return self.value((1.0 - a) * base + a * target)
+
+        def dg(a: float) -> float:
+            np.multiply(base, 1.0 - a, x)
+            np.multiply(target, a, y)
+            np.add(x, y, x)
+            if x.min() <= 0:
+                _check_interior(x, self.dim)
+            np.log(x, y)
+            if mean is not None:
+                np.subtract(y, mean, y)
+            q = precision @ y
+            np.divide(q, x, q)
+            return -float(direction @ q)
+
+        return g, dg
 
 
 class PenalizedObjective(Objective):

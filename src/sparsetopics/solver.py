@@ -86,8 +86,8 @@ class Trace:
 
 def _probe(dg: Callable[[float], float], a: float) -> float:
     d = dg(a)
-    if math.isnan(d):
-        raise NumericFailureError("NaN in line-search derivative")
+    if not math.isfinite(d):
+        raise NumericFailureError(f"line-search derivative is {d}")
     return d
 
 
@@ -112,7 +112,7 @@ def line_search(
     exactly 0, or after max_steps interior probes; dg is called at most
     max_steps + 2 times.  Where dg is flat at its root (a multiple root)
     interpolation converges only linearly and the step budget can run out
-    first.  A NaN from dg aborts the whole solve.
+    first.  A NaN or infinite dg (an overflow) aborts the whole solve.
     """
     if not (0.0 < upper <= 1.0):
         raise InvalidArgumentError("upper must lie in (0, 1]")
@@ -174,22 +174,18 @@ def _greedy_capped(scores: np.ndarray, caps: np.ndarray):
     coordinates in descending score order (stable sort, so ties go to the
     lowest index).  Returns (ids, values, lead vertex)."""
     order = np.argsort(-scores, kind="stable")
-    ids = []
-    vals = []
-    remaining = 1.0
-    for k in order:
-        cap = caps[k]
-        if cap < remaining:
-            take = float(cap)
-            remaining -= take
-        else:
-            take = remaining
-            remaining = 0.0
-        ids.append(int(k))
-        vals.append(take)
-        if remaining == 0.0:
-            break
-    return np.array(ids, dtype=np.int64), np.array(vals), int(order[0])
+    ordered = caps[order]
+    # remaining[i] = 1 - ordered[0] - ... - ordered[i-1], subtracted left
+    # to right.
+    remaining = np.empty(ordered.size)
+    remaining[0] = 1.0
+    remaining[1:] = ordered[:-1]
+    np.subtract.accumulate(remaining, out=remaining)
+    # Coordinates fill to their caps up to the first whose cap does not fit
+    # under what is left; that one takes the rest.
+    fits = ordered < remaining
+    n = ordered.size if fits.all() else int(np.argmin(fits)) + 1
+    return order[:n], np.minimum(ordered[:n], remaining[:n]), int(order[0])
 
 
 def capped_simplex_argmax(scores: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -281,8 +277,8 @@ def fw_solve(
         theta = np.full(k, 1.0 / k)
     else:
         values = vertex_values(objective)
-        if np.any(np.isnan(values)):
-            raise NumericFailureError("objective is NaN at a vertex")
+        if not np.all(np.isfinite(values)):
+            raise NumericFailureError("objective is NaN or infinite at a vertex")
         start_vertex = int(np.argmax(values))
         theta = np.zeros(k)
         theta[start_vertex] = 1.0
@@ -296,8 +292,8 @@ def fw_solve(
             "full-simplex objective can be capped"
         )
     f_prev = objective.value(theta)
-    if math.isnan(f_prev):
-        raise NumericFailureError("objective is NaN at the start point")
+    if not math.isfinite(f_prev):
+        raise NumericFailureError(f"objective is {f_prev} at the start point")
     records = [TraceRecord(0, f_prev, nnz, start_vertex, 0.0)]
     iter_cap = config.max_iters
     if config.max_nnz is not None and config.max_nnz < k:
@@ -307,19 +303,27 @@ def fw_solve(
     iterations = 0
     for step in range(1, iter_cap + 1):
         grad = objective.gradient(theta)
-        if np.isnan(grad).any():
-            raise NumericFailureError("gradient is NaN")
+        # An infinite gradient entry only picks the target; an overflow that
+        # matters reaches the line-search derivative or the objective.
         if caps is not None:
+            if np.isnan(grad).any():
+                raise NumericFailureError("gradient is NaN")
             s_ids, s_vals, lead = _greedy_capped(grad, caps)
         else:
-            lead = int(np.argmax(grad))
+            # argmax returns the first NaN when there is one.
+            lead = int(grad.argmax())
+            if math.isnan(grad[lead]):
+                raise NumericFailureError("gradient is NaN")
             s_ids, s_vals = np.array([lead], dtype=np.int64), _VERTEX_WEIGHT
         _, dg = objective.line_restriction(theta, s_ids, s_vals)
         alpha = line_search(dg, upper=upper)
         previous = theta.copy()
         nnz_prev = nnz
         theta *= 1.0 - alpha
-        theta[s_ids] += alpha * s_vals
+        if caps is None:
+            theta[lead] += alpha
+        else:
+            theta[s_ids] += alpha * s_vals
         nnz = int(np.count_nonzero(theta))
         if not interior:
             # theta >= 0, so an entry in (0, PRUNE_TOL) exists iff more
@@ -330,8 +334,8 @@ def fw_solve(
                 theta /= theta.sum()
                 nnz = k - below
         f_curr = objective.value(theta)
-        if math.isnan(f_curr):
-            raise NumericFailureError("objective is NaN")
+        if not math.isfinite(f_curr):
+            raise NumericFailureError(f"objective is {f_curr}")
         if f_curr < f_prev:
             # Float jitter produced a downhill step; keep the old point.
             theta = previous

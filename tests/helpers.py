@@ -1,6 +1,6 @@
 """Independent oracles used by the tests: finite differences, exhaustive
-and zoomed grid search over the simplex, a brute-force capped LP and a
-bisection line search.
+and zoomed grid search over the simplex, a brute-force capped LP, the
+capped linear step as a loop and a bisection line search.
 
 Nothing in here calls the solvers under test.
 """
@@ -154,6 +154,29 @@ def brute_force_capped_lp(scores: np.ndarray, caps: np.ndarray) -> float:
             if not (mask >> j & 1) and caps[j] >= rem - 1e-12:
                 best = max(best, base + scores[j] * rem)
     return best
+
+
+def greedy_capped_loop(scores: np.ndarray, caps: np.ndarray):
+    """The capped linear step as a loop: fill coordinates in descending
+    score order (stable, ties to the lowest index) to their caps until the
+    unit mass is spent.  Returns (ids, values, lead vertex)."""
+    order = np.argsort(-scores, kind="stable")
+    ids = []
+    vals = []
+    remaining = 1.0
+    for k in order:
+        cap = caps[k]
+        if cap < remaining:
+            take = float(cap)
+            remaining -= take
+        else:
+            take = remaining
+            remaining = 0.0
+        ids.append(int(k))
+        vals.append(take)
+        if remaining == 0.0:
+            break
+    return np.array(ids, dtype=np.int64), np.array(vals), int(order[0])
 
 
 def bisection_line_search(dg, *, tol=1e-10, max_steps=60, upper=1.0):

@@ -168,6 +168,12 @@ class TestLoadUciBow:
         with pytest.raises(CorpusFormatError):
             load_uci_bow(write(tmp_path / "d.txt", "2\n3\n"))
 
+    @pytest.mark.parametrize("text, line", [("", 1), ("\n", 1), ("2\n", 2), ("2\n3\n", 3), ("0\n3\n1\n", 1)])
+    def test_short_or_empty_header_names_line(self, tmp_path, text, line):
+        with pytest.raises(CorpusFormatError) as info:
+            load_uci_bow(write(tmp_path / "d.txt", text))
+        assert info.value.line == line
+
     def test_bad_header_names_line(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_uci_bow(write(tmp_path / "d.txt", "2\nxx\n3\n"))
@@ -560,6 +566,16 @@ class TestPriorFiles:
     def test_empty(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="empty"):
             load_prior(write(tmp_path / "p.txt", "\n"))
+
+    @pytest.mark.parametrize("text, line", [
+        ("1 0\n0 nan\n", 2),
+        ("1 0\n\n0 1\n1e400 0\n", 4),
+        ("inf 0\n0 1\n", 1),
+    ])
+    def test_non_finite_entry_names_its_line(self, tmp_path, text, line):
+        with pytest.raises(CorpusFormatError, match="non-finite") as info:
+            load_prior(write(tmp_path / "p.txt", text))
+        assert info.value.line == line
 
     def test_indefinite_precision_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError):

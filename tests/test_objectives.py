@@ -8,6 +8,7 @@ import pytest
 from sparsetopics import (
     CtmPrior,
     Document,
+    DomainViolationError,
     FULL_SIMPLEX,
     INTERIOR_ONLY,
     InvalidArgumentError,
@@ -25,6 +26,7 @@ from sparsetopics.objectives import (
     DirichletLogPenalty,
     GaussianLogPenalty,
     MlObjective,
+    Objective,
     PenalizedObjective,
 )
 
@@ -550,3 +552,122 @@ class TestMixtureMemo:
                 report, trace = fw_solve(f, config=SolverConfig(rel_tol=1e-12, start=start))
                 still = sum(1 for r in trace.records[1:] if r.alpha == 0.0)
                 assert len(products) <= 1 + report.iterations + still
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def random_target(rng, k, n):
+    """A target point on n of k coordinates: a vertex when n is 1."""
+    s_ids = np.sort(rng.choice(k, size=n, replace=False)).astype(np.int64)
+    s_vals = np.ones(1) if n == 1 else rng.dirichlet(np.ones(n))
+    return s_ids, s_vals
+
+
+def random_prior(rng, k, with_mean):
+    a = rng.random((k, k))
+    return CtmPrior(a @ a.T + np.eye(k), mean=rng.normal(size=k) if with_mean else None)
+
+
+CHORD_PROBES = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9)
+
+
+class TestChordBitwise:
+    """The line-search derivatives work in scratch arrays; each must give
+    the bits of the plain formula it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_ml_dg_matches_plain_formula(self, n):
+        rng = np.random.default_rng(41 + n)
+        for _ in range(20):
+            topics, doc = random_ml_instance(rng, k=int(rng.integers(max(n, 2), 9)), v=30)
+            f = MlObjective(doc, topics)
+            theta = interior_point(rng, f.dim)
+            s_ids, s_vals = random_target(rng, f.dim, n)
+            p0 = theta @ f.term_columns
+            ps = s_vals @ f.term_columns[s_ids, :]
+            dp = ps - p0
+            _, dg = f.line_restriction(theta, s_ids, s_vals)
+            for a in CHORD_PROBES + (1.0,) + tuple(rng.random(5)):
+                assert bits(dg(a)) == bits(float(doc.counts.dot(dp / (p0 + a * dp))) + 0.0)
+
+    @pytest.mark.parametrize("with_mean", [False, True])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_gaussian_chord_matches_default(self, with_mean, n):
+        rng = np.random.default_rng(47 + n + 10 * with_mean)
+        for _ in range(20):
+            k = int(rng.integers(n + 1, 9))
+            pen = GaussianLogPenalty(random_prior(rng, k, with_mean))
+            theta = interior_point(rng, k)
+            s_ids, s_vals = random_target(rng, k, n)
+            g, dg = pen.line_restriction(theta, s_ids, s_vals)
+            g0, dg0 = Objective.line_restriction(pen, theta, s_ids, s_vals)
+            for a in CHORD_PROBES + tuple(rng.random(5)):
+                assert bits(g(a)) == bits(g0(a))
+                d, d0 = dg(a), dg0(a)
+                # only an exactly zero derivative may differ, in its sign
+                assert d == d0 and (d == 0.0 or bits(d) == bits(d0))
+            # at a = 1 the chord reaches the target's zero coordinates
+            for chord in (dg, dg0):
+                with pytest.raises(DomainViolationError):
+                    chord(1.0)
+
+    def test_gaussian_chord_refuses_a_zero_start_coordinate(self):
+        pen = GaussianLogPenalty(CtmPrior(np.eye(3), mean=np.zeros(3)))
+        theta = np.array([0.5, 0.5, 0.0])
+        for restriction in (pen.line_restriction, lambda *a: Objective.line_restriction(pen, *a)):
+            _, dg = restriction(theta, np.array([1]), np.ones(1))
+            with pytest.raises(DomainViolationError):
+                dg(0.0)
+
+    def objectives(self, rng):
+        topics, doc = random_ml_instance(rng, k=6, v=30)
+        prior = random_prior(rng, 6, with_mean=False)
+        return {
+            "ml": lambda: MlObjective(doc, topics),
+            "ctm": lambda: ctm_full_objective(doc, topics, prior),
+        }
+
+    def test_two_live_restrictions_of_one_objective(self):
+        rng = np.random.default_rng(53)
+        for name, make in self.objectives(rng).items():
+            chords = [(interior_point(rng, 6), *random_target(rng, 6, n)) for n in (1, 3)]
+            expected = [[dg(a) for a in CHORD_PROBES] for dg in
+                        (make().line_restriction(*c)[1] for c in chords)]
+            shared = make()
+            live = [shared.line_restriction(*c)[1] for c in chords]
+            got = [[], []]
+            for a in CHORD_PROBES:
+                for i, dg in enumerate(live):
+                    got[i].append(dg(a))
+            assert [np.array(r).tobytes() for r in got] == [np.array(r).tobytes() for r in expected], name
+
+    def test_threads_each_with_its_own_restriction(self):
+        rng = np.random.default_rng(59)
+        for name, make in self.objectives(rng).items():
+            chords = [(interior_point(rng, 6), *random_target(rng, 6, 1 + i % 3)) for i in range(4)]
+            probes = rng.random(50)
+            expected = [np.array([make().line_restriction(*c)[1](a) for a in probes]).tobytes() for c in chords]
+            shared = make()
+            got = {}
+
+            def work(i):
+                out = []
+                for _ in range(20):
+                    dg = shared.line_restriction(*chords[i])[1]
+                    out.append(np.array([dg(a) for a in probes]).tobytes())
+                got[i] = out
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                workers = [threading.Thread(target=work, args=(i,)) for i in range(len(chords))]
+                for t in workers:
+                    t.start()
+                for t in workers:
+                    t.join(60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in workers)
+            assert got == {i: [expected[i]] * 20 for i in range(len(chords))}, name

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from sparsetopics import (
     Corpus,
+    CorpusFormatError,
     CtmPrior,
     Document,
     ModelFormatError,
@@ -243,3 +244,118 @@ class TestModelChunkBoundaries:
         with pytest.raises(ModelFormatError) as info:
             round_trip(lambda p: p.write_text(text), load_model)
         assert str(info.value) == message
+
+
+# One fault in an otherwise valid bag-of-words or prior file.
+FILE_FAULTS = (
+    "short row", "long row", "empty token", "non-numeric token", "non-finite token",
+    "extra row", "missing row", "blank-only file",
+)
+NON_NUMERIC = ("x", "1.2.3", "--1", "one", "0x10")
+NON_FINITE = ("nan", "inf", "-inf", "1e400", "NaN")
+
+
+def assert_names_line(load, text, line, message=None):
+    """load refuses text with a package error naming line (None: a file
+    that ends early, which has no bad line)."""
+    with pytest.raises(ValueError) as info:
+        round_trip(lambda p: p.write_text(text), load)
+    assert type(info.value).__module__ == "sparsetopics.errors"
+    assert isinstance(info.value, CorpusFormatError)
+    assert info.value.line == line
+    if message is not None:
+        assert message in str(info.value)
+
+
+def faulty_row(data, tokens, fault):
+    """tokens with one fault of the row kind applied."""
+    tokens = list(tokens)
+    i = data.draw(st.integers(0, len(tokens) - 1))
+    if fault == "short row":
+        del tokens[i]
+    elif fault == "long row":
+        tokens.insert(i, tokens[i])
+    elif fault == "empty token":
+        tokens[i] = ""
+    elif fault == "non-numeric token":
+        tokens[i] = data.draw(st.sampled_from(NON_NUMERIC))
+    else:
+        tokens[i] = data.draw(st.sampled_from(NON_FINITE))
+    return " ".join(tokens)
+
+
+def with_blank_lines(data, rows):
+    """rows as file lines, with blank lines drawn in between; returns the
+    lines and each row's 1-based line number."""
+    lines, numbers = [], []
+    for row in rows:
+        for _ in range(data.draw(st.integers(0, 1))):
+            lines.append(data.draw(st.sampled_from(["", "  ", "\t"])))
+        lines.append(row)
+        numbers.append(len(lines))
+    return lines, numbers
+
+
+class TestMalformedFiles:
+    """One fault in a valid file: the loader raises a CorpusFormatError
+    naming the first bad line, never a bare numpy or Python error."""
+
+    @SETTINGS
+    @given(st.sampled_from(FILE_FAULTS), st.data())
+    def test_bag_of_words(self, fault, data):
+        num_docs, v = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 6))
+        triples = [
+            [str(data.draw(st.integers(1, num_docs))), str(data.draw(st.integers(1, v))),
+             repr(data.draw(st.floats(1e-3, 1e3)))]
+            for _ in range(n)
+        ]
+        header = [str(num_docs), str(v), str(n)]
+        if fault == "blank-only file":
+            text = "\n" * data.draw(st.integers(0, 5))
+            assert_names_line(load_uci_bow, text, 1)
+            return
+        rows = [" ".join(t) for t in triples]
+        bad = data.draw(st.integers(0, n - 1))
+        line = None
+        if fault == "extra row":
+            rows.append(rows[bad])
+            bad = n
+        elif fault == "missing row":
+            del rows[bad]
+        else:
+            rows[bad] = faulty_row(data, triples[bad], fault)
+        lines, numbers = with_blank_lines(data, rows)
+        if fault != "missing row":
+            line = 3 + numbers[bad]
+        text = "".join(row + "\n" for row in header + lines)
+        assert_names_line(load_uci_bow, text, line, None if line else f"declared {n} triples but found {n - 1}")
+
+    @SETTINGS
+    @given(st.sampled_from(FILE_FAULTS), st.booleans(), st.data())
+    def test_prior(self, fault, with_mean, data):
+        k = data.draw(st.integers(2, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rows = [[repr(float(x)) for x in row] for row in rng.normal(size=(k + with_mean, k))]
+        if fault == "blank-only file":
+            text = "\n" * data.draw(st.integers(0, 5))
+            assert_names_line(load_prior, text, 1, "empty prior file")
+            return
+        lines = [" ".join(row) for row in rows]
+        bad = data.draw(st.integers(0, len(rows) - 1))
+        if fault == "extra row":
+            # one row past precision plus mean
+            lines += [lines[bad]] * (2 - with_mean)
+            bad = k + 1
+        elif fault == "missing row":
+            # fewer rows than a precision needs
+            lines = lines[: k - 1]
+        else:
+            lines[bad] = faulty_row(data, rows[bad], fault)
+            if bad == 0 and fault in ("short row", "long row", "empty token"):
+                # every row must match the first, so the second is at fault
+                bad = 1
+        lines, numbers = with_blank_lines(data, lines)
+        line = None if fault == "missing row" else numbers[bad]
+        text = "".join(row + "\n" for row in lines)
+        assert_names_line(load_prior, text, line, f"found {k - 1}" if line is None else None)

@@ -28,7 +28,7 @@ from sparsetopics import (
 import sparsetopics.solver as solver_module
 from sparsetopics.objectives import vertex_values
 
-from helpers import bisection_line_search, brute_force_capped_lp, random_ml_instance
+from helpers import bisection_line_search, brute_force_capped_lp, greedy_capped_loop, random_ml_instance
 
 
 def quadratic_dg(peak):
@@ -554,6 +554,34 @@ class TestCappedLinearStep:
             assert np.all(got <= caps + 1e-12)
             assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_matches_loop_reference_bitwise(self):
+        rng = np.random.default_rng(67)
+        checked = 0
+        for trial in range(600):
+            k = int(rng.integers(1, 9))
+            # integer scores tie often; ties go to the lowest index
+            scores = rng.integers(-2, 3, size=k).astype(np.float64) if trial % 2 else rng.normal(size=k)
+            kind = trial % 3
+            if kind == 0:
+                caps = np.minimum(rng.uniform(0.05, 1.0, size=k) * rng.uniform(1.0, 3.0), 1.0)
+            elif kind == 1:
+                # np.sum gives exactly 1; subtracting in score order may
+                # leave a positive remainder, so every cap is taken whole
+                caps = rng.dirichlet(np.ones(k))
+                if caps.sum() != 1.0:
+                    continue
+            else:
+                caps = np.full(k, rng.choice([0.25, 0.5, 1.0]))
+            if caps.sum() < 1.0:
+                continue
+            got = solver_module._greedy_capped(scores, caps)
+            want = greedy_capped_loop(scores, caps)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2]
+            checked += 1
+        assert checked > 300
+
     def test_infeasible_caps(self):
         with pytest.raises(InfeasibleRegionError):
             capped_simplex_argmax(np.ones(3), np.full(3, 0.2))
@@ -762,3 +790,53 @@ class TestConcavityContract:
             fw_solve(Flagged())
         with pytest.raises(NonconcavePriorError):
             fw_solve(Flagged(), caps=np.ones(2))
+
+
+class NanGradientObjective:
+    """A smooth concave value whose gradient has a NaN in its middle entry,
+    after a smaller and before a larger finite entry."""
+
+    domain = "full-simplex"
+    dim = 3
+
+    def value(self, theta):
+        return -float(np.sum((theta - 0.2) ** 2))
+
+    def gradient(self, theta):
+        return np.array([1.0, float("nan"), 5.0])
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        raise AssertionError("a NaN gradient must stop the step before its line search")
+
+
+class TestNumericFailures:
+    def test_nan_gradient_entry_raises_on_the_simplex(self):
+        with pytest.raises(NumericFailureError, match="gradient"):
+            fw_solve(NanGradientObjective(), SolverConfig(start="barycenter"))
+
+    def test_nan_gradient_entry_raises_on_a_capped_region(self):
+        with pytest.raises(NumericFailureError, match="gradient"):
+            fw_solve(NanGradientObjective(), caps=np.full(3, 0.5))
+
+    @pytest.mark.parametrize("scale", [1e300, 1e306])
+    def test_overflowing_counts_raise(self, scale):
+        # at 1e300 the chord derivative overflows, at 1e306 the vertex
+        # values too; solving on would end far from the unit-scale answer
+        data = generate_synthetic_corpus(6, 40, 5, 30, seed=2)
+        for doc in data.corpus.documents[:4]:
+            scaled = Document(doc.term_ids, doc.counts * scale)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                with pytest.raises(NumericFailureError):
+                    fw_solve(ml_objective(scaled, data.topics))
+
+    def test_power_of_two_scales_solve_bitwise_alike(self):
+        # scaling every count by 2**e is exact in every operation of the
+        # solve, so up to the overflow the solve is the unit-scale one
+        data = generate_synthetic_corpus(6, 40, 5, 30, seed=2)
+        for doc in data.corpus.documents:
+            unit, unit_trace = fw_solve(ml_objective(doc, data.topics))
+            for e in (-200, 200, 900):
+                scaled = Document(doc.term_ids, doc.counts * 2.0**e)
+                report, trace = fw_solve(ml_objective(scaled, data.topics))
+                assert report.theta.dense(6).tobytes() == unit.theta.dense(6).tobytes()
+                assert [r.alpha for r in trace] == [r.alpha for r in unit_trace]
