@@ -68,12 +68,14 @@ class Objective:
     is_concave.  One certified only on a capped simplex {theta <= caps}
     sets the attribute caps, and fw_solve solves over that region.
 
-    line_restriction returns (g, dg), the function and derivative of
-    a |-> f((1-a) * theta + a * s) for a sparse target point s; the solver's
-    line search uses dg.  The default builds the chord point explicitly;
-    subclasses override it when they can do better.  A dg may own scratch
-    arrays, so one restriction's dg must not be called from two threads
-    at once; each thread takes its own restriction.
+    line_restriction returns (g, dg) for a |-> f((1-a) * theta + a * s), s a
+    sparse target point: its value g(a) and dg(a) = (slope, curvature), its
+    first two derivatives, from which the solver's line search takes Newton
+    steps.  The default builds the chord point explicitly and reports
+    curvature 0.0, meaning unknown, so the search bisects; subclasses
+    override it when they can do better.  A dg may own scratch arrays, so
+    one restriction's dg must not be called from two threads at once; each
+    thread takes its own restriction.
 
     An objective may also offer vertex_values(), its values at all
     vertices at once; read them with vertex_values.
@@ -101,8 +103,8 @@ class Objective:
         def g(a: float) -> float:
             return self.value(point(a))
 
-        def dg(a: float) -> float:
-            return float(direction @ self.gradient(point(a)))
+        def dg(a: float) -> tuple[float, float]:
+            return float(direction @ self.gradient(point(a))), 0.0
 
         return g, dg
 
@@ -169,15 +171,17 @@ class MlObjective(Objective):
         def g(a: float) -> float:
             return float(counts @ np.log(p0 + a * dp))
 
-        def dg(a: float) -> float:
-            # dp / (p0 + a * dp), formed in w; a positional out costs less
-            # than out=.  ndarray.dot is cheaper than @ on this hot probe
-            # and gives the same bits, except that on one term it keeps a
-            # -0.0 product where @ adds it to +0.0; the + 0.0 does that.
+        def dg(a: float) -> tuple[float, float]:
+            # w = dp / (p0 + a * dp), then -counts . w**2; a positional out
+            # costs less than out=.  ndarray.dot is cheaper than @ on this
+            # hot probe and gives the same bits, except that on one term it
+            # keeps a -0.0 product where @ adds it to +0.0; the + 0.0 does that.
             np.multiply(dp, a, w)
             np.add(p0, w, w)
             np.divide(dp, w, w)
-            return float(counts.dot(w)) + 0.0
+            slope = float(counts.dot(w)) + 0.0
+            np.multiply(w, w, w)
+            return slope, -float(counts.dot(w))
 
         return g, dg
 
@@ -220,6 +224,23 @@ class DirichletLogPenalty(Objective):
             return np.zeros(self.dim)
         _check_interior(theta, self.dim)
         return self._lam / theta
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        # g and the inactive penalty's flat chord are the default's; the
+        # slope is too, direction . lam / x at the chord point x, with the
+        # curvature -lam . (direction / x)**2.
+        g, flat = super().line_restriction(theta, s_ids, s_vals)
+        base = np.asarray(theta, dtype=np.float64)
+        direction = -base
+        direction[s_ids] += s_vals
+
+        def dg(a: float) -> tuple[float, float]:
+            x = (1.0 - a) * base
+            x[s_ids] += a * s_vals
+            grad = self.gradient(x)
+            return float(direction @ grad), -float((grad * direction) @ (direction / x))
+
+        return g, dg if self._active else flat
 
 
 @dataclasses.dataclass(frozen=True)
@@ -305,9 +326,11 @@ class GaussianLogPenalty(Objective):
 
     def line_restriction(self, theta, s_ids, s_vals):
         # The default's chord point and gradient, formed in scratch arrays
-        # with the same operations, so dg gives the default's bits; only
-        # the sign of an exactly zero derivative may differ, because the
-        # minus goes on the scalar.  The line search treats +-0 alike.
+        # with the same operations, so the slope has the default's bits;
+        # only the sign of an exactly zero slope may differ, because the
+        # minus goes on the scalar.  The line search treats +-0 alike.  The
+        # curvature, sum_k (P y)_k u_k**2 - u . P u with u = direction / x,
+        # costs one more matvec.
         base = np.asarray(theta, dtype=np.float64)
         target = np.zeros(self.dim)
         target[s_ids] = s_vals
@@ -318,7 +341,7 @@ class GaussianLogPenalty(Objective):
         def g(a: float) -> float:
             return self.value((1.0 - a) * base + a * target)
 
-        def dg(a: float) -> float:
+        def dg(a: float) -> tuple[float, float]:
             np.multiply(base, 1.0 - a, x)
             np.multiply(target, a, y)
             np.add(x, y, x)
@@ -329,7 +352,9 @@ class GaussianLogPenalty(Objective):
                 np.subtract(y, mean, y)
             q = precision @ y
             np.divide(q, x, q)
-            return -float(direction @ q)
+            np.divide(direction, x, y)  # u; (P y)_k u_k**2 = q_k direction_k u_k
+            np.multiply(direction, y, x)
+            return -float(direction @ q), float(q @ x) - float(y @ (precision @ y))
 
         return g, dg
 
@@ -367,8 +392,9 @@ class PenalizedObjective(Objective):
         def g(a: float) -> float:
             return g1(a) + g2(a)
 
-        def dg(a: float) -> float:
-            return dg1(a) + dg2(a)
+        def dg(a: float) -> tuple[float, float]:
+            (slope1, curvature1), (slope2, curvature2) = dg1(a), dg2(a)
+            return slope1 + slope2, curvature1 + curvature2
 
         return g, dg
 

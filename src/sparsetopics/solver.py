@@ -9,8 +9,8 @@ start point, and shares every other instruction, which keeps its iterates
 bitwise identical to the barycenter solve when all caps are one.
 
 Each step costs one gradient, one linear subproblem and a one-dimensional
-search: a Brent root search on the derivative of the objective along the
-step, accurate to line_search's default tol of 1e-10.  The best-vertex start
+search: a Newton root search on the objective's slope along the step,
+accurate to line_search's default tol of 1e-10.  The best-vertex start
 scores all K vertices in one pass when the objective can (vertex_values).
 """
 
@@ -84,89 +84,61 @@ class Trace:
         return self.records[i]
 
 
-def _probe(dg: Callable[[float], float], a: float) -> float:
-    d = dg(a)
-    if not math.isfinite(d):
-        raise NumericFailureError(f"line-search derivative is {d}")
-    return d
-
-
 def line_search(
-    dg: Callable[[float], float],
+    dg: Callable[[float], tuple[float, float]],
     *,
     tol: float = 1e-10,
     max_steps: int = 60,
     upper: float = 1.0,
 ) -> float:
-    """Maximize a concave scalar function on [0, upper], given only its
-    derivative dg, by finding where dg changes sign.
+    """Maximize a concave scalar function on [0, upper], given dg(a) =
+    (slope, curvature), by finding where the slope changes sign.
 
-    Concavity makes dg nonincreasing: dg(0) <= 0 returns 0 and
-    dg(upper) >= 0 returns upper.  Otherwise Brent's zeroin (Brent 1973,
-    Algorithms for Minimization without Derivatives, ch. 4) keeps a
-    bracket [b, c] around the sign change and steps from b, the end with
-    the smaller |dg|, by inverse quadratic or linear interpolation when
-    that step stays well inside the bracket and shrinks fast enough, and
-    by bisection when it does not.  It returns b once the bracket is
-    narrower than tol (or than rounding at b), at a probe where dg is
-    exactly 0, or after max_steps interior probes; dg is called at most
-    max_steps + 2 times.  Where dg is flat at its root (a multiple root)
-    interpolation converges only linearly and the step budget can run out
-    first.  A NaN or infinite dg (an overflow) aborts the whole solve.
+    Concavity makes the slope nonincreasing: a slope <= 0 at 0 returns 0,
+    and one >= 0 at upper returns upper.  Otherwise Newton steps run from 0
+    inside the sign bracket [lo, hi]: one that reaches upper probes it, and
+    one that leaves the bracket, or a curvature that is not finite and
+    negative (0.0 means unknown), bisects instead.  A Newton point is
+    returned unprobed once its step is within 0.5 * tol (or rounding) and
+    follows a Newton step the same way at least as long: next to a pole of
+    the slope, short steps come far from the root, and they grow or turn
+    back.  A probe where the slope is exactly 0 is returned, and so is the
+    next estimate once the bracket is within tol or max_steps probes past 0
+    are spent.  A result within 0.5 * tol of 0 gains nothing and is exactly
+    0.0.  A NaN or infinite slope (an overflow) aborts the whole solve.
     """
     if not (0.0 < upper <= 1.0):
         raise InvalidArgumentError("upper must lie in (0, 1]")
-    fa = _probe(dg, 0.0)
-    if fa <= 0.0:
-        return 0.0
-    fb = _probe(dg, upper)
-    if fb >= 0.0:
-        return upper
-    # b: current estimate; c: the far end of the bracket; a: the previous b.
-    # d is the last step and e the one before it.
-    a, b, c, fc = 0.0, upper, 0.0, fa
-    d = e = upper
-    for _ in range(max_steps):
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        half = 0.5 * (c - b)
-        min_step = 2.0 * _EPS * abs(b) + 0.5 * tol
-        if abs(half) <= min_step:
-            break
-        if abs(e) >= min_step and abs(fa) > abs(fb):
-            # Secant through a and b when a is the far end, inverse
-            # quadratic through a, b and c otherwise.
-            s = fb / fa
-            if a == c:
-                p = 2.0 * half * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            # Keep the step only if it lands inside the bracket and is under
-            # half the step before last; otherwise bisect.
-            if 2.0 * p < min(3.0 * half * q - abs(min_step * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = half
+    b = lo = 0.0
+    hi = upper
+    open_top = True  # hi is upper, whose slope is not known yet
+    last = math.inf  # the Newton step that reached b; inf after other probes
+    for probes_left in range(max_steps, -1, -1):
+        d, c = dg(b)
+        if not math.isfinite(d):
+            raise NumericFailureError(f"line-search derivative is {d}")
+        if d > 0.0:
+            if b == upper:
+                return upper
+            lo = b
+        elif d < 0.0 and b > 0.0:
+            hi, open_top = b, False
         else:
-            d = e = half
-        a, fa = b, fb
-        b += d if abs(d) > min_step else math.copysign(min_step, half)
-        fb = _probe(dg, b)
-        if fb == 0.0:
-            return b
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-    return b
+            break
+        step = -d / c if -math.inf < c < 0.0 else math.copysign(math.inf, d)
+        b += step
+        if lo < b < hi:
+            short = abs(step) <= 0.5 * tol + 2.0 * _EPS * b
+            if short and (step == 0.0 or 0.0 < step / last <= 1.0):
+                break
+            last = step
+        elif b >= hi and open_top:
+            b, last = upper, math.inf
+        else:
+            b, last = 0.5 * (lo + hi), math.inf
+        if not probes_left or hi - lo <= tol + 4.0 * _EPS * hi:
+            break
+    return b if b > 0.5 * tol else 0.0
 
 
 def _greedy_capped(scores: np.ndarray, caps: np.ndarray):

@@ -180,20 +180,22 @@ def greedy_capped_loop(scores: np.ndarray, caps: np.ndarray):
 
 
 def bisection_line_search(dg, *, tol=1e-10, max_steps=60, upper=1.0):
-    """Sign bisection of a nonincreasing derivative on [0, upper], with the
-    solver's line_search signature and defaults: the endpoint shortcuts,
-    then halve the bracket until it is narrower than tol and return its
+    """Sign bisection of a nonincreasing slope on [0, upper], with the
+    solver's line_search signature and defaults: dg(a) is (slope,
+    curvature) and only the slope is read.  The endpoint shortcuts, then
+    halve the bracket until it is narrower than tol and return its
     midpoint."""
-    if dg(0.0) <= 0.0:
+    slope = lambda a: dg(a)[0]
+    if slope(0.0) <= 0.0:
         return 0.0
-    if dg(upper) >= 0.0:
+    if slope(upper) >= 0.0:
         return upper
     lo, hi = 0.0, upper
     for _ in range(max_steps):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        d = dg(mid)
+        d = slope(mid)
         if d > 0.0:
             lo = mid
         elif d < 0.0:

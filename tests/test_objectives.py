@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsetopics import (
     CtmPrior,
@@ -303,7 +305,8 @@ class TestCtmObjectives:
         _, dg = f.line_restriction(theta, np.array([0]), np.array([1.0]))
         _, dg1 = base.line_restriction(theta, np.array([0]), np.array([1.0]))
         _, dg2 = penalty.line_restriction(theta, np.array([0]), np.array([1.0]))
-        assert dg(0.25) == dg1(0.25) + dg2(0.25)
+        (s1, c1), (s2, c2) = dg1(0.25), dg2(0.25)
+        assert dg(0.25) == (s1 + s2, c1 + c2)
 
     def test_caps_without_mean_are_ones(self):
         assert np.array_equal(ctm_caps(CtmPrior(np.eye(3))), np.ones(3))
@@ -397,7 +400,7 @@ def test_line_restriction_matches_direct_evaluation():
         point[vertex_ids] += alpha * vertex_vals
         direction = -theta.copy()
         direction[vertex_ids] += vertex_vals
-        assert dg(alpha) == pytest.approx(direction @ f.gradient(point), rel=1e-8)
+        assert dg(alpha)[0] == pytest.approx(direction @ f.gradient(point), rel=1e-8)
 
 
 def test_ml_line_restriction_uses_cached_columns():
@@ -464,7 +467,7 @@ class TestMixtureMemo:
         f = MlObjective(Document(np.array([0]), np.array([5e-324])), topics)
         theta = np.array([0.0, 1.0])
         g, dg = f.line_restriction(theta, np.array([0]), np.array([1.0]))
-        for value in (f.value(theta), g(0.0), dg(0.0)):
+        for value in (f.value(theta), g(0.0), dg(0.0)[0]):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_cached_mixture_is_read_only(self):
@@ -574,8 +577,8 @@ CHORD_PROBES = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9)
 
 
 class TestChordBitwise:
-    """The line-search derivatives work in scratch arrays; each must give
-    the bits of the plain formula it replaced."""
+    """The line-search slopes work in scratch arrays; each must give the
+    bits of the plain formula it replaced."""
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_ml_dg_matches_plain_formula(self, n):
@@ -590,7 +593,7 @@ class TestChordBitwise:
             dp = ps - p0
             _, dg = f.line_restriction(theta, s_ids, s_vals)
             for a in CHORD_PROBES + (1.0,) + tuple(rng.random(5)):
-                assert bits(dg(a)) == bits(float(doc.counts.dot(dp / (p0 + a * dp))) + 0.0)
+                assert bits(dg(a)[0]) == bits(float(doc.counts.dot(dp / (p0 + a * dp))) + 0.0)
 
     @pytest.mark.parametrize("with_mean", [False, True])
     @pytest.mark.parametrize("n", [1, 3])
@@ -605,7 +608,7 @@ class TestChordBitwise:
             g0, dg0 = Objective.line_restriction(pen, theta, s_ids, s_vals)
             for a in CHORD_PROBES + tuple(rng.random(5)):
                 assert bits(g(a)) == bits(g0(a))
-                d, d0 = dg(a), dg0(a)
+                d, d0 = dg(a)[0], dg0(a)[0]
                 # only an exactly zero derivative may differ, in its sign
                 assert d == d0 and (d == 0.0 or bits(d) == bits(d0))
             # at a = 1 the chord reaches the target's zero coordinates
@@ -671,3 +674,116 @@ class TestChordBitwise:
                 sys.setswitchinterval(interval)
             assert not any(t.is_alive() for t in workers)
             assert got == {i: [expected[i]] * 20 for i in range(len(chords))}, name
+
+
+def central_difference(dg, a, h=1e-6):
+    """(slope(a + h) - slope(a - h)) / 2h."""
+    return (dg(a + h)[0] - dg(a - h)[0]) / (2.0 * h)
+
+
+class TestChordCurvature:
+    """Each chord's curvature is the derivative of its slope; the Newton
+    line search steps by it."""
+
+    def check(self, dg, rng):
+        for a in (0.25, 0.5, 0.75) + tuple(rng.uniform(0.05, 0.9, 3)):
+            slope, curvature = dg(a)
+            assert curvature <= 0.0
+            assert curvature == pytest.approx(central_difference(dg, a), rel=1e-5, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_ml(self, n):
+        rng = np.random.default_rng(61 + n)
+        for _ in range(20):
+            topics, doc = random_ml_instance(rng, k=int(rng.integers(max(n, 2), 9)), v=30)
+            f = MlObjective(doc, topics)
+            self.check(f.line_restriction(interior_point(rng, f.dim), *random_target(rng, f.dim, n))[1], rng)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_dirichlet(self, n):
+        rng = np.random.default_rng(67 + n)
+        for _ in range(20):
+            k = int(rng.integers(n + 1, 9))
+            pen = DirichletLogPenalty(np.full(k, 2.0))
+            theta = interior_point(rng, k)
+            s_ids, s_vals = random_target(rng, k, n)
+            dg = pen.line_restriction(theta, s_ids, s_vals)[1]
+            self.check(dg, rng)
+            # the slope is the default chord's, bit for bit
+            _, dg0 = Objective.line_restriction(pen, theta, s_ids, s_vals)
+            for a in CHORD_PROBES:
+                assert bits(dg(a)[0]) == bits(dg0(a)[0])
+            with pytest.raises(DomainViolationError):
+                dg(1.0)
+
+    def test_inactive_dirichlet_is_flat_up_to_the_face(self):
+        pen = DirichletLogPenalty(np.ones(3))
+        _, dg = pen.line_restriction(np.array([0.5, 0.5, 0.0]), np.array([2]), np.ones(1))
+        for a in CHORD_PROBES + (1.0,):
+            assert dg(a) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("with_mean", [False, True])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_gaussian(self, with_mean, n):
+        rng = np.random.default_rng(71 + n + 10 * with_mean)
+        for _ in range(20):
+            k = int(rng.integers(n + 1, 9))
+            a = rng.random((k, k))
+            # entrywise non-negative, and a mean >= 0 keeps log x - mean <= 0,
+            # where the penalty is concave
+            prior = CtmPrior(a @ a.T + np.eye(k), mean=rng.random(k) if with_mean else None)
+            pen = GaussianLogPenalty(prior)
+            self.check(pen.line_restriction(interior_point(rng, k), *random_target(rng, k, n))[1], rng)
+
+    def test_default_reports_unknown_curvature(self):
+        rng = np.random.default_rng(73)
+        topics, doc = random_ml_instance(rng, k=5, v=20)
+        f = MlObjective(doc, topics)
+        theta = interior_point(rng, 5)
+        _, dg = Objective.line_restriction(f, theta, np.array([1, 3]), np.array([0.25, 0.75]))
+        _, own = f.line_restriction(theta, np.array([1, 3]), np.array([0.25, 0.75]))
+        for a in CHORD_PROBES:
+            assert dg(a)[1] == 0.0
+            assert dg(a)[0] == pytest.approx(own(a)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_penalized_pair_is_the_sum_of_its_parts_bitwise(self, alpha):
+        rng = np.random.default_rng(79)
+        for _ in range(10):
+            topics, doc = random_ml_instance(rng, k=6, v=30)
+            parts = [
+                (MlObjective(doc, topics), DirichletLogPenalty(np.full(6, alpha))),
+                (MlObjective(doc, topics), GaussianLogPenalty(random_prior(rng, 6, with_mean=False))),
+            ]
+            for base, penalty in parts:
+                f = PenalizedObjective(base, penalty)
+                chord = (interior_point(rng, 6), *random_target(rng, 6, 2))
+                dg, dg1, dg2 = (part.line_restriction(*chord)[1] for part in (f, base, penalty))
+                for a in CHORD_PROBES:
+                    (s1, c1), (s2, c2) = dg1(a), dg2(a)
+                    slope, curvature = dg(a)
+                    assert bits(slope) == bits(s1 + s2) and bits(curvature) == bits(c1 + c2)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 8),
+        n=st.integers(1, 3),
+        family=st.sampled_from(["ml", "lda-map", "ctm", "ctm-mean"]),
+        a=st.floats(0.0, 0.99),
+    )
+    def test_curvature_is_never_positive_on_interior_chords(self, seed, k, n, family, a):
+        rng = np.random.default_rng(seed)
+        topics, doc = random_ml_instance(rng, k=k, v=12)
+        if family == "ml":
+            f = MlObjective(doc, topics)
+        elif family == "lda-map":
+            f = lda_map_objective(doc, topics, alpha=1.0 + 3.0 * rng.random(k))
+        else:
+            m = rng.random((k, k))
+            prior = CtmPrior(m @ m.T + np.eye(k), mean=rng.random(k) if family == "ctm-mean" else None)
+            f = ctm_full_objective(doc, topics, prior)
+        s_ids, s_vals = random_target(rng, k, min(n, k))
+        slope, curvature = f.line_restriction(interior_point(rng, k), s_ids, s_vals)[1](a)
+        assert math.isfinite(slope)
+        assert curvature <= 0.0

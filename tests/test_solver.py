@@ -32,14 +32,14 @@ from helpers import bisection_line_search, brute_force_capped_lp, greedy_capped_
 
 
 def quadratic_dg(peak):
-    """Derivative of -(a - peak)^2."""
-    return lambda a: -2.0 * (a - peak)
+    """Slope and curvature of -(a - peak)^2."""
+    return lambda a: (-2.0 * (a - peak), -2.0)
 
 
 def quartic_dg(peak):
-    """Derivative of -(a - peak)^2 / 2 - (a - peak)^4: concave with a
-    simple, nonlinear root, so no interpolation step lands on it exactly."""
-    return lambda a: -(a - peak) - 4.0 * (a - peak) ** 3
+    """Slope and curvature of -(a - peak)^2 / 2 - (a - peak)^4: concave
+    with a simple, nonlinear root, so no Newton step lands on it exactly."""
+    return lambda a: (-(a - peak) - 4.0 * (a - peak) ** 3, -1.0 - 12.0 * (a - peak) ** 2)
 
 
 def search(dg, root, tol=1e-10, max_steps=60, upper=1.0):
@@ -58,10 +58,20 @@ def search(dg, root, tol=1e-10, max_steps=60, upper=1.0):
 
 
 def pole_dg(pole, root):
-    """dg(a) = 1 / (a - pole) - 1 / (root - pole): decreasing on either
-    side of the pole, zero at root."""
+    """slope(a) = 1 / (a - pole) - 1 / (root - pole): decreasing on either
+    side of the pole, zero at root; with its curvature."""
     shift = 1.0 / (root - pole)
-    return lambda a: 1.0 / (a - pole) - shift
+    return lambda a: (1.0 / (a - pole) - shift, -1.0 / (a - pole) ** 2)
+
+
+def with_curvature(dg, curvature):
+    """dg's slope with a fixed curvature in place of its own."""
+    return lambda a: (dg(a)[0], curvature)
+
+
+# A curvature that is not finite and negative: unknown (the Objective
+# default), wrong in sign, NaN or infinite.  Each makes the search bisect.
+NOT_NEWTON = [0.0, 1.0, math.nan, math.inf, -math.inf]
 
 
 class TestLineSearch:
@@ -84,8 +94,8 @@ class TestLineSearch:
         dg = quadratic_dg(1.5)
         assert line_search(dg) == 1.0
         alpha, calls = search(quartic_dg(1.5), 1.0)
-        assert alpha == pytest.approx(1.0, abs=1e-9)
-        assert calls == [0.0, 1.0]
+        assert alpha == 1.0
+        assert calls[0] == 0.0 and calls[-1] == 1.0
 
     def test_custom_upper(self):
         dg = quadratic_dg(0.9)
@@ -101,25 +111,25 @@ class TestLineSearch:
 
     def test_nan_derivative_raises(self):
         with pytest.raises(NumericFailureError):
-            line_search(lambda a: float("nan"))
+            line_search(lambda a: (float("nan"), -1.0))
 
     def test_nan_at_interior_probe_raises(self):
         # Finite with a sign change at both ends, NaN everywhere between.
-        dg = lambda a: 1.0 - 2.0 * a if a in (0.0, 1.0) else float("nan")
+        dg = lambda a: (1.0 - 2.0 * a if a in (0.0, 1.0) else float("nan"), -2.0)
         with pytest.raises(NumericFailureError):
             line_search(dg)
 
     @pytest.mark.parametrize("root", [1e-7, 1e-3, 0.5, 0.999])
     def test_pole_just_below_zero(self, root):
         dg = pole_dg(-1e-12, root)
-        assert dg(0.0) > 1e9
+        assert dg(0.0)[0] > 1e9
         search(dg, root)
 
     @pytest.mark.parametrize("root", [1e-7, 1e-3, 0.5, 0.9, 0.999])
     def test_pole_just_above_upper(self, root):
         dg = pole_dg(1.0 + 1e-12, root)
-        # |dg| spans at least nine orders of magnitude over [0, 1].
-        assert -dg(1.0) >= 1e9 * dg(0.0) > 0.0
+        # |slope| spans at least nine orders of magnitude over [0, 1].
+        assert -dg(1.0)[0] >= 1e9 * dg(0.0)[0] > 0.0
         search(dg, root)
 
     def test_upper_just_below_one(self):
@@ -129,22 +139,54 @@ class TestLineSearch:
         assert alpha == upper
 
     def test_linear_derivative(self):
-        alpha, calls = search(lambda a: 0.7 - a, 0.7)
-        # Interpolation is exact for a linear derivative.
+        alpha, calls = search(lambda a: (0.7 - a, -1.0), 0.7)
+        # A Newton step is exact for a linear slope.
         assert len(calls) <= 5
 
     def test_exact_zero_at_a_probe_returns_it(self):
-        alpha, calls = search(lambda a: 0.5 - a, 0.5)
+        alpha, calls = search(lambda a: (0.5 - a, -1.0), 0.5)
         assert alpha == 0.5
-        assert calls[-1] == 0.5
-        assert len(calls) == 3
+        assert calls == [0.0, 0.5]
 
     def test_step_budget_is_respected(self):
-        # A triple root: interpolation converges only linearly there, so
-        # small budgets run out before the bracket reaches tol.
-        flat = lambda a: -((a - 0.3) ** 3)
+        # A triple root: Newton converges only linearly there, so small
+        # budgets run out before a step is within tol.
+        flat = lambda a: (-((a - 0.3) ** 3), -3.0 * (a - 0.3) ** 2)
         for steps in (1, 2, 5, 20):
-            search(flat, 0.3, tol=0.5, max_steps=steps)
+            for dg in (flat, with_curvature(flat, 0.0)):
+                _, calls = search(dg, 0.3, tol=0.5, max_steps=steps)
+                assert len(calls) <= steps + 1
+
+    @pytest.mark.parametrize("curvature", NOT_NEWTON)
+    def test_curvature_that_is_not_finite_and_negative_bisects(self, curvature):
+        for dg, root in [
+            (quartic_dg(0.3), 0.3),
+            (pole_dg(-1e-12, 1e-3), 1e-3),
+            (pole_dg(1.0 + 1e-12, 0.999), 0.999),
+        ]:
+            search(with_curvature(dg, curvature), root)
+        # the endpoint rules hold as with a curvature
+        assert line_search(with_curvature(quadratic_dg(1.5), curvature)) == 1.0
+        assert line_search(with_curvature(quadratic_dg(0.9), curvature), upper=0.4) == 0.4
+        assert line_search(with_curvature(quadratic_dg(-0.5), curvature)) == 0.0
+        # and a NaN or infinite slope still raises
+        with pytest.raises(NumericFailureError):
+            line_search(lambda a: (1.0 if a == 0.0 else math.inf, curvature))
+
+    @pytest.mark.parametrize("curvature", [None] + NOT_NEWTON)
+    @pytest.mark.parametrize("root", [0.0, 1e-300, 1e-17, 1e-13, 4e-11])
+    def test_root_at_zero_within_tolerance_returns_exactly_zero(self, root, curvature):
+        # Stepping a distance of at most 0.5 * tol gains nothing, so the
+        # search does not step at all.
+        dg = quartic_dg(root)
+        if curvature is not None:
+            dg = with_curvature(dg, curvature)
+        alpha, _ = search(dg, root)
+        assert alpha == 0.0 and math.copysign(1.0, alpha) == 1.0
+
+    def test_root_just_beyond_half_tolerance_is_stepped_to(self):
+        alpha, _ = search(quartic_dg(6e-11), 6e-11)
+        assert alpha > 0.0
 
 
 BARYCENTER = SolverConfig(start="barycenter")
@@ -397,7 +439,7 @@ class ScriptedObjective:
 
     def line_restriction(self, theta, s_ids, s_vals):
         root = self.roots[self.steps - 1]
-        return None, lambda a: root - a
+        return None, lambda a: (root - a, -1.0)
 
 
 class TestPruning:
@@ -443,6 +485,62 @@ class TestPruning:
             drifted += sum(p.sum() != 1.0 for p in points)
         # the sums drift, so a renormalization would show in the bits
         assert drifted > 0
+
+
+class PointRecorder:
+    """Delegates to an objective and records the bytes of every point it
+    is valued at: the start, then the point after each step."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.points = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def value(self, theta):
+        self.points.append(theta.tobytes())
+        return self.inner.value(theta)
+
+
+class TestZeroGainStep:
+    def test_a_step_within_tolerance_of_zero_leaves_theta_bitwise(self, monkeypatch):
+        # Step 1 reaches the optimum along its segment; along step 2's
+        # direction the slope at 0 is positive only by rounding, and its
+        # root lies within 0.5 * tol of 0.
+        rng = np.random.default_rng(21)
+        topics, doc = random_ml_instance(rng, k=int(rng.integers(2, 5)), v=8)
+        slopes, returned = [], []
+
+        def recording(dg, **kwargs):
+            slopes.append(dg(0.0)[0])
+            returned.append(line_search(dg, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(solver_module, "line_search", recording)
+        f = PointRecorder(ml_objective(doc, topics))
+        report, trace = fw_solve(f, SolverConfig(rel_tol=1e-300, max_iters=30))
+        assert slopes[1] > 0.0
+        assert returned[1] == 0.0 and trace[2].alpha == 0.0
+        assert f.points[2] == f.points[1]
+        assert trace[2].objective == trace[1].objective
+        assert report.iterations == 2
+
+
+class BlindObjective:
+    """Delegates to an objective but reports a fixed curvature on its
+    chords in place of their own."""
+
+    def __init__(self, inner, curvature):
+        self.inner = inner
+        self.curvature = curvature
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        g, dg = self.inner.line_restriction(theta, s_ids, s_vals)
+        return g, lambda a: (dg(a)[0], self.curvature)
 
 
 class CountingObjective:
@@ -505,7 +603,7 @@ class TestLineSearchCost:
         dg_calls += counting.dg_calls
         iterations += report.iterations
         assert iterations > 100
-        assert dg_calls / iterations <= 12.0
+        assert dg_calls / iterations <= 6.0
 
     def test_objectives_match_bisection(self, monkeypatch):
         solves = [(f, None) for f in self.instances()] + [self.capped_ctm()]
@@ -515,10 +613,20 @@ class TestLineSearchCost:
                 return fw_solve(f)[0].objective
             return fw_solve(f, BARYCENTER, caps=caps)[0].objective
 
-        brent = [run(f, caps) for f, caps in solves]
+        newton = [run(f, caps) for f, caps in solves]
         monkeypatch.setattr(solver_module, "line_search", bisection_line_search)
         oracle = [run(f, caps) for f, caps in solves]
-        np.testing.assert_allclose(brent, oracle, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(newton, oracle, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("curvature", [0.0, math.nan, math.inf])
+    def test_objectives_without_a_usable_curvature_solve_alike(self, curvature):
+        # the search bisects them, as it does the Objective default's chord
+        solves = [(f, None) for f in self.instances()] + [self.capped_ctm()]
+        for f, caps in solves:
+            config = SolverConfig() if caps is None else BARYCENTER
+            newton = fw_solve(f, config, caps=caps)[0].objective
+            blind = fw_solve(BlindObjective(f, curvature), config, caps=caps)[0].objective
+            assert blind == pytest.approx(newton, rel=1e-9, abs=0.0)
 
 
 class TestCappedLinearStep:
@@ -820,14 +928,22 @@ class TestNumericFailures:
 
     @pytest.mark.parametrize("scale", [1e300, 1e306])
     def test_overflowing_counts_raise(self, scale):
-        # at 1e300 the chord derivative overflows, at 1e306 the vertex
-        # values too; solving on would end far from the unit-scale answer
+        # at 1e300 the chord slope overflows on documents 0-2, at 1e306 the
+        # vertex values too; solving on would end far from the unit-scale
+        # answer.  Document 3's search never probes where its slope
+        # overflows at 1e300, so it solves to the unit-scale answer.
         data = generate_synthetic_corpus(6, 40, 5, 30, seed=2)
-        for doc in data.corpus.documents[:4]:
+        for m, doc in enumerate(data.corpus.documents[:4]):
             scaled = Document(doc.term_ids, doc.counts * scale)
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                with pytest.raises(NumericFailureError):
-                    fw_solve(ml_objective(scaled, data.topics))
+                if scale == 1e306 or m < 3:
+                    with pytest.raises(NumericFailureError):
+                        fw_solve(ml_objective(scaled, data.topics))
+                    continue
+                report, _ = fw_solve(ml_objective(scaled, data.topics))
+            unit, _ = fw_solve(ml_objective(doc, data.topics))
+            assert report.iterations == unit.iterations
+            np.testing.assert_allclose(report.theta.dense(6), unit.theta.dense(6), rtol=0, atol=1e-12)
 
     def test_power_of_two_scales_solve_bitwise_alike(self):
         # scaling every count by 2**e is exact in every operation of the
