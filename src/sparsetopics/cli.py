@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--objective", choices=["ml", "lda-map", "ctm"], default="ml")
-    p.add_argument("--alpha", type=float, default=1.0, help="Dirichlet concentration (lda-map)")
+    p.add_argument("--alpha", type=float, default=1.0, help="Dirichlet concentration >= 1 (lda-map; 1 is ml)")
     p.add_argument("--prior", help="precision file (ctm)")
     p.add_argument("--max-nnz", type=int, help="cap on the support size")
     p.add_argument(

@@ -3,9 +3,11 @@
 Three families share one interface: plain document log-likelihood, the
 same likelihood with a Dirichlet log-prior (alpha >= 1 only), and the
 log-normal penalty used for correlated-topic inference (entrywise
-non-negative precisions only).  Values are
-maximized; every objective reports whether it is defined on the whole
-simplex or only on its interior.
+non-negative precisions only).  Both priors are a concave function of
+log theta, interior only, with one value, gradient and chord
+(LogPenalty); alpha = 1 is no prior, so lda-map is then the likelihood.
+Values are maximized; every objective reports whether it is defined on
+the whole simplex or only on its interior.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ from .errors import (
 
 FULL_SIMPLEX = "full-simplex"
 INTERIOR_ONLY = "interior-only"
-
-# Floor applied inside logarithms of theta; gradients use theta as given.
-LOG_CLAMP = 1e-12
 
 
 def _check_interior(theta: np.ndarray, dim: int) -> None:
@@ -72,13 +71,13 @@ class Objective:
     sparse target point: its value g(a) and dg(a) = (slope, curvature), its
     first two derivatives, from which the solver's line search takes Newton
     steps.  The default builds the chord point explicitly and reports
-    curvature 0.0, meaning unknown, so the search bisects; subclasses
-    override it when they can do better.  A dg may own scratch arrays, so
-    one restriction's dg must not be called from two threads at once; each
-    thread takes its own restriction.
+    curvature 0.0, meaning unknown, so the search bisects; the likelihood,
+    both priors and their sums override it with exact curvatures.  A dg
+    may own scratch arrays, so one restriction's dg must not be called
+    from two threads at once; each thread takes its own restriction.
 
     An objective may also offer vertex_values(), its values at all
-    vertices at once; read them with vertex_values.
+    vertices at once, as the likelihood does; read them with vertex_values.
     """
 
     domain: str = FULL_SIMPLEX
@@ -123,8 +122,6 @@ class MlObjective(Objective):
             raise InvalidArgumentError(
                 "document references a term outside the topic matrix vocabulary"
             )
-        self.document = document
-        self.topics = topics
         self.dim = topics.num_topics
         # Columns for the document's terms only; everything below runs on
         # this (K x nnz) slab, gathered from the column-major rows.
@@ -186,12 +183,66 @@ class MlObjective(Objective):
         return g, dg
 
 
-class DirichletLogPenalty(Objective):
-    """h(theta) = sum_k (alpha_k - 1) log theta_k, alpha_k >= 1.
+class LogPenalty(Objective):
+    """h(theta) = phi(y) for a concave phi of y = log theta - mean (mean
+    None: log theta); interior only.  A subclass gives phi(y), dphi(y) and
+    the form d2phi(u) = u . phi'' u, phi'' constant for both priors.  The
+    gradient is dphi(y) / theta; along a chord with direction d, at the
+    point x and with u = d / x, the slope is dphi(y) . u and the curvature
+    d2phi(u) - (dphi(y) / x) . (d * u).
+    """
 
-    With every alpha_k == 1 the penalty is identically zero and imposes no
-    domain restriction; any alpha_k > 1 confines it to the interior.
-    Smaller alphas would make the posterior nonconcave and are refused.
+    domain = INTERIOR_ONLY
+    mean = None
+
+    def _y(self, theta: np.ndarray) -> np.ndarray:
+        _check_interior(theta, self.dim)
+        y = np.log(theta)
+        return y if self.mean is None else y - self.mean
+
+    def value(self, theta: np.ndarray) -> float:
+        return self._phi(self._y(np.asarray(theta, dtype=np.float64)))
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=np.float64)
+        return self._dphi(self._y(theta)) / theta
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        # Scratch arrays, as dphi may return a stored array; the slope
+        # direction . (dphi(y) / x) has the default chord's bits.
+        base = np.asarray(theta, dtype=np.float64)
+        target = np.zeros(self.dim)
+        target[s_ids] = s_vals
+        direction = target - base
+        mean, dphi, d2phi = self.mean, self._dphi, self._d2phi
+        x, y, q = np.empty(self.dim), np.empty(self.dim), np.empty(self.dim)
+
+        def g(a: float) -> float:
+            return self.value((1.0 - a) * base + a * target)
+
+        def dg(a: float) -> tuple[float, float]:
+            np.multiply(base, 1.0 - a, x)
+            np.multiply(target, a, y)
+            np.add(x, y, x)
+            if x.min() <= 0:
+                _check_interior(x, self.dim)
+            np.log(x, y)
+            if mean is not None:
+                np.subtract(y, mean, y)
+            np.divide(dphi(y), x, q)
+            np.divide(direction, x, y)  # u
+            np.multiply(direction, y, x)
+            return float(direction @ q), d2phi(y) - float(q @ x)
+
+        return g, dg
+
+
+class DirichletLogPenalty(LogPenalty):
+    """h(theta) = lam . log theta with lam = alpha - 1, every alpha_k >= 1.
+
+    Interior only for every alpha, all ones included (lda_map_objective
+    returns the plain likelihood then).  Smaller alphas would make the
+    posterior nonconcave and are refused.
     """
 
     def __init__(self, alpha):
@@ -208,39 +259,15 @@ class DirichletLogPenalty(Objective):
         self.alpha = a
         self.dim = a.size
         self._lam = a - 1.0
-        self._active = bool(np.any(self._lam > 0))
-        self.domain = INTERIOR_ONLY if self._active else FULL_SIMPLEX
 
-    def value(self, theta: np.ndarray) -> float:
-        if not self._active:
-            return 0.0
-        theta = np.asarray(theta, dtype=np.float64)
-        _check_interior(theta, self.dim)
-        return float(self._lam @ np.log(np.maximum(theta, LOG_CLAMP)))
+    def _phi(self, y: np.ndarray) -> float:
+        return float(self._lam @ y)
 
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        if not self._active:
-            return np.zeros(self.dim)
-        _check_interior(theta, self.dim)
-        return self._lam / theta
+    def _dphi(self, y: np.ndarray) -> np.ndarray:
+        return self._lam
 
-    def line_restriction(self, theta, s_ids, s_vals):
-        # g and the inactive penalty's flat chord are the default's; the
-        # slope is too, direction . lam / x at the chord point x, with the
-        # curvature -lam . (direction / x)**2.
-        g, flat = super().line_restriction(theta, s_ids, s_vals)
-        base = np.asarray(theta, dtype=np.float64)
-        direction = -base
-        direction[s_ids] += s_vals
-
-        def dg(a: float) -> tuple[float, float]:
-            x = (1.0 - a) * base
-            x[s_ids] += a * s_vals
-            grad = self.gradient(x)
-            return float(direction @ grad), -float((grad * direction) @ (direction / x))
-
-        return g, dg if self._active else flat
+    def _d2phi(self, u: np.ndarray) -> float:
+        return 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -290,7 +317,7 @@ class CtmPrior:
         return int(self.precision.shape[0])
 
 
-class GaussianLogPenalty(Objective):
+class GaussianLogPenalty(LogPenalty):
     """h(theta) = -1/2 (log theta - mu)^T P (log theta - mu); interior only.
 
     Concave, and so solvable, only for a certified prior (see CtmPrior),
@@ -298,65 +325,23 @@ class GaussianLogPenalty(Objective):
     mean, the whole simplex (caps None) when it has none.
     """
 
-    domain = INTERIOR_ONLY
-
     def __init__(self, prior: CtmPrior):
         self.prior = prior
         self.dim = prior.num_topics
+        self.mean = prior.mean
         self.concave = prior.certified
         self.caps = None if prior.mean is None else ctm_caps(prior)
+        # phi'' = -P; negating P is exact, so each hook has the bits of -(P ...)
+        self._d2 = -prior.precision
 
-    def _centered_log(self, theta: np.ndarray, clamp: bool) -> np.ndarray:
-        x = np.log(np.maximum(theta, LOG_CLAMP)) if clamp else np.log(theta)
-        if self.prior.mean is not None:
-            x = x - self.prior.mean
-        return x
+    def _phi(self, y: np.ndarray) -> float:
+        return float(0.5 * (y @ (self._d2 @ y)))
 
-    def value(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=np.float64)
-        _check_interior(theta, self.dim)
-        x = self._centered_log(theta, clamp=True)
-        return float(-0.5 * (x @ (self.prior.precision @ x)))
+    def _dphi(self, y: np.ndarray) -> np.ndarray:
+        return self._d2 @ y
 
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        _check_interior(theta, self.dim)
-        x = self._centered_log(theta, clamp=False)
-        return -(self.prior.precision @ x) / theta
-
-    def line_restriction(self, theta, s_ids, s_vals):
-        # The default's chord point and gradient, formed in scratch arrays
-        # with the same operations, so the slope has the default's bits;
-        # only the sign of an exactly zero slope may differ, because the
-        # minus goes on the scalar.  The line search treats +-0 alike.  The
-        # curvature, sum_k (P y)_k u_k**2 - u . P u with u = direction / x,
-        # costs one more matvec.
-        base = np.asarray(theta, dtype=np.float64)
-        target = np.zeros(self.dim)
-        target[s_ids] = s_vals
-        direction = target - base
-        precision, mean = self.prior.precision, self.prior.mean
-        x, y = np.empty(self.dim), np.empty(self.dim)
-
-        def g(a: float) -> float:
-            return self.value((1.0 - a) * base + a * target)
-
-        def dg(a: float) -> tuple[float, float]:
-            np.multiply(base, 1.0 - a, x)
-            np.multiply(target, a, y)
-            np.add(x, y, x)
-            if x.min() <= 0:
-                _check_interior(x, self.dim)
-            np.log(x, y)
-            if mean is not None:
-                np.subtract(y, mean, y)
-            q = precision @ y
-            np.divide(q, x, q)
-            np.divide(direction, x, y)  # u; (P y)_k u_k**2 = q_k direction_k u_k
-            np.multiply(direction, y, x)
-            return -float(direction @ q), float(q @ x) - float(y @ (precision @ y))
-
-        return g, dg
+    def _d2phi(self, u: np.ndarray) -> float:
+        return float(u @ (self._d2 @ u))
 
 
 class PenalizedObjective(Objective):
@@ -412,7 +397,8 @@ def lda_map_objective(document: Document, topics: TopicMatrix, alpha) -> Objecti
         a = np.full(topics.num_topics, float(a))
     if a.shape != (topics.num_topics,):
         raise InvalidArgumentError("alpha length must match the number of topics")
-    return PenalizedObjective(MlObjective(document, topics), DirichletLogPenalty(a))
+    base, penalty = MlObjective(document, topics), DirichletLogPenalty(a)
+    return base if np.all(a == 1.0) else PenalizedObjective(base, penalty)
 
 
 def ctm_full_objective(document: Document, topics: TopicMatrix, prior: CtmPrior) -> Objective:
@@ -442,10 +428,7 @@ def ctm_penalty_hessian(theta: np.ndarray, prior: CtmPrior) -> np.ndarray:
         H = -D (P - diag(P x)) D,   D = diag(1/theta),  x = log theta - mu.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    _check_interior(theta, prior.num_topics)
-    x = np.log(theta)
-    if prior.mean is not None:
-        x = x - prior.mean
+    x = GaussianLogPenalty(prior)._y(theta)
     inv = 1.0 / theta
     inner = prior.precision - np.diag(prior.precision @ x)
     return -inner * np.outer(inv, inv)

@@ -30,6 +30,7 @@ from sparsetopics.objectives import (
     MlObjective,
     Objective,
     PenalizedObjective,
+    is_concave,
 )
 
 import sparsetopics.core as core
@@ -186,6 +187,22 @@ class TestDirichletPenalty:
         with pytest.raises(InvalidArgumentError):
             lda_map_objective(doc, topics, alpha=np.ones(3))
 
+    @pytest.mark.parametrize("alpha", [1.0, np.ones(12)])
+    def test_flat_prior_is_the_likelihood(self, alpha, monkeypatch):
+        topics, doc = random_ml_instance(np.random.default_rng(83), k=12, v=40)
+        calls = []
+        value = MlObjective.value
+        monkeypatch.setattr(MlObjective, "value", lambda f, theta: calls.append(1) or value(f, theta))
+        runs = []
+        for f in (ml_objective(doc, topics), lda_map_objective(doc, topics, alpha)):
+            assert type(f) is MlObjective
+            calls.clear()
+            report, trace = fw_solve(f)
+            records = np.array([[r.iteration, r.objective, r.nnz, r.vertex, r.alpha] for r in trace])
+            runs.append((report.theta.dense(12).tobytes(), records.tobytes(), len(calls)))
+        assert runs[0] == runs[1]
+        assert runs[0][2] > 0
+
     def test_penalty_concave_along_chords(self):
         rng = np.random.default_rng(17)
         pen = DirichletLogPenalty(np.array([2.0, 1.5, 4.0]))
@@ -263,6 +280,25 @@ class TestGaussianPenalty:
             theta = interior_point(rng, 3)
             approx = finite_diff_gradient(pen.value, theta)
             assert np.allclose(pen.gradient(theta), approx, rtol=1e-6, atol=1e-7)
+
+
+class TestLogPenalty:
+    @pytest.mark.parametrize(
+        "penalty",
+        [
+            DirichletLogPenalty(np.array([2.0, 2.0])),
+            GaussianLogPenalty(CtmPrior(np.array([[2.0, 0.5], [0.5, 2.0]]))),
+        ],
+    )
+    def test_value_and_gradient_agree_below_1e_12(self, penalty):
+        # value and gradient read the same log theta however small theta is
+        theta = np.array([1e-13, 1.0 - 1e-13])
+        step = 1e-4 * theta[0] * np.array([1.0, -1.0])
+        plus, minus = theta + step, theta - step
+        assert is_concave(penalty)
+        expected = float(penalty.gradient(theta) @ (plus - minus))
+        got = penalty.value(plus) - penalty.value(minus)
+        assert got == pytest.approx(expected, rel=1e-6)
 
 
 class TestCtmObjectives:
@@ -716,11 +752,16 @@ class TestChordCurvature:
             with pytest.raises(DomainViolationError):
                 dg(1.0)
 
-    def test_inactive_dirichlet_is_flat_up_to_the_face(self):
+    def test_flat_dirichlet_is_interior_only(self):
+        # alpha = 1 is no prior, and lda_map_objective leaves it out; the
+        # penalty itself keeps the interior domain of every alpha
         pen = DirichletLogPenalty(np.ones(3))
-        _, dg = pen.line_restriction(np.array([0.5, 0.5, 0.0]), np.array([2]), np.ones(1))
-        for a in CHORD_PROBES + (1.0,):
-            assert dg(a) == (0.0, 0.0)
+        assert pen.domain == INTERIOR_ONLY
+        face = np.array([0.5, 0.5, 0.0])
+        chord = pen.line_restriction(face, np.array([2]), np.ones(1))[1]
+        for call in (pen.value, pen.gradient, lambda theta: chord(0.0)):
+            with pytest.raises(DomainViolationError):
+                call(face)
 
     @pytest.mark.parametrize("with_mean", [False, True])
     @pytest.mark.parametrize("n", [1, 3])

@@ -378,12 +378,20 @@ class TestVertexStart:
 
     def test_objectives_without_the_method_use_the_loop(self):
         topics, doc = random_ml_instance(np.random.default_rng(78), k=6, v=20)
-        f = lda_map_objective(doc, topics, alpha=1.0)
+        f = WithoutVertexValues(ml_objective(doc, topics))
         assert not hasattr(f, "vertex_values")
         loop = np.array([f.value(np.eye(6)[i]) for i in range(6)])
         assert vertex_values(f).tolist() == loop.tolist()
         _, trace = fw_solve(f)
         assert trace[0].vertex == int(np.argmax(loop))
+
+
+class WithoutVertexValues:
+    """The likelihood's value, gradient and chord, but no vertex_values()."""
+
+    def __init__(self, inner):
+        self.dim, self.domain, self.value = inner.dim, inner.domain, inner.value
+        self.gradient, self.line_restriction = inner.gradient, inner.line_restriction
 
 
 class RefusingObjective:
