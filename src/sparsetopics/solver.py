@@ -9,8 +9,9 @@ start point, and shares every other instruction, which keeps its iterates
 bitwise identical to the barycenter solve when all caps are one.
 
 Each step costs one gradient, one linear subproblem and a one-dimensional
-search: a Newton root search on the objective's slope along the step,
-accurate to line_search's default tol of 1e-10.  The best-vertex start
+search: a Newton root search on the objective's slope along the step
+that crosses a pole of the slope in log distance, accurate to
+line_search's default tol of 1e-10.  The best-vertex start
 scores all K vertices in one pass when the objective can (vertex_values).
 """
 
@@ -98,7 +99,12 @@ def line_search(
     and one >= 0 at upper returns upper.  Otherwise Newton steps run from 0
     inside the sign bracket [lo, hi]: one that reaches upper probes it, and
     one that leaves the bracket, or a curvature that is not finite and
-    negative (0.0 means unknown), bisects instead.  A Newton point is
+    negative (0.0 means unknown), bisects instead.  A step that rounds away
+    (b + step == b) returns b, within an ulp of the root.  A step at least
+    as long as the way back to 0 (or to upper) meets a pole of the slope
+    just past that end, where Newton only doubles its distance per probe;
+    the next probe is then the geometric midpoint of the distances to
+    that end when it lies beyond the Newton point.  A Newton point is
     returned unprobed once its step is within 0.5 * tol (or rounding) and
     follows a Newton step the same way at least as long: next to a pole of
     the slope, short steps come far from the root, and they grow or turn
@@ -126,12 +132,21 @@ def line_search(
         else:
             break
         step = -d / c if -math.inf < c < 0.0 else math.copysign(math.inf, d)
+        if b + step == b:
+            break
         b += step
         if lo < b < hi:
-            short = abs(step) <= 0.5 * tol + 2.0 * _EPS * b
-            if short and (step == 0.0 or 0.0 < step / last <= 1.0):
+            far = b  # past a pole behind the last probe: the geometric midpoint
+            if step >= lo > 0.0:  # stepping up from lo
+                far = math.sqrt(lo * hi)
+            elif step <= hi - upper:  # stepping down from hi
+                far = upper - math.sqrt((upper - hi) * (upper - lo))
+            if (far - b) * step > 0.0 and lo < far < hi:
+                b, last = far, math.inf
+            elif abs(step) <= 0.5 * tol + 2.0 * _EPS * b and 0.0 < step / last <= 1.0:
                 break
-            last = step
+            else:
+                last = step
         elif b >= hi and open_top:
             b, last = upper, math.inf
         else:

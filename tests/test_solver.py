@@ -123,14 +123,29 @@ class TestLineSearch:
     def test_pole_just_below_zero(self, root):
         dg = pole_dg(-1e-12, root)
         assert dg(0.0)[0] > 1e9
-        search(dg, root)
+        _, calls = search(dg, root)
+        # a long first step crosses the pole in log distance instead of
+        # doubling its distance to it on every probe
+        assert len(calls) <= 30
 
     @pytest.mark.parametrize("root", [1e-7, 1e-3, 0.5, 0.9, 0.999])
     def test_pole_just_above_upper(self, root):
         dg = pole_dg(1.0 + 1e-12, root)
         # |slope| spans at least nine orders of magnitude over [0, 1].
         assert -dg(1.0)[0] >= 1e9 * dg(0.0)[0] > 0.0
-        search(dg, root)
+        _, calls = search(dg, root)
+        assert len(calls) <= 30
+
+    def test_rounding_residue_at_the_root_ends_the_search(self):
+        # The slope computed at the float nearest the root is a positive
+        # rounding residue: its Newton step is below half an ulp, so the
+        # root is within one ulp and nothing is left to search.
+        root = 0.2434
+        dg = lambda a: (7.2e-16 if a == root else -56.0 * (a - root), -56.0)
+        assert root + 7.2e-16 / 56.0 == root
+        alpha, calls = search(dg, root)
+        assert alpha == root
+        assert len(calls) <= 8 and 1.0 not in calls
 
     def test_upper_just_below_one(self):
         upper = 1.0 - 1e-9
@@ -511,11 +526,31 @@ class PointRecorder:
         return self.inner.value(theta)
 
 
+class ResidueAtStepTwo:
+    """Delegates to an objective, but scripts the chord of the second
+    step: its slope vanishes at 0 except for a positive rounding residue
+    read at 0 itself."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.chords = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        self.chords += 1
+        g, dg = self.inner.line_restriction(theta, s_ids, s_vals)
+        if self.chords == 2:
+            return g, lambda a: (7.2e-16 if a == 0.0 else -56.0 * a, -56.0)
+        return g, dg
+
+
 class TestZeroGainStep:
     def test_a_step_within_tolerance_of_zero_leaves_theta_bitwise(self, monkeypatch):
-        # Step 1 reaches the optimum along its segment; along step 2's
-        # direction the slope at 0 is positive only by rounding, and its
-        # root lies within 0.5 * tol of 0.
+        # Step 1 runs the likelihood's own chord; along step 2's direction
+        # the slope at 0 is positive only by rounding, and its root lies
+        # within 0.5 * tol of 0.
         rng = np.random.default_rng(21)
         topics, doc = random_ml_instance(rng, k=int(rng.integers(2, 5)), v=8)
         slopes, returned = [], []
@@ -526,7 +561,7 @@ class TestZeroGainStep:
             return returned[-1]
 
         monkeypatch.setattr(solver_module, "line_search", recording)
-        f = PointRecorder(ml_objective(doc, topics))
+        f = PointRecorder(ResidueAtStepTwo(ml_objective(doc, topics)))
         report, trace = fw_solve(f, SolverConfig(rel_tol=1e-300, max_iters=30))
         assert slopes[1] > 0.0
         assert returned[1] == 0.0 and trace[2].alpha == 0.0
@@ -611,7 +646,33 @@ class TestLineSearchCost:
         dg_calls += counting.dg_calls
         iterations += report.iterations
         assert iterations > 100
-        assert dg_calls / iterations <= 6.0
+        assert dg_calls / iterations <= 4.6
+
+    def test_chords_toward_an_entering_vertex(self, monkeypatch):
+        # A topic entering the support explains some of the document's
+        # terms far better than the current mix, so the chord's slope has
+        # a pole just below 0, which the search crosses in log distance.
+        data = generate_synthetic_corpus(
+            num_topics=10, vocab_size=200, num_docs=20, doc_length=300,
+            doc_alpha=1.0, topic_concentration=0.05, seed=9,
+        )
+        probes = []
+
+        def counting(dg, **kwargs):
+            calls = []
+            probes.append(calls)
+            return line_search(lambda a: calls.append(a) or dg(a), **kwargs)
+
+        monkeypatch.setattr(solver_module, "line_search", counting)
+        entering = []
+        for doc in data.corpus.documents:
+            first = len(probes)
+            _, trace = fw_solve(ml_objective(doc, data.topics))
+            for i in range(1, len(trace)):
+                if trace[i].nnz > trace[i - 1].nnz:
+                    entering.append(len(probes[first + i - 1]))
+        assert len(entering) >= 20
+        assert max(entering) <= 14
 
     def test_objectives_match_bisection(self, monkeypatch):
         solves = [(f, None) for f in self.instances()] + [self.capped_ctm()]
