@@ -110,7 +110,11 @@ class Objective:
 
 class MlObjective(Objective):
     """Document log-likelihood f(theta) = sum_j d_j log(theta . beta_:j),
-    restricted to the terms present in the document."""
+    restricted to the terms present in the document.
+
+    Along a chord the mixture is p0 + a * dp; with v = sqrt(d) * dp / (p0
+    + a * dp) the slope is sqrt(d) . v and the curvature -v . v.
+    """
 
     domain = FULL_SIMPLEX
 
@@ -127,6 +131,7 @@ class MlObjective(Objective):
         # this (K x nnz) slab, gathered from the column-major rows.
         self.term_columns = topics.rows[:, document.term_ids]
         self._counts = document.counts
+        self._sqrt_counts = np.sqrt(document.counts)
         # The last mixture p = theta . term_columns, keyed by theta's bytes
         # (the solver mutates theta in place, so its identity is no key).
         # One tuple, read once, so a key is never paired with another p.
@@ -162,23 +167,24 @@ class MlObjective(Objective):
         else:
             ps = s_vals @ self.term_columns[s_ids, :]
         dp = ps - p0
-        counts = self._counts
-        w = np.empty_like(dp)
+        counts, sqrt_counts = self._counts, self._sqrt_counts
+        scaled = sqrt_counts * dp
+        v = np.empty_like(dp)
 
         def g(a: float) -> float:
             return float(counts @ np.log(p0 + a * dp))
 
         def dg(a: float) -> tuple[float, float]:
-            # w = dp / (p0 + a * dp), then -counts . w**2; a positional out
-            # costs less than out=.  ndarray.dot is cheaper than @ on this
-            # hot probe and gives the same bits, except that on one term it
-            # keeps a -0.0 product where @ adds it to +0.0; the + 0.0 does that.
-            np.multiply(dp, a, w)
-            np.add(p0, w, w)
-            np.divide(dp, w, w)
-            slope = float(counts.dot(w)) + 0.0
-            np.multiply(w, w, w)
-            return slope, -float(counts.dot(w))
+            # v = scaled / (p0 + a * dp); at 0 that is scaled / p0, bit for
+            # bit.  A positional out costs less than out=, and ndarray.dot
+            # less than @; the + 0.0 turns a lone -0.0 product into +0.0.
+            if a == 0.0:
+                np.divide(scaled, p0, v)
+            else:
+                np.multiply(dp, a, v)
+                np.add(p0, v, v)
+                np.divide(scaled, v, v)
+            return float(sqrt_counts.dot(v)) + 0.0, -float(v.dot(v))
 
         return g, dg
 
@@ -189,7 +195,7 @@ class LogPenalty(Objective):
     the form d2phi(u) = u . phi'' u, phi'' constant for both priors.  The
     gradient is dphi(y) / theta; along a chord with direction d, at the
     point x and with u = d / x, the slope is dphi(y) . u and the curvature
-    d2phi(u) - (dphi(y) / x) . (d * u).
+    d2phi(u) - dphi(y) . (u * u).
     """
 
     domain = INTERIOR_ONLY
@@ -208,14 +214,15 @@ class LogPenalty(Objective):
         return self._dphi(self._y(theta)) / theta
 
     def line_restriction(self, theta, s_ids, s_vals):
-        # Scratch arrays, as dphi may return a stored array; the slope
-        # direction . (dphi(y) / x) has the default chord's bits.
+        # Scratch arrays, as dphi may return a stored array.  x is formed
+        # from two products: base + a * direction would keep only about
+        # eps / (1 - a) relative precision where the target is 0.
         base = np.asarray(theta, dtype=np.float64)
         target = np.zeros(self.dim)
         target[s_ids] = s_vals
         direction = target - base
         mean, dphi, d2phi = self.mean, self._dphi, self._d2phi
-        x, y, q = np.empty(self.dim), np.empty(self.dim), np.empty(self.dim)
+        x, y, u = np.empty(self.dim), np.empty(self.dim), np.empty(self.dim)
 
         def g(a: float) -> float:
             return self.value((1.0 - a) * base + a * target)
@@ -229,10 +236,10 @@ class LogPenalty(Objective):
             np.log(x, y)
             if mean is not None:
                 np.subtract(y, mean, y)
-            np.divide(dphi(y), x, q)
-            np.divide(direction, x, y)  # u
-            np.multiply(direction, y, x)
-            return float(direction @ q), d2phi(y) - float(q @ x)
+            dphi_y = dphi(y)
+            np.divide(direction, x, u)
+            np.multiply(u, u, x)
+            return float(dphi_y @ u), d2phi(u) - float(dphi_y @ x)
 
         return g, dg
 

@@ -1,6 +1,7 @@
 """Independent oracles used by the tests: finite differences, exhaustive
 and zoomed grid search over the simplex, a brute-force capped LP, the
-capped linear step as a loop and a bisection line search.
+capped linear step as a loop, a bisection line search and the
+likelihood with its chord in the plain six-pass form.
 
 Nothing in here calls the solvers under test.
 """
@@ -12,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from sparsetopics import Document, TopicMatrix
+from sparsetopics.objectives import MlObjective
 
 
 def finite_diff_gradient(f, x, h=1e-6):
@@ -236,3 +238,26 @@ def hooked(f, hook):
     f.term_columns = f.term_columns.view(HookedSlab)
     f.term_columns.hook = hook
     return f
+
+
+class PlainChordMl(MlObjective):
+    """The likelihood with its chord in the plain form, six passes a probe:
+    w = dp / (p0 + a * dp), slope counts . w and curvature -counts . w**2.
+    A reference for the rearranged chord of MlObjective."""
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        g, _ = super().line_restriction(theta, s_ids, s_vals)
+        p0 = self._mixture(theta)
+        dp = s_vals @ self.term_columns[s_ids, :] - p0
+        counts = self._counts
+        w = np.empty_like(dp)
+
+        def dg(a: float) -> tuple[float, float]:
+            np.multiply(dp, a, w)
+            np.add(p0, w, w)
+            np.divide(dp, w, w)
+            slope = float(counts.dot(w)) + 0.0
+            np.multiply(w, w, w)
+            return slope, -float(counts.dot(w))
+
+        return g, dg

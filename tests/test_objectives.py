@@ -612,9 +612,36 @@ def random_prior(rng, k, with_mean):
 CHORD_PROBES = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9)
 
 
+def assert_sum_close(got, terms, expected=None):
+    """got is the sum of terms to rounding: within 1e-13 * sum |term_j| of
+    expected (default: the plain sum).  All-zero terms leave no room, so
+    only an exactly zero sum may differ, in its sign."""
+    terms = np.asarray(terms, dtype=np.float64)
+    expected = float(terms.sum()) if expected is None else expected
+    assert abs(got - expected) <= 1e-13 * float(np.abs(terms).sum())
+
+
+def plain_penalty_chord(pen, theta, s_ids, s_vals, a):
+    """The log-space prior's slope and curvature terms at the default
+    chord's point: dphi_k d_k / x_k, and u_k phi''_kl u_l beside
+    -dphi_k d_k u_k / x_k, u = d / x."""
+    target = np.zeros(pen.dim)
+    target[s_ids] = s_vals
+    direction = target - theta
+    x = (1.0 - a) * theta
+    x[s_ids] += a * s_vals
+    dphi = pen.gradient(x) * x
+    u = direction / x
+    hessian = getattr(pen, "_d2", 0.0)  # phi'', zero for the Dirichlet prior
+    slope_terms = dphi * u
+    curvature_terms = np.concatenate([(np.outer(u, u) * hessian).ravel(), -dphi * u * u])
+    return slope_terms, curvature_terms
+
+
 class TestChordBitwise:
-    """The line-search slopes work in scratch arrays; each must give the
-    bits of the plain formula it replaced."""
+    """The line-search chords work in scratch arrays on rearranged
+    formulas; each gives the plain formula's slope and curvature to
+    rounding and the default chord's value bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_ml_dg_matches_plain_formula(self, n):
@@ -629,7 +656,10 @@ class TestChordBitwise:
             dp = ps - p0
             _, dg = f.line_restriction(theta, s_ids, s_vals)
             for a in CHORD_PROBES + (1.0,) + tuple(rng.random(5)):
-                assert bits(dg(a)[0]) == bits(float(doc.counts.dot(dp / (p0 + a * dp))) + 0.0)
+                w = dp / (p0 + a * dp)
+                slope, curvature = dg(a)
+                assert_sum_close(slope, doc.counts * w, float(doc.counts.dot(w)) + 0.0)
+                assert_sum_close(curvature, -doc.counts * w * w, -float(doc.counts.dot(w * w)))
 
     @pytest.mark.parametrize("with_mean", [False, True])
     @pytest.mark.parametrize("n", [1, 3])
@@ -644,9 +674,10 @@ class TestChordBitwise:
             g0, dg0 = Objective.line_restriction(pen, theta, s_ids, s_vals)
             for a in CHORD_PROBES + tuple(rng.random(5)):
                 assert bits(g(a)) == bits(g0(a))
-                d, d0 = dg(a)[0], dg0(a)[0]
-                # only an exactly zero derivative may differ, in its sign
-                assert d == d0 and (d == 0.0 or bits(d) == bits(d0))
+                slope_terms, curvature_terms = plain_penalty_chord(pen, theta, s_ids, s_vals, a)
+                slope, curvature = dg(a)
+                assert_sum_close(slope, slope_terms, dg0(a)[0])
+                assert_sum_close(curvature, curvature_terms)
             # at a = 1 the chord reaches the target's zero coordinates
             for chord in (dg, dg0):
                 with pytest.raises(DomainViolationError):
@@ -745,10 +776,11 @@ class TestChordCurvature:
             s_ids, s_vals = random_target(rng, k, n)
             dg = pen.line_restriction(theta, s_ids, s_vals)[1]
             self.check(dg, rng)
-            # the slope is the default chord's, bit for bit
+            # the slope is the default chord's, to rounding
             _, dg0 = Objective.line_restriction(pen, theta, s_ids, s_vals)
             for a in CHORD_PROBES:
-                assert bits(dg(a)[0]) == bits(dg0(a)[0])
+                slope_terms, _ = plain_penalty_chord(pen, theta, s_ids, s_vals, a)
+                assert_sum_close(dg(a)[0], slope_terms, dg0(a)[0])
             with pytest.raises(DomainViolationError):
                 dg(1.0)
 

@@ -28,7 +28,13 @@ from sparsetopics import (
 import sparsetopics.solver as solver_module
 from sparsetopics.objectives import vertex_values
 
-from helpers import bisection_line_search, brute_force_capped_lp, greedy_capped_loop, random_ml_instance
+from helpers import (
+    PlainChordMl,
+    bisection_line_search,
+    brute_force_capped_lp,
+    greedy_capped_loop,
+    random_ml_instance,
+)
 
 
 def quadratic_dg(peak):
@@ -696,6 +702,53 @@ class TestLineSearchCost:
             newton = fw_solve(f, config, caps=caps)[0].objective
             blind = fw_solve(BlindObjective(f, curvature), config, caps=caps)[0].objective
             assert blind == pytest.approx(newton, rel=1e-9, abs=0.0)
+
+
+class TestChordDrift:
+    """The likelihood's chord in its sqrt(counts)-scaled form solves as the
+    plain six-pass chord does: the same steps and supports, the same
+    objective to rounding."""
+
+    data = generate_synthetic_corpus(
+        num_topics=15, vocab_size=300, num_docs=12, doc_length=200,
+        doc_alpha=0.2, topic_concentration=0.1, seed=17,
+    )
+
+    @pytest.mark.parametrize("setting", ["best-vertex", "barycenter", "max-nnz", "caps-of-one"])
+    def test_solves_match_the_plain_chord(self, setting):
+        config = {
+            "best-vertex": SolverConfig(start="best-vertex"),
+            "barycenter": SolverConfig(start="barycenter"),
+            "max-nnz": SolverConfig(max_nnz=6),
+            "caps-of-one": SolverConfig(),
+        }[setting]
+        caps = np.ones(self.data.topics.num_topics) if setting == "caps-of-one" else None
+        steps = 0
+        for doc in self.data.corpus.documents:
+            report, trace = fw_solve(ml_objective(doc, self.data.topics), config, caps=caps)
+            plain, plain_trace = fw_solve(PlainChordMl(doc, self.data.topics), config, caps=caps)
+            assert report.iterations == plain.iterations
+            assert [(r.nnz, r.vertex) for r in trace] == [(r.nnz, r.vertex) for r in plain_trace]
+            assert report.objective == pytest.approx(plain.objective, rel=1e-12, abs=0.0)
+            steps += report.iterations
+        assert steps >= 2 * len(self.data.corpus.documents)
+
+    def test_probe_at_zero_is_the_general_expression(self):
+        rng = np.random.default_rng(19)
+        topics = self.data.topics
+        for doc in self.data.corpus.documents:
+            f = ml_objective(doc, topics)
+            theta = rng.dirichlet(np.ones(f.dim))
+            for n in (1, 3):
+                s_ids = np.sort(rng.choice(f.dim, size=n, replace=False))
+                s_vals = np.ones(1) if n == 1 else rng.dirichlet(np.ones(n))
+                p0 = theta @ f.term_columns
+                dp = s_vals @ f.term_columns[s_ids, :] - p0
+                root = np.sqrt(doc.counts)
+                v = root * dp / (p0 + 0.0 * dp)
+                expected = (float(root.dot(v)) + 0.0, -float(v.dot(v)))
+                got = f.line_restriction(theta, s_ids, s_vals)[1](0.0)
+                assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 class TestCappedLinearStep:
