@@ -73,7 +73,6 @@ from .objectives import (
     ml_objective,
 )
 from .solver import (
-    Trace,
     TraceRecord,
     capped_simplex_argmax,
     fw_solve,

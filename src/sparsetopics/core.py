@@ -7,7 +7,6 @@ probability vectors tolerate a drift of SIMPLEX_TOL from exact normalization.
 from __future__ import annotations
 
 import dataclasses
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,9 +46,6 @@ class Vocabulary:
 
     @property
     def size(self) -> int:
-        return len(self.terms)
-
-    def __len__(self) -> int:
         return len(self.terms)
 
 
@@ -134,13 +130,6 @@ class Corpus:
                     f"but the vocabulary has {v} terms"
                 )
 
-    @property
-    def size(self) -> int:
-        return len(self.documents)
-
-    def __len__(self) -> int:
-        return len(self.documents)
-
 
 @dataclasses.dataclass(frozen=True)
 class TopicMatrix:
@@ -149,9 +138,9 @@ class TopicMatrix:
     rows is a read-only column-major (Fortran-order) copy, so that a
     document's K x |d| slab rows[:, term_ids] is |d| contiguous reads.
 
-    The constructor only checks shape; use validate_topic_matrix (or its
-    cached result, problems) for a diagnosis, or TopicMatrix.normalized to
-    build a guaranteed-valid one.
+    The constructor refuses rows that validate_topic_matrix(rows) flags,
+    with InvalidArgumentError; TopicMatrix.normalized builds a valid one
+    from any nonnegative weights whose rows have positive mass.
     """
 
     rows: np.ndarray
@@ -160,13 +149,16 @@ class TopicMatrix:
         rows = np.array(self.rows, dtype=np.float64, order="F")
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise InvalidArgumentError("topic matrix must be 2-d and non-empty")
+        problems = validate_topic_matrix(rows)
+        if problems:
+            raise InvalidArgumentError("invalid topic matrix: " + "; ".join(problems))
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
     @classmethod
     def _adopt(cls, rows: np.ndarray) -> "TopicMatrix":
         """A TopicMatrix that takes over rows without the constructor's
-        copy.  For load_model only: rows is a non-empty 2-d F-contiguous
+        copy and check.  For load_model only: rows is a valid F-contiguous
         float64 array it has just parsed and keeps no other reference to."""
         rows.setflags(write=False)
         topics = object.__new__(cls)
@@ -200,17 +192,12 @@ class TopicMatrix:
     def vocab_size(self) -> int:
         return int(self.rows.shape[1])
 
-    @cached_property
-    def problems(self) -> tuple[str, ...]:
-        """validate_topic_matrix's findings, computed on first use only:
-        the rows are read-only."""
-        return tuple(validate_topic_matrix(self))
 
-
-def validate_topic_matrix(topics: TopicMatrix) -> list[str]:
-    """Return human-readable violations ('positivity ...', 'row-sum ...');
-    empty list means the matrix is valid."""
-    rows = topics.rows
+def validate_topic_matrix(rows: np.ndarray) -> list[str]:
+    """Return the human-readable violations ('finite ...', 'positivity
+    ...', 'row-sum ...') of a 2-d array of topic rows; an empty list
+    means TopicMatrix accepts it."""
+    rows = np.asarray(rows, dtype=np.float64)
     problems = []
     if not np.all(np.isfinite(rows)):
         bad = int(np.flatnonzero(~np.all(np.isfinite(rows), axis=1))[0])

@@ -22,11 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Corpus, Document, TopicMatrix, Vocabulary
+from .core import Corpus, Document, TopicMatrix, Vocabulary, validate_topic_matrix
 from .errors import (
     CorpusBoundsError,
     CorpusFormatError,
-    InvalidArgumentError,
     ModelFormatError,
     UnsupportedVersionError,
 )
@@ -177,8 +176,6 @@ class ModelFile:
 
 
 def save_model(path, topics: TopicMatrix, metadata: dict | None = None) -> None:
-    if topics.problems:
-        raise InvalidArgumentError("refusing to save an invalid model: " + "; ".join(topics.problems))
     with open(path, "w") as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
         fh.write(f"{topics.num_topics} {topics.vocab_size}\n")
@@ -276,10 +273,10 @@ def load_model(path) -> ModelFile:
         else:
             fh.seek(body)
         rows = _read_rows(fh, k, v)
-    topics = TopicMatrix._adopt(rows)
-    if topics.problems:
-        raise ModelFormatError("invalid topic matrix: " + "; ".join(topics.problems))
-    return ModelFile(topics=topics, metadata=metadata)
+    problems = validate_topic_matrix(rows)
+    if problems:
+        raise ModelFormatError("invalid topic matrix: " + "; ".join(problems))
+    return ModelFile(topics=TopicMatrix._adopt(rows), metadata=metadata)
 
 
 def load_prior(path) -> CtmPrior:

@@ -119,9 +119,6 @@ class MlObjective(Objective):
     domain = FULL_SIMPLEX
 
     def __init__(self, document: Document, topics: TopicMatrix):
-        problems = topics.problems
-        if problems:
-            raise InvalidArgumentError("invalid topic matrix: " + "; ".join(problems))
         if int(document.term_ids[-1]) >= topics.vocab_size:
             raise InvalidArgumentError(
                 "document references a term outside the topic matrix vocabulary"
@@ -175,15 +172,17 @@ class MlObjective(Objective):
             return float(counts @ np.log(p0 + a * dp))
 
         def dg(a: float) -> tuple[float, float]:
-            # v = scaled / (p0 + a * dp); at 0 that is scaled / p0, bit for
-            # bit.  A positional out costs less than out=, and ndarray.dot
-            # less than @; the + 0.0 turns a lone -0.0 product into +0.0.
+            # v = scaled / (p0 + a * dp), the mixture formed from the nearer
+            # end of the chord: above 0.5 as ps - (1 - a) * dp, where 1 - a is
+            # exact; at 0 v is scaled / p0, bit for bit.  A positional out
+            # costs less than out=, and ndarray.dot less than @; the + 0.0
+            # turns a lone -0.0 product into +0.0.
             if a == 0.0:
                 np.divide(scaled, p0, v)
+            elif a <= 0.5:
+                np.divide(scaled, np.add(p0, np.multiply(dp, a, v), v), v)
             else:
-                np.multiply(dp, a, v)
-                np.add(p0, v, v)
-                np.divide(scaled, v, v)
+                np.divide(scaled, np.subtract(ps, np.multiply(dp, 1.0 - a, v), v), v)
             return float(sqrt_counts.dot(v)) + 0.0, -float(v.dot(v))
 
         return g, dg

@@ -68,23 +68,6 @@ class TraceRecord:
     alpha: float
 
 
-@dataclasses.dataclass(frozen=True)
-class Trace:
-    records: tuple[TraceRecord, ...]
-
-    def objectives(self) -> np.ndarray:
-        return np.array([r.objective for r in self.records])
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
-
 def line_search(
     dg: Callable[[float], tuple[float, float]],
     *,
@@ -216,7 +199,8 @@ def fw_solve(
 ):
     """Maximize a concave objective over the simplex or a capped simplex.
 
-    Returns (InferenceReport, Trace).  The feasible region is
+    Returns (InferenceReport, records), records a tuple of TraceRecord:
+    the start point, then one per iteration.  The feasible region is
     {theta in simplex : theta <= caps}, where caps defaults to the
     objective's own certified caps (its caps attribute); without either it
     is the whole simplex.  On the whole simplex the linear step is the
@@ -341,7 +325,7 @@ def fw_solve(
         objective=f_prev,
         seconds=time.perf_counter() - t0,
     )
-    return report, Trace(tuple(records))
+    return report, tuple(records)
 
 
 def fw_solve_capped(objective: Objective, caps: np.ndarray, config: SolverConfig | None = None):

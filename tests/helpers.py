@@ -1,7 +1,8 @@
 """Independent oracles used by the tests: finite differences, exhaustive
 and zoomed grid search over the simplex, a brute-force capped LP, the
 capped linear step as a loop, a bisection line search and the
-likelihood with its chord in the plain six-pass form.
+likelihood with its chord in the plain six-pass form; and the objective
+values of a solver trace.
 
 Nothing in here calls the solvers under test.
 """
@@ -205,6 +206,11 @@ def bisection_line_search(dg, *, tol=1e-10, max_steps=60, upper=1.0):
         else:
             return mid
     return 0.5 * (lo + hi)
+
+
+def objectives(trace) -> np.ndarray:
+    """The objective of each record of a solver trace, in order."""
+    return np.array([r.objective for r in trace])
 
 
 def random_ml_instance(rng, k: int, v: int):

@@ -51,6 +51,7 @@ from helpers import (
     grid_search_max,
     interior_point,
     ml_value_many,
+    objectives,
     random_ml_instance,
 )
 
@@ -153,7 +154,7 @@ def test_03_anytime_prefix():
         objective = ml_objective(doc, topics)
         _, short = fw_solve(objective, config=SolverConfig(max_iters=10, rel_tol=1e-15))
         _, long = fw_solve(objective, config=SolverConfig(max_iters=120, rel_tol=1e-15))
-        if np.any(np.diff(long.objectives()) < 0.0):
+        if np.any(np.diff(objectives(long)) < 0.0):
             problems.append("objective decreased along a trace")
         if any(a != b for a, b in zip(short, long)):
             problems.append("short run is not a bitwise prefix of the long run")

@@ -77,11 +77,6 @@ class TestCorpus:
         with pytest.raises(InvalidArgumentError):
             Corpus(Vocabulary(("a",)), ())
 
-    def test_len(self):
-        vocab = Vocabulary(("a", "b"))
-        doc = Document(np.array([0]), np.array([1.0]))
-        assert len(Corpus(vocab, (doc, doc))) == 2
-
     def test_doc_ids(self):
         vocab = Vocabulary(("a", "b"))
         doc = Document(np.array([0]), np.array([1.0]))
@@ -105,7 +100,7 @@ class TestTopicMatrix:
         tm = TopicMatrix.normalized(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert np.all(tm.rows >= EPS_BETA)
         assert np.allclose(tm.rows.sum(axis=1), 1.0, atol=1e-9)
-        assert validate_topic_matrix(tm) == []
+        assert validate_topic_matrix(tm.rows) == []
 
     def test_normalized_unnormalized_input(self):
         tm = TopicMatrix.normalized(np.array([[2.0, 6.0]]))
@@ -116,7 +111,7 @@ class TestTopicMatrix:
         raw = np.zeros((1, 50))
         raw[0, 0] = 5000.0
         tm = TopicMatrix.normalized(raw + 1e-10)
-        assert validate_topic_matrix(tm) == []
+        assert validate_topic_matrix(tm.rows) == []
 
     def test_normalized_rejects_negative(self):
         with pytest.raises(InvalidArgumentError):
@@ -152,18 +147,28 @@ class TestTopicMatrix:
         assert tm.rows[0, 0] == 0.25
 
     def test_validation_flags_row_sum(self):
-        tm = TopicMatrix(np.array([[0.5, 0.4]]))
-        problems = validate_topic_matrix(tm)
+        problems = validate_topic_matrix(np.array([[0.5, 0.4]]))
         assert any(p.startswith("row-sum") for p in problems)
 
     def test_validation_flags_positivity(self):
-        tm = TopicMatrix(np.array([[1.0, 0.0]]))
-        problems = validate_topic_matrix(tm)
+        problems = validate_topic_matrix(np.array([[1.0, 0.0]]))
         assert any(p.startswith("positivity") for p in problems)
+
+    @pytest.mark.parametrize(
+        "rows, finding",
+        [
+            ([[0.5, 0.4]], "row-sum: row 0"),
+            ([[1.0, 0.0]], "positivity: row 0"),
+            ([[0.5, 0.5], [np.nan, 1.0]], "finite: row 1"),
+        ],
+    )
+    def test_constructor_refuses_what_validation_flags(self, rows, finding):
+        with pytest.raises(InvalidArgumentError, match="invalid topic matrix: " + finding):
+            TopicMatrix(np.array(rows))
 
     def test_valid_matrix_no_findings(self):
         tm = TopicMatrix.normalized(np.ones((3, 4)))
-        assert validate_topic_matrix(tm) == []
+        assert validate_topic_matrix(tm.rows) == []
         assert tm.num_topics == 3 and tm.vocab_size == 4
 
 

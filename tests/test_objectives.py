@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,27 +100,20 @@ class TestMlObjective:
         assert ml_objective(doc, topics).domain == FULL_SIMPLEX
 
     def test_rejects_invalid_topics(self):
+        # refused when the matrix is built, before any objective sees it
         doc = Document(np.array([0]), np.array([1.0]))
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="invalid topic matrix: row-sum: row 0"):
             ml_objective(doc, TopicMatrix(np.array([[0.5, 0.4]])))
 
-    def test_invalid_topics_rejected_on_every_construction(self):
-        # The validation result is cached on the matrix; the refusal is not.
-        doc = Document(np.array([0]), np.array([1.0]))
-        topics = TopicMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
-        for _ in range(3):
-            with pytest.raises(InvalidArgumentError, match="row-sum: row 0"):
-                MlObjective(doc, topics)
-
     def test_topics_validated_once(self, monkeypatch):
+        # once, when the matrix is built; objectives over it scan nothing
         calls = []
         real = core.validate_topic_matrix
-        monkeypatch.setattr(core, "validate_topic_matrix", lambda t: calls.append(t) or real(t))
+        monkeypatch.setattr(core, "validate_topic_matrix", lambda rows: calls.append(rows) or real(rows))
         topics = TopicMatrix.normalized(np.ones((3, 4)))
         for term in range(4):
             MlObjective(Document(np.array([term]), np.array([1.0])), topics)
-        assert len(calls) == 1 and calls[0] is topics
-        assert topics.problems == ()
+        assert len(calls) == 1 and calls[0] is topics.rows
 
     def test_rejects_out_of_vocabulary_document(self):
         topics = TopicMatrix.normalized(np.ones((2, 3)))
@@ -524,7 +518,7 @@ class TestMixtureMemo:
             assert first.theta.topic_ids.tobytes() == second.theta.topic_ids.tobytes()
             assert first.theta.weights.tobytes() == second.theta.weights.tobytes()
             assert (first.iterations, first.objective) == (second.iterations, second.objective)
-            assert first_trace.records == second_trace.records
+            assert first_trace == second_trace
 
     def test_threads_sharing_an_objective(self):
         # A worker thread pauses inside its one theta . slab product while
@@ -589,7 +583,7 @@ class TestMixtureMemo:
                 products = []
                 f = hooked(MlObjective(doc, topics), lambda: products.append(1))
                 report, trace = fw_solve(f, config=SolverConfig(rel_tol=1e-12, start=start))
-                still = sum(1 for r in trace.records[1:] if r.alpha == 0.0)
+                still = sum(1 for r in trace[1:] if r.alpha == 0.0)
                 assert len(products) <= 1 + report.iterations + still
 
 
@@ -741,6 +735,50 @@ class TestChordBitwise:
                 sys.setswitchinterval(interval)
             assert not any(t.is_alive() for t in workers)
             assert got == {i: [expected[i]] * 20 for i in range(len(chords))}, name
+
+
+class TestChordPrecision:
+    """The likelihood's chord forms each probe's mixture from the nearer
+    end of the chord, so its slope and curvature keep full precision
+    where one end's mixture entry is tiny (topic entries at the 1e-10
+    floor), to within a few ulps of sum |term| of an exact rational
+    evaluation from the same end mixtures."""
+
+    @staticmethod
+    def exact(counts, p0, ps, a):
+        """Slope and curvature terms c dp / p and -c (dp / p)^2, exact."""
+        slope, curvature = [], []
+        for c, x0, xs in zip(map(Fraction, counts), map(Fraction, p0), map(Fraction, ps)):
+            dp = xs - x0
+            w = dp / (x0 + Fraction(a) * dp)
+            slope.append(c * w)
+            curvature.append(-c * w * w)
+        return slope, curvature
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_against_exact_rationals_near_both_ends(self, seed):
+        rng = np.random.default_rng(83 + seed)
+        k, n = 4, 5
+        raw = rng.random((k, 8))
+        raw[k - 1, :n] = 0.0  # floored to 1e-10 at the document's terms
+        topics = TopicMatrix.normalized(raw)
+        doc = Document(np.arange(n), rng.integers(1, 10, size=n).astype(np.float64))
+        f = MlObjective(doc, topics)
+        tiny = np.zeros(k)
+        tiny[k - 1] = 1.0
+        chords = [
+            # toward the tiny end: the mixture shrinks to 1e-10 as a -> 1
+            (interior_point(rng, k), k - 1, (0.75, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1.0)),
+            # away from it: the mixture starts at 1e-10
+            (tiny, 0, (1e-12, 1e-9, 1e-6, 1e-3, 0.25, 0.5)),
+        ]
+        for theta, target, probes in chords:
+            p0, ps = f._mixture(theta), f.term_columns[target]
+            _, dg = f.line_restriction(theta, np.array([target]), np.ones(1))
+            for a in probes:
+                for got, terms in zip(dg(a), self.exact(doc.counts, p0, ps, a)):
+                    error = abs(Fraction(got) - sum(terms)) / sum(map(abs, terms))
+                    assert error <= 2e-15, (a, float(error))
 
 
 def central_difference(dg, a, h=1e-6):

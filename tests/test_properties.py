@@ -33,6 +33,8 @@ from sparsetopics import (
 from sparsetopics.core import SIMPLEX_TOL
 from sparsetopics.corpus_io import _ROWS_PER_PARSE
 
+from helpers import objectives
+
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 CONFIG = SolverConfig(max_iters=200, rel_tol=1e-9)
 # CTM objectives are interior-only, so they start from the barycenter.
@@ -86,7 +88,7 @@ def assert_on_simplex(report, k):
 
 
 def assert_monotone(trace):
-    assert np.all(np.diff(trace.objectives()) >= 0.0)
+    assert np.all(np.diff(objectives(trace)) >= 0.0)
 
 
 class TestMlInvariants:

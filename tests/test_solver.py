@@ -14,6 +14,7 @@ from sparsetopics import (
     NumericFailureError,
     SolverConfig,
     TopicMatrix,
+    TraceRecord,
     capped_simplex_argmax,
     ctm_caps,
     ctm_full_objective,
@@ -33,6 +34,7 @@ from helpers import (
     bisection_line_search,
     brute_force_capped_lp,
     greedy_capped_loop,
+    objectives,
     random_ml_instance,
 )
 
@@ -246,8 +248,7 @@ class TestFwSolve:
         for _ in range(20):
             topics, doc = random_ml_instance(rng, k=int(rng.integers(2, 6)), v=10)
             _, trace = fw_solve(ml_objective(doc, topics))
-            objectives = trace.objectives()
-            assert np.all(np.diff(objectives) >= 0.0)
+            assert np.all(np.diff(objectives(trace)) >= 0.0)
 
     def test_nnz_bounded_by_iterations(self):
         rng = np.random.default_rng(13)
@@ -294,7 +295,7 @@ class TestFwSolve:
             assert a.iterations > 5
             assert a.iterations == b.iterations
             assert a.theta.weights.tobytes() == b.theta.weights.tobytes()
-            assert a_trace.records == b_trace.records
+            assert a_trace == b_trace
 
     def test_longer_run_extends_shorter_bitwise(self):
         rng = np.random.default_rng(19)
@@ -434,10 +435,18 @@ class TestTraceRecords:
         report, trace = fw_solve(ml_objective(doc, topics), config=SolverConfig(rel_tol=1e-12))
         assert len(trace) == report.iterations + 1
         assert [r.iteration for r in trace] == list(range(len(trace)))
-        assert trace.objectives().tolist() == [r.objective for r in trace.records]
+        assert trace[-1].objective == report.objective
         assert trace[-1].nnz == report.nnz
         assert trace[0].vertex >= 0
         assert all(type(r.nnz) is int and type(r.objective) is float for r in trace)
+
+    @pytest.mark.parametrize("caps", [None, np.full(6, 0.5)])
+    def test_solve_returns_a_plain_tuple_of_records(self, caps):
+        rng = np.random.default_rng(31)
+        topics, doc = random_ml_instance(rng, k=6, v=25)
+        trace = fw_solve(ml_objective(doc, topics), caps=caps)[1]
+        assert type(trace) is tuple and len(trace) > 1
+        assert all(type(r) is TraceRecord for r in trace)
 
 
 class ScriptedObjective:
@@ -479,7 +488,7 @@ class TestPruning:
         theta = np.zeros(k)
         theta[0] = 1.0
         points = [theta.copy()]
-        for record in trace.records[1:]:
+        for record in trace[1:]:
             theta *= 1.0 - record.alpha
             theta[record.vertex] += record.alpha
             small = (theta > 0.0) & (theta < solver_module.PRUNE_TOL)
@@ -865,7 +874,7 @@ class TestFwSolveCapped:
         theta = report.theta.dense(3)
         assert np.all(theta <= caps + 1e-9)
         assert np.all(theta > 0)
-        assert np.all(np.diff(trace.objectives()) >= 0.0)
+        assert np.all(np.diff(objectives(trace)) >= 0.0)
 
     def test_zero_mean_ctm_capped_equals_uncapped(self):
         rng = np.random.default_rng(41)
@@ -920,7 +929,7 @@ class TestRegionFromObjective:
         report, trace = fw_solve(f, BARYCENTER)
         capped, capped_trace = fw_solve_capped(f, ctm_caps(prior), BARYCENTER)
         assert report.theta.dense(4).tobytes() == capped.theta.dense(4).tobytes()
-        assert trace.records == capped_trace.records
+        assert trace == capped_trace
         assert np.all(report.theta.dense(4) <= ctm_caps(prior))
 
     def test_caps_above_the_certified_caps_are_refused(self):
@@ -954,7 +963,7 @@ class TestRegionFromObjective:
         derived, derived_trace = fw_solve(f, caps=caps)
         assert trace[0].vertex == -1 and trace[0].nnz == 3
         assert report.theta.dense(3).tobytes() == derived.theta.dense(3).tobytes()
-        assert trace.records == derived_trace.records
+        assert trace == derived_trace
 
 
 class TestDerivedStart:
@@ -977,7 +986,7 @@ class TestDerivedStart:
         report, trace = fw_solve(f)
         explicit, explicit_trace = fw_solve(f, BARYCENTER)
         assert report.theta.dense(4).tobytes() == explicit.theta.dense(4).tobytes()
-        assert trace.records == explicit_trace.records
+        assert trace == explicit_trace
         assert trace[0].vertex == -1
 
 

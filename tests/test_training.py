@@ -124,7 +124,7 @@ class TestTrain:
         )
         from sparsetopics import validate_topic_matrix
 
-        assert validate_topic_matrix(beta) == []
+        assert validate_topic_matrix(beta.rows) == []
         assert np.all(np.diff(trace) >= 0.0)
 
     def test_more_topics_than_vocab_still_valid(self):
