@@ -78,6 +78,8 @@ class Objective:
 
     An objective may also offer vertex_values(), its values at all
     vertices at once, as the likelihood does; read them with vertex_values.
+    The likelihood memoizes its mixture and a log-space penalty its point
+    state (LogPenalty), each at the last point, keyed by the point's bytes.
     """
 
     domain: str = FULL_SIMPLEX
@@ -190,27 +192,33 @@ class MlObjective(Objective):
 
 class LogPenalty(Objective):
     """h(theta) = phi(y) for a concave phi of y = log theta - mean (mean
-    None: log theta); interior only.  A subclass gives phi(y), dphi(y) and
-    the form d2phi(u) = u . phi'' u, phi'' constant for both priors.  The
-    gradient is dphi(y) / theta; along a chord with direction d, at the
-    point x and with u = d / x, the slope is dphi(y) . u and the curvature
-    d2phi(u) - dphi(y) . (u * u).
+    None: log theta); interior only.  A subclass gives phi(y, dphi(y)),
+    dphi(y) and the form d2phi(u) = u . phi'' u, phi'' constant for both
+    priors.  The gradient is dphi(y) / theta; along a chord with direction
+    d, at the point x and with u = d / x, the slope is dphi(y) . u and the
+    curvature d2phi(u) - dphi(y) . (u * u).  Like the likelihood's mixture,
+    (y, dphi(y)) is memoized at the last theta for value, gradient, chord at 0.
     """
 
     domain = INTERIOR_ONLY
     mean = None
+    _memo = (None, None)
 
-    def _y(self, theta: np.ndarray) -> np.ndarray:
-        _check_interior(theta, self.dim)
-        y = np.log(theta)
-        return y if self.mean is None else y - self.mean
+    def _state(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(y, dphi(y)) at theta, formed only when theta's bytes change."""
+        key, (memo_key, state) = theta.tobytes(), self._memo
+        if key != memo_key:
+            _check_interior(theta, self.dim)
+            y = np.log(theta) if self.mean is None else np.log(theta) - self.mean
+            self._memo = (key, state := (y, self._dphi(y)))
+        return state
 
     def value(self, theta: np.ndarray) -> float:
-        return self._phi(self._y(np.asarray(theta, dtype=np.float64)))
+        return self._phi(*self._state(np.asarray(theta, dtype=np.float64)))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
-        return self._dphi(self._y(theta)) / theta
+        return self._state(theta)[1] / theta
 
     def line_restriction(self, theta, s_ids, s_vals):
         # Scratch arrays, as dphi may return a stored array.  x is formed
@@ -220,23 +228,26 @@ class LogPenalty(Objective):
         target = np.zeros(self.dim)
         target[s_ids] = s_vals
         direction = target - base
-        mean, dphi, d2phi = self.mean, self._dphi, self._d2phi
+        mean, dphi, d2phi, state = self.mean, self._dphi, self._d2phi, self._state
         x, y, u = np.empty(self.dim), np.empty(self.dim), np.empty(self.dim)
 
         def g(a: float) -> float:
             return self.value((1.0 - a) * base + a * target)
 
         def dg(a: float) -> tuple[float, float]:
-            np.multiply(base, 1.0 - a, x)
-            np.multiply(target, a, y)
-            np.add(x, y, x)
-            if x.min() <= 0:
-                _check_interior(x, self.dim)
-            np.log(x, y)
-            if mean is not None:
-                np.subtract(y, mean, y)
-            dphi_y = dphi(y)
-            np.divide(direction, x, u)
+            if a == 0.0:  # at base, whose memoized state refuses a face
+                point, dphi_y = base, state(base)[1]
+            else:
+                np.multiply(base, 1.0 - a, x)
+                np.multiply(target, a, y)
+                np.add(x, y, x)
+                if np.minimum.reduce(x) <= 0:
+                    _check_interior(x, self.dim)
+                np.log(x, y)
+                if mean is not None:
+                    np.subtract(y, mean, y)
+                point, dphi_y = x, dphi(y)
+            np.divide(direction, point, u)
             np.multiply(u, u, x)
             return float(dphi_y @ u), d2phi(u) - float(dphi_y @ x)
 
@@ -266,7 +277,7 @@ class DirichletLogPenalty(LogPenalty):
         self.dim = a.size
         self._lam = a - 1.0
 
-    def _phi(self, y: np.ndarray) -> float:
+    def _phi(self, y: np.ndarray, dphi_y: np.ndarray) -> float:
         return float(self._lam @ y)
 
     def _dphi(self, y: np.ndarray) -> np.ndarray:
@@ -340,8 +351,8 @@ class GaussianLogPenalty(LogPenalty):
         # phi'' = -P; negating P is exact, so each hook has the bits of -(P ...)
         self._d2 = -prior.precision
 
-    def _phi(self, y: np.ndarray) -> float:
-        return float(0.5 * (y @ (self._d2 @ y)))
+    def _phi(self, y: np.ndarray, dphi_y: np.ndarray) -> float:
+        return float(0.5 * (y @ dphi_y))
 
     def _dphi(self, y: np.ndarray) -> np.ndarray:
         return self._d2 @ y
@@ -434,7 +445,7 @@ def ctm_penalty_hessian(theta: np.ndarray, prior: CtmPrior) -> np.ndarray:
         H = -D (P - diag(P x)) D,   D = diag(1/theta),  x = log theta - mu.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    x = GaussianLogPenalty(prior)._y(theta)
+    x = GaussianLogPenalty(prior)._state(theta)[0]
     inv = 1.0 / theta
     inner = prior.precision - np.diag(prior.precision @ x)
     return -inner * np.outer(inv, inv)

@@ -9,10 +9,10 @@ start point, and shares every other instruction, which keeps its iterates
 bitwise identical to the barycenter solve when all caps are one.
 
 Each step costs one gradient, one linear subproblem and a one-dimensional
-search: a Newton root search on the objective's slope along the step
-that crosses a pole of the slope in log distance, accurate to
-line_search's default tol of 1e-10.  The best-vertex start
-scores all K vertices in one pass when the objective can (vertex_values).
+search: a Newton root search on the slope along the step that crosses a
+pole of the slope in log distance and returns a Newton point unprobed once
+the last two steps bound its error within line_search's default tol of
+1e-10.  The best-vertex start scores all K vertices at once (vertex_values).
 """
 
 from __future__ import annotations
@@ -88,13 +88,15 @@ def line_search(
     just past that end, where Newton only doubles its distance per probe;
     the next probe is then the geometric midpoint of the distances to
     that end when it lies beyond the Newton point.  A Newton point is
-    returned unprobed once its step is within 0.5 * tol (or rounding) and
-    follows a Newton step the same way at least as long: next to a pole of
-    the slope, short steps come far from the root, and they grow or turn
-    back.  A probe where the slope is exactly 0 is returned, and so is the
-    next estimate once the bracket is within tol or max_steps probes past 0
-    are spent.  A result within 0.5 * tol of 0 gains nothing and is exactly
-    0.0.  A NaN or infinite slope (an overflow) aborts the whole solve.
+    returned unprobed when it follows a Newton step the same way at least as
+    long (next to a pole of the slope, short steps come far from the root,
+    and they grow or turn back) and, with rho = step / last, |step| min(1,
+    rho^2 / (1 - rho)) is within 0.5 * tol (or rounding): its error is then
+    about |step| rho^2 near a simple root, and at most tol at a triple root
+    (rho = 2/3).  A probe where the slope is exactly 0 is returned, and so
+    is the next estimate once the bracket is within tol or max_steps probes
+    past 0 are spent.  A result within 0.5 * tol of 0 gains nothing and is
+    exactly 0.0.  A NaN or infinite slope (an overflow) aborts the solve.
     """
     if not (0.0 < upper <= 1.0):
         raise InvalidArgumentError("upper must lie in (0, 1]")
@@ -126,7 +128,9 @@ def line_search(
                 far = upper - math.sqrt((upper - hi) * (upper - lo))
             if (far - b) * step > 0.0 and lo < far < hi:
                 b, last = far, math.inf
-            elif abs(step) <= 0.5 * tol + 2.0 * _EPS * b and 0.0 < step / last <= 1.0:
+            elif 0.0 < (rho := step / last) <= 1.0 and abs(step) * rho * rho <= (
+                max(1.0 - rho, rho * rho) * (0.5 * tol + 2.0 * _EPS * b)
+            ):
                 break
             else:
                 last = step

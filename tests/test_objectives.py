@@ -737,6 +737,154 @@ class TestChordBitwise:
             assert got == {i: [expected[i]] * 20 for i in range(len(chords))}, name
 
 
+def counted_products(pen) -> list:
+    """Counts pen's dphi(y) products at a point of its own, leaving out
+    those at the chord's probes past 0, which form their own point."""
+    products, probing = [], [False]
+    dphi, restrict = pen._dphi, pen.line_restriction
+
+    def counting(y):
+        if not probing[0]:
+            products.append(1)
+        return dphi(y)
+
+    def restriction(theta, s_ids, s_vals):
+        g, dg = restrict(theta, s_ids, s_vals)
+
+        def probe(a):
+            probing[0] = a != 0.0
+            try:
+                return dg(a)
+            finally:
+                probing[0] = False
+
+        return g, probe
+
+    pen._dphi, pen.line_restriction = counting, restriction
+    return products
+
+
+class Delegating(Objective):
+    """Runs each method as the wrapped object's class function on this
+    wrapper and forwards attribute reads, as the benchmark's tracing
+    wrapper does; a penalized objective's parts are wrapped too."""
+
+    def __init__(self, inner):
+        self._inner, self._cls = inner, type(inner)
+        self.dim, self.domain = inner.dim, inner.domain
+        if isinstance(inner, PenalizedObjective):
+            self.base, self.penalty = Delegating(inner.base), Delegating(inner.penalty)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def value(self, theta):
+        return self._cls.value(self, theta)
+
+    def gradient(self, theta):
+        return self._cls.gradient(self, theta)
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        return self._cls.line_restriction(self, theta, s_ids, s_vals)
+
+
+class TestPenaltyMemo:
+    """A log-space penalty remembers (y, dphi(y)) at its last theta; value,
+    gradient and the chord's probe at 0 read it, and each must give what
+    the memo-less expressions give, bit for bit."""
+
+    @staticmethod
+    def ctm(rng, k, with_mean=True):
+        """A certified CTM objective; capped at 0.3 with its mean."""
+        topics, doc = random_ml_instance(rng, k=k, v=40)
+        a = rng.random((k, k))
+        mean = np.log(np.full(k, 0.3)) if with_mean else None
+        return doc, topics, ctm_full_objective(doc, topics, CtmPrior(a @ a.T + k * np.eye(k), mean=mean))
+
+    @pytest.mark.parametrize("kind, seed", [("dirichlet", 89), ("gaussian", 90), ("gaussian-mean", 91)])
+    def test_matches_memo_less_expressions(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            k = int(rng.integers(2, 9))
+            if kind == "dirichlet":
+                pen = DirichletLogPenalty(1.0 + 3.0 * rng.random(k))
+            else:
+                pen = GaussianLogPenalty(random_prior(rng, k, kind == "gaussian-mean"))
+            thetas = [interior_point(rng, k) for _ in range(3)]
+            # cold for each new point, warm where the list turns back
+            for theta in thetas + thetas[::-1]:
+                s_ids, s_vals = random_target(rng, k, int(rng.integers(1, k + 1)))
+                target = np.zeros(k)
+                target[s_ids] = s_vals
+                y = np.log(theta) if pen.mean is None else np.log(theta) - pen.mean
+                dphi_y = pen._dphi(y)
+                u = (target - theta) / theta
+                expected = [
+                    bits(pen._phi(y, dphi_y)),
+                    (dphi_y / theta).tobytes(),
+                    np.array([float(dphi_y @ u), pen._d2phi(u) - float(dphi_y @ (u * u))]).tobytes(),
+                ]
+                _, dg = pen.line_restriction(theta, s_ids, s_vals)
+                # the chord at 0 first, then value and gradient, then the chord again
+                assert np.array(dg(0.0)).tobytes() == expected[2]
+                got = [bits(pen.value(theta)), pen.gradient(theta).tobytes(), np.array(dg(0.0)).tobytes()]
+                assert got == expected
+
+    def test_threads_stress(self):
+        rng = np.random.default_rng(103)
+        pen = GaussianLogPenalty(random_prior(rng, 6, with_mean=True))
+        thetas = [interior_point(rng, 6) for _ in range(3)]
+        s_ids, s_vals = np.array([2]), np.ones(1)
+
+        def at(f, theta):
+            return (bits(f.value(theta)), f.gradient(theta).tobytes(),
+                    np.array(f.line_restriction(theta, s_ids, s_vals)[1](0.0)).tobytes())
+
+        expected = [at(GaussianLogPenalty(pen.prior), t) for t in thetas]
+        mismatches = []
+
+        def work(offset):
+            for i in range(150):
+                which = (i + offset) % len(thetas)
+                if at(pen, thetas[which]) != expected[which]:
+                    mismatches.append(which)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert mismatches == []
+
+    @pytest.mark.parametrize("with_mean", [False, True])
+    def test_one_product_per_step(self, with_mean):
+        rng = np.random.default_rng(97 + with_mean)
+        for _ in range(5):
+            _, _, f = self.ctm(rng, 12, with_mean)
+            products = counted_products(f.penalty)
+            report, trace = fw_solve(f, SolverConfig(start="barycenter", rel_tol=1e-12))
+            still = sum(1 for r in trace[1:] if r.alpha == 0.0)
+            assert report.iterations > 5
+            assert len(products) <= 1 + report.iterations + still
+
+    def test_delegating_wrapper_solves_bitwise(self):
+        rng = np.random.default_rng(101)
+        for _ in range(3):
+            doc, topics, ctm = self.ctm(rng, 8)
+            for f in (ctm, lda_map_objective(doc, topics, 1.0 + rng.random(8))):
+                bare, bare_trace = fw_solve(f, SolverConfig(start="barycenter"))
+                wrapped, wrapped_trace = fw_solve(Delegating(f), SolverConfig(start="barycenter"))
+                assert wrapped.theta.weights.tobytes() == bare.theta.weights.tobytes()
+                assert wrapped.theta.topic_ids.tobytes() == bare.theta.topic_ids.tobytes()
+                assert wrapped_trace == bare_trace
+
+
 class TestChordPrecision:
     """The likelihood's chord forms each probe's mixture from the nearer
     end of the chord, so its slope and curvature keep full precision

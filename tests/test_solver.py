@@ -155,6 +155,14 @@ class TestLineSearch:
         assert alpha == root
         assert len(calls) <= 8 and 1.0 not in calls
 
+    @pytest.mark.parametrize("root, k", [(0.01, 100.0), (0.3, 1.0), (0.7, 5.0)])
+    def test_triple_root_lands_within_tol(self, root, k):
+        # Newton converges only linearly at a triple root, each step 2/3 of
+        # the last, so what is left after a step is twice that step.  A
+        # stop that trusts quadratic convergence, |step| rho^2 <= 0.5 tol,
+        # lands about 2e-10 off at root 0.3.
+        search(lambda a: (-k * (a - root) ** 3, -3.0 * k * (a - root) ** 2), root)
+
     def test_upper_just_below_one(self):
         upper = 1.0 - 1e-9
         search(quadratic_dg(0.9), 0.9, upper=upper)
@@ -661,7 +669,7 @@ class TestLineSearchCost:
         dg_calls += counting.dg_calls
         iterations += report.iterations
         assert iterations > 100
-        assert dg_calls / iterations <= 4.6
+        assert dg_calls / iterations <= 3.6
 
     def test_chords_toward_an_entering_vertex(self, monkeypatch):
         # A topic entering the support explains some of the document's
