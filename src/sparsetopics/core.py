@@ -228,14 +228,18 @@ class TopicProportion:
             raise InvalidArgumentError("topic_ids and weights must be 1-d and equal length")
         if ids.size == 0:
             raise InvalidArgumentError("proportion must have at least one entry")
-        if ids.min() < 0:
-            raise InvalidArgumentError("negative topic id")
-        if np.any(np.diff(ids) <= 0):
-            raise InvalidArgumentError("topic ids must be strictly increasing")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise InvalidArgumentError("weights must be finite and positive")
-        if abs(w.sum() - 1.0) > SIMPLEX_TOL:
-            raise InvalidArgumentError(f"weights sum to {w.sum():.12g}, not 1")
+        # Three passes clear a valid point (a finite sum of positive weights
+        # has no infinite term); a point they fail is checked step by step.
+        total = w.sum()
+        if not (ids[0] >= 0 and (ids[1:] > ids[:-1]).all() and (w > 0).all() and total < np.inf):
+            if ids.min() < 0:
+                raise InvalidArgumentError("negative topic id")
+            if np.any(np.diff(ids) <= 0):
+                raise InvalidArgumentError("topic ids must be strictly increasing")
+            if not np.all(np.isfinite(w)) or np.any(w <= 0):
+                raise InvalidArgumentError("weights must be finite and positive")
+        if abs(total - 1.0) > SIMPLEX_TOL:
+            raise InvalidArgumentError(f"weights sum to {total:.12g}, not 1")
         object.__setattr__(self, "topic_ids", _as_readonly(ids))
         object.__setattr__(self, "weights", _as_readonly(w))
 

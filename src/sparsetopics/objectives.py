@@ -13,6 +13,7 @@ the whole simplex or only on its interior.
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import numpy as np
 
@@ -68,18 +69,22 @@ class Objective:
     sets the attribute caps, and fw_solve solves over that region.
 
     line_restriction returns (g, dg) for a |-> f((1-a) * theta + a * s), s a
-    sparse target point: its value g(a) and dg(a) = (slope, curvature), its
-    first two derivatives, from which the solver's line search takes Newton
-    steps.  The default builds the chord point explicitly and reports
-    curvature 0.0, meaning unknown, so the search bisects; the likelihood,
-    both priors and their sums override it with exact curvatures.  A dg
-    may own scratch arrays, so one restriction's dg must not be called
-    from two threads at once; each thread takes its own restriction.
+    sparse target point: its value g(a, point) and dg(a) = (slope,
+    curvature), its first two derivatives, from which the solver's line
+    search takes Newton steps.  point, when given, is the chord point at a
+    as the solver's in-place step forms it: theta * (1 - a), then a * s
+    added on s's support.  The default builds the chord point explicitly
+    and reports curvature 0.0, meaning unknown, so the search bisects; the
+    likelihood, both priors and their sums override it with exact
+    curvatures.  A dg may own scratch arrays, so one restriction's dg must
+    not be called from two threads at once; each thread takes its own
+    restriction.
 
     An objective may also offer vertex_values(), its values at all
     vertices at once, as the likelihood does; read them with vertex_values.
     The likelihood memoizes its mixture and a log-space penalty its point
-    state (LogPenalty), each at the last point, keyed by the point's bytes.
+    state (LogPenalty), each at the last point, keyed by the point's bytes;
+    at a point a solver step reached, the mixture is g's (MlObjective).
     """
 
     domain: str = FULL_SIMPLEX
@@ -96,16 +101,16 @@ class Objective:
         direction = -base.copy()
         direction[s_ids] += s_vals
 
-        def point(a: float) -> np.ndarray:
+        def chord_point(a: float) -> np.ndarray:
             x = (1.0 - a) * base
             x[s_ids] += a * s_vals
             return x
 
-        def g(a: float) -> float:
-            return self.value(point(a))
+        def g(a: float, point: np.ndarray | None = None) -> float:
+            return self.value(chord_point(a) if point is None else point)
 
         def dg(a: float) -> tuple[float, float]:
-            return float(direction @ self.gradient(point(a))), 0.0
+            return float(direction @ self.gradient(chord_point(a))), 0.0
 
         return g, dg
 
@@ -115,7 +120,9 @@ class MlObjective(Objective):
     restricted to the terms present in the document.
 
     Along a chord the mixture is p0 + a * dp; with v = sqrt(d) * dp / (p0
-    + a * dp) the slope is sqrt(d) . v and the curvature -v . v.
+    + a * dp) the slope is sqrt(d) . v and the curvature -v . v.  g(a, point)
+    memoizes the chord's mixture for point, so a point reached by a solver
+    step holds it, within a few ulps of point . term_columns, unformed.
     """
 
     domain = FULL_SIMPLEX
@@ -131,21 +138,27 @@ class MlObjective(Objective):
         self.term_columns = topics.rows[:, document.term_ids]
         self._counts = document.counts
         self._sqrt_counts = np.sqrt(document.counts)
-        # The last mixture p = theta . term_columns, keyed by theta's bytes
-        # (the solver mutates theta in place, so its identity is no key).
-        # One tuple, read once, so a key is never paired with another p.
-        self._memo = (None, None)
+        # The last mixture p at a point, keyed by the point's bytes (the
+        # solver mutates theta in place, so its identity is no key), one
+        # tuple read once, so a key is never paired with another p.  Per
+        # thread, as a chord's p differs from the product in its last bits.
+        self._memo = threading.local()
+
+    def _remember(self, key: bytes, p: np.ndarray) -> np.ndarray:
+        """Makes p, read-only, the memo for the point whose bytes are key; a
+        method, so a wrapper that forwards attribute reads writes it here."""
+        p.setflags(write=False)
+        self._memo.entry = (key, p)
+        return p
 
     def _mixture(self, theta) -> np.ndarray:
-        """theta . term_columns, formed only when theta differs bitwise
-        from the last point asked for; read-only."""
+        """The mixture at theta: the memo when theta's bytes match it, else
+        theta . term_columns, formed and memoized; read-only."""
         theta = np.asarray(theta, dtype=np.float64)
         key = theta.tobytes()
-        memo_key, p = self._memo
+        memo_key, p = getattr(self._memo, "entry", (None, None))
         if key != memo_key:
-            p = theta @ self.term_columns
-            p.setflags(write=False)
-            self._memo = (key, p)
+            p = self._remember(key, theta @ self.term_columns)
         return p
 
     def value(self, theta: np.ndarray) -> float:
@@ -170,8 +183,12 @@ class MlObjective(Objective):
         scaled = sqrt_counts * dp
         v = np.empty_like(dp)
 
-        def g(a: float) -> float:
-            return float(counts @ np.log(p0 + a * dp))
+        def g(a: float, point: np.ndarray | None = None) -> float:
+            # The mixture from the nearer end, as dg forms it.
+            p = p0 + a * dp if a <= 0.5 else ps - (1.0 - a) * dp
+            if point is not None:
+                self._remember(point.tobytes(), p)
+            return float(counts @ np.log(p))
 
         def dg(a: float) -> tuple[float, float]:
             # v = scaled / (p0 + a * dp), the mixture formed from the nearer
@@ -231,8 +248,8 @@ class LogPenalty(Objective):
         mean, dphi, d2phi, state = self.mean, self._dphi, self._d2phi, self._state
         x, y, u = np.empty(self.dim), np.empty(self.dim), np.empty(self.dim)
 
-        def g(a: float) -> float:
-            return self.value((1.0 - a) * base + a * target)
+        def g(a: float, point: np.ndarray | None = None) -> float:
+            return self.value((1.0 - a) * base + a * target if point is None else point)
 
         def dg(a: float) -> tuple[float, float]:
             if a == 0.0:  # at base, whose memoized state refuses a face
@@ -391,8 +408,8 @@ class PenalizedObjective(Objective):
         g1, dg1 = self.base.line_restriction(theta, s_ids, s_vals)
         g2, dg2 = self.penalty.line_restriction(theta, s_ids, s_vals)
 
-        def g(a: float) -> float:
-            return g1(a) + g2(a)
+        def g(a: float, point: np.ndarray | None = None) -> float:
+            return g1(a, point) + g2(a, point)
 
         def dg(a: float) -> tuple[float, float]:
             (slope1, curvature1), (slope2, curvature2) = dg1(a), dg2(a)

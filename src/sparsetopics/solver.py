@@ -290,7 +290,7 @@ def fw_solve(
             if math.isnan(grad[lead]):
                 raise NumericFailureError("gradient is NaN")
             s_ids, s_vals = np.array([lead], dtype=np.int64), _VERTEX_WEIGHT
-        _, dg = objective.line_restriction(theta, s_ids, s_vals)
+        g, dg = objective.line_restriction(theta, s_ids, s_vals)
         alpha = line_search(dg, upper=upper)
         previous = theta.copy()
         nnz_prev = nnz
@@ -300,6 +300,7 @@ def fw_solve(
         else:
             theta[s_ids] += alpha * s_vals
         nnz = int(np.count_nonzero(theta))
+        stepped = alpha > 0.0  # theta is the chord point at alpha, which g values
         if not interior:
             # theta >= 0, so an entry in (0, PRUNE_TOL) exists iff more
             # entries lie below PRUNE_TOL than are zero.
@@ -308,7 +309,8 @@ def fw_solve(
                 theta[theta < PRUNE_TOL] = 0.0
                 theta /= theta.sum()
                 nnz = k - below
-        f_curr = objective.value(theta)
+                stepped = False
+        f_curr = g(alpha, theta) if stepped else objective.value(theta)
         if not math.isfinite(f_curr):
             raise NumericFailureError(f"objective is {f_curr}")
         if f_curr < f_prev:
@@ -323,8 +325,9 @@ def fw_solve(
         f_prev = f_curr
         if done:
             break
+    ids = np.flatnonzero(theta)  # over the full sum: the bits of theta / theta.sum()
     report = InferenceReport(
-        theta=TopicProportion.from_dense(theta / theta.sum()),
+        theta=TopicProportion(ids, theta[ids] / theta.sum()),
         iterations=iterations,
         objective=f_prev,
         seconds=time.perf_counter() - t0,

@@ -196,6 +196,28 @@ class TestTopicProportion:
         with pytest.raises(InvalidArgumentError):
             TopicProportion(np.array([1, 0]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize(
+        "ids, weights, message",
+        [
+            ([0, 1], [0.5, np.nan], "finite and positive"),
+            ([0, 1], [0.5, np.inf], "finite and positive"),
+            ([0, 1], [-np.inf, 0.5], "finite and positive"),
+            ([0, 1], [0.0, 1.0], "finite and positive"),
+            ([0, 1], [1.5, -0.5], "finite and positive"),
+            ([2, 1], [0.5, 0.5], "strictly increasing"),
+            ([1, 1], [0.5, 0.5], "strictly increasing"),
+            ([-1, 1], [0.5, 0.5], "negative topic id"),
+            ([0, 1], [0.5, 0.25], "weights sum to 0.75, not 1"),
+            # the first failing check, in order, names the fault
+            ([3, -1], [np.nan, 0.5], "negative topic id"),
+            ([1, 0], [np.nan, 0.5], "strictly increasing"),
+            ([0, 1], [np.inf, 0.25], "finite and positive"),
+        ],
+    )
+    def test_rejection_messages(self, ids, weights, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            TopicProportion(np.array(ids), np.array(weights))
+
     def test_sum_tolerance(self):
         TopicProportion(np.array([0, 1]), np.array([0.5, 0.5 + 5e-10]))
         with pytest.raises(InvalidArgumentError):

@@ -23,6 +23,7 @@ from sparsetopics import (
     ctm_penalty_hessian,
     fw_solve,
     lda_map_objective,
+    line_search,
     ml_objective,
 )
 from sparsetopics.objectives import (
@@ -35,6 +36,7 @@ from sparsetopics.objectives import (
 )
 
 import sparsetopics.core as core
+import sparsetopics.solver as solver_module
 
 from helpers import (
     finite_diff_gradient,
@@ -42,6 +44,7 @@ from helpers import (
     hooked,
     interior_point,
     random_ml_instance,
+    replay_trace,
 )
 
 
@@ -505,7 +508,15 @@ class TestMixtureMemo:
         f = MlObjective(doc, topics)
         f.value(a)
         with pytest.raises(ValueError):
-            f._memo[1][0] = 1.0
+            f._memo.entry[1][0] = 1.0
+        # and so is a chord's mixture, kept for the chord point
+        g, _ = f.line_restriction(a, np.array([0]), np.array([1.0]))
+        point = a * 0.25
+        point[0] += 0.75
+        g(0.75, point)
+        assert f._memo.entry[0] == point.tobytes()
+        with pytest.raises(ValueError):
+            f._memo.entry[1][0] = 1.0
 
     def test_reused_objective_solves_identically(self):
         rng = np.random.default_rng(21)
@@ -575,16 +586,74 @@ class TestMixtureMemo:
         assert not any(t.is_alive() for t in workers)
         assert mismatches == []
 
-    def test_one_mixture_per_step(self):
+    def test_one_mixture_per_step(self, monkeypatch):
+        # One product at the start; after that a step's point holds its
+        # chord's mixture, and only a prune or a rolled-back step (the
+        # next gradient, at the old point) forms a product.
         rng = np.random.default_rng(23)
+        searched = []
+
+        def recording(dg, **kwargs):
+            searched.append(line_search(dg, **kwargs))
+            return searched[-1]
+
+        monkeypatch.setattr(solver_module, "line_search", recording)
+        steps = 0
         for start in ("best-vertex", "barycenter"):
             for _ in range(10):
                 topics, doc = random_ml_instance(rng, k=int(rng.integers(2, 12)), v=40)
                 products = []
                 f = hooked(MlObjective(doc, topics), lambda: products.append(1))
+                searched.clear()
                 report, trace = fw_solve(f, config=SolverConfig(rel_tol=1e-12, start=start))
-                still = sum(1 for r in trace[1:] if r.alpha == 0.0)
-                assert len(products) <= 1 + report.iterations + still
+                rollbacks = sum(1 for a, r in zip(searched, trace[1:]) if a > 0.0 and r.alpha == 0.0)
+                assert len(products) <= 1 + replay_trace(topics.num_topics, trace)[1] + rollbacks
+                steps += report.iterations
+        assert steps > 200
+
+    @pytest.mark.parametrize("k", [20, 100, 1000])
+    def test_a_stepped_point_holds_the_product_within_rounding(self, k):
+        # A step's chord forms its mixture from the last one; t steps
+        # leave it within 8 t eps of theta . term_columns, entry by entry.
+        rng = np.random.default_rng(k)
+        for _ in range(3):
+            topics, doc = random_ml_instance(rng, k=k, v=300)
+            f = MlObjective(doc, topics)
+            report, _ = fw_solve(f, config=SolverConfig(rel_tol=1e-12))
+            key, p = f._memo.entry
+            exact = np.frombuffer(key) @ f.term_columns
+            assert report.iterations > 1
+            assert np.all(np.abs(p - exact) <= 8 * report.iterations * np.finfo(float).eps * exact)
+
+    def test_threads_solving_on_one_objective_get_the_bits_of_a_solo_solve(self):
+        # Which mixture a point holds depends on the solve that reached it,
+        # so each thread keeps its own memo.
+        rng = np.random.default_rng(29)
+        topics, doc = random_ml_instance(rng, k=40, v=200)
+        config = SolverConfig(rel_tol=1e-12)
+        solo, solo_trace = fw_solve(MlObjective(doc, topics), config=config)
+        expected = [(solo.theta.weights.tobytes(), solo.theta.topic_ids.tobytes(), solo_trace)] * 3
+        shared = MlObjective(doc, topics)
+        got = {}
+
+        def work(i):
+            got[i] = [(r.theta.weights.tobytes(), r.theta.topic_ids.tobytes(), t)
+                      for r, t in (fw_solve(shared, config=config) for _ in range(3))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert solo.iterations > 10
+        assert got == {i: expected for i in range(4)}
+
 
 
 def bits(x) -> bytes:
@@ -877,7 +946,7 @@ class TestPenaltyMemo:
         rng = np.random.default_rng(101)
         for _ in range(3):
             doc, topics, ctm = self.ctm(rng, 8)
-            for f in (ctm, lda_map_objective(doc, topics, 1.0 + rng.random(8))):
+            for f in (ctm, lda_map_objective(doc, topics, 1.0 + rng.random(8)), ml_objective(doc, topics)):
                 bare, bare_trace = fw_solve(f, SolverConfig(start="barycenter"))
                 wrapped, wrapped_trace = fw_solve(Delegating(f), SolverConfig(start="barycenter"))
                 assert wrapped.theta.weights.tobytes() == bare.theta.weights.tobytes()

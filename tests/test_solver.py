@@ -36,6 +36,7 @@ from helpers import (
     greedy_capped_loop,
     objectives,
     random_ml_instance,
+    replay_trace,
 )
 
 
@@ -485,26 +486,12 @@ class ScriptedObjective:
 
     def line_restriction(self, theta, s_ids, s_vals):
         root = self.roots[self.steps - 1]
-        return None, lambda a: (root - a, -1.0)
+        return (lambda a, point: self.value(point)), lambda a: (root - a, -1.0)
 
 
 class TestPruning:
     """After each step, entries in (0, PRUNE_TOL) become zero and theta is
     renormalized; with no such entry theta is left exactly as stepped."""
-
-    def replay(self, k, trace):
-        theta = np.zeros(k)
-        theta[0] = 1.0
-        points = [theta.copy()]
-        for record in trace[1:]:
-            theta *= 1.0 - record.alpha
-            theta[record.vertex] += record.alpha
-            small = (theta > 0.0) & (theta < solver_module.PRUNE_TOL)
-            if small.any():
-                theta[small] = 0.0
-                theta /= theta.sum()
-            points.append(theta.copy())
-        return points
 
     def solve(self, k, roots):
         f = ScriptedObjective(k, roots)
@@ -515,7 +502,7 @@ class TestPruning:
             mp.setattr(solver_module, "line_search", exact)
             _, trace = fw_solve(f, config=config)
         assert len(trace) == len(roots) + 1
-        assert [p.tobytes() for p in f.points] == [p.tobytes() for p in self.replay(k, trace)]
+        assert [p.tobytes() for p in f.points] == [p.tobytes() for p in replay_trace(k, trace)[0]]
         assert [r.nnz for r in trace] == [int(np.count_nonzero(p)) for p in f.points]
         return f.points
 
@@ -535,7 +522,8 @@ class TestPruning:
 
 class PointRecorder:
     """Delegates to an objective and records the bytes of every point it
-    is valued at: the start, then the point after each step."""
+    is valued at, by value or by a chord's g: the start, then the point
+    after each step."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -547,6 +535,15 @@ class PointRecorder:
     def value(self, theta):
         self.points.append(theta.tobytes())
         return self.inner.value(theta)
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        g, dg = self.inner.line_restriction(theta, s_ids, s_vals)
+
+        def recorded(a, point):
+            self.points.append(point.tobytes())
+            return g(a, point)
+
+        return recorded, dg
 
 
 class ResidueAtStepTwo:
@@ -591,6 +588,51 @@ class TestZeroGainStep:
         assert f.points[2] == f.points[1]
         assert trace[2].objective == trace[1].objective
         assert report.iterations == 2
+
+
+class ChordRecorder:
+    """Delegates to an objective and records each chord's theta, target
+    and the (a, point) its g is handed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.steps = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        g, dg = self.inner.line_restriction(theta, s_ids, s_vals)
+        base = theta.copy()
+
+        def recorded(a, point):
+            self.steps.append((base, s_ids.copy(), s_vals.copy(), a, point.copy()))
+            return g(a, point)
+
+        return recorded, dg
+
+
+class TestChordCarry:
+    @pytest.mark.parametrize("a", [1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0])
+    @pytest.mark.parametrize("n, cap", [(1, None), (2, 0.6), (5, 0.22)])
+    def test_the_step_hands_g_the_chord_point(self, monkeypatch, a, n, cap):
+        # A vertex target, or a greedy fill of n coordinates under equal
+        # caps; the chord point written as the log-space prior's chord
+        # forms it, (1 - a) * theta + a * target.
+        topics, doc = random_ml_instance(np.random.default_rng(131), k=10, v=40)
+        f = ChordRecorder(ml_objective(doc, topics))
+        monkeypatch.setattr(solver_module, "line_search", lambda dg, **kwargs: a)
+        caps = None if cap is None else np.full(10, cap)
+        _, trace = fw_solve(f, SolverConfig(max_iters=1, start="barycenter"), caps=caps)
+        [(base, s_ids, s_vals, got, point)] = f.steps
+        target = np.zeros(10)
+        target[s_ids] = s_vals
+        assert got == a and s_ids.size == n
+        assert point.tobytes() == ((1.0 - a) * base + a * target).tobytes()
+        # and the likelihood memoizes a mixture for it, within rounding
+        key, p = f.inner._memo.entry
+        assert key == point.tobytes()
+        np.testing.assert_allclose(p, point @ f.inner.term_columns, rtol=8 * np.finfo(float).eps, atol=0)
 
 
 class BlindObjective:
