@@ -14,14 +14,12 @@ import sys
 import numpy as np
 
 from . import corpus_io
-from .core import START_BARYCENTER, START_BEST_VERTEX, SolverConfig, TopicProportion
+from .core import SolverConfig, TopicProportion
 from .errors import InvalidArgumentError, InvalidConfigError
 from .evaluation import ALL_METHODS, compare_methods, tradeoff_sweep
 from .objectives import ctm_full_objective, lda_map_objective, ml_objective
 from .solver import fw_solve
 from .training import TrainConfig, generate_synthetic_corpus, train
-
-_START_NAMES = {"vertex": START_BEST_VERTEX, "barycenter": START_BARYCENTER}
 
 
 def _add_corpus_flags(p):
@@ -70,13 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0, help="Dirichlet concentration >= 1 (lda-map; 1 is ml)")
     p.add_argument("--prior", help="precision file (ctm)")
     p.add_argument("--max-nnz", type=int, help="cap on the support size")
-    p.add_argument(
-        "--start",
-        choices=["vertex", "barycenter"],
-        help="start point; by default caps / sum(caps) under a ctm prior with a "
-        "mean, the barycenter for other interior-only objectives (lda-map with "
-        "alpha > 1, ctm), else the best vertex",
-    )
     _add_stop_flags(p)
     p.add_argument("--out", required=True, help="proportions file to write")
     p.set_defaults(func=_cmd_infer)
@@ -172,12 +163,7 @@ def _cmd_infer(args) -> int:
             return lda_map_objective(doc, topics, args.alpha)
         return ctm_full_objective(doc, topics, prior)
 
-    config = SolverConfig(
-        max_iters=args.iters,
-        rel_tol=args.tol,
-        max_nnz=args.max_nnz,
-        start=_START_NAMES.get(args.start),
-    )
+    config = SolverConfig(max_iters=args.iters, rel_tol=args.tol, max_nnz=args.max_nnz)
     reports = [fw_solve(make_objective(doc), config)[0] for doc in corpus.documents]
     corpus_io.write_theta(args.out, reports, corpus.doc_ids)
     mean_nnz = float(np.mean([r.nnz for r in reports]))

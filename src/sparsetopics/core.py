@@ -32,6 +32,27 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sparse_entries(ids, values, kind: str, what: str, empty: str):
+    """Read-only int64 ids and float64 values of a sparse vector: 1-d, of
+    equal length, nonempty, ids non-negative and strictly increasing, values
+    finite and positive.  kind and what name the ids and the values."""
+    ids = np.asarray(ids, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if ids.ndim != 1 or values.ndim != 1 or ids.shape != values.shape:
+        raise InvalidArgumentError(f"{kind}_ids and {what} must be 1-d and equal length")
+    if ids.size == 0:
+        raise InvalidArgumentError(empty)
+    # Three passes clear a valid vector (min propagates NaN); one they fail
+    # is checked again one condition at a time.
+    if not (ids[0] >= 0 and (ids[1:] > ids[:-1]).all() and values.min() > 0 and values.max() < np.inf):
+        if ids.min() < 0:
+            raise InvalidArgumentError(f"negative {kind} id")
+        if np.any(np.diff(ids) <= 0):
+            raise InvalidArgumentError(f"{kind} ids must be strictly increasing")
+        raise InvalidArgumentError(f"{what} must be finite and positive")
+    return _as_readonly(ids), _as_readonly(values)
+
+
 @dataclasses.dataclass(frozen=True)
 class Vocabulary:
     """Ordered collection of distinct term strings; ids are positions."""
@@ -61,20 +82,9 @@ class Document:
     counts: np.ndarray
 
     def __post_init__(self):
-        ids = np.asarray(self.term_ids, dtype=np.int64)
-        cnt = np.asarray(self.counts, dtype=np.float64)
-        if ids.ndim != 1 or cnt.ndim != 1 or ids.shape != cnt.shape:
-            raise InvalidArgumentError("term_ids and counts must be 1-d and equal length")
-        if ids.size == 0:
-            raise InvalidArgumentError("document has no entries")
-        if ids.min() < 0:
-            raise InvalidArgumentError("negative term id")
-        if np.any(np.diff(ids) <= 0):
-            raise InvalidArgumentError("term ids must be strictly increasing")
-        if not np.all(np.isfinite(cnt)) or np.any(cnt <= 0):
-            raise InvalidArgumentError("counts must be finite and positive")
-        object.__setattr__(self, "term_ids", _as_readonly(ids))
-        object.__setattr__(self, "counts", _as_readonly(cnt))
+        ids, cnt = _sparse_entries(self.term_ids, self.counts, "term", "counts", "document has no entries")
+        object.__setattr__(self, "term_ids", ids)
+        object.__setattr__(self, "counts", cnt)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "Document":
@@ -222,26 +232,15 @@ class TopicProportion:
     weights: np.ndarray
 
     def __post_init__(self):
-        ids = np.asarray(self.topic_ids, dtype=np.int64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if ids.ndim != 1 or w.ndim != 1 or ids.shape != w.shape:
-            raise InvalidArgumentError("topic_ids and weights must be 1-d and equal length")
-        if ids.size == 0:
-            raise InvalidArgumentError("proportion must have at least one entry")
-        # Three passes clear a valid point (a finite sum of positive weights
-        # has no infinite term); a point they fail is checked step by step.
-        total = w.sum()
-        if not (ids[0] >= 0 and (ids[1:] > ids[:-1]).all() and (w > 0).all() and total < np.inf):
-            if ids.min() < 0:
-                raise InvalidArgumentError("negative topic id")
-            if np.any(np.diff(ids) <= 0):
-                raise InvalidArgumentError("topic ids must be strictly increasing")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0):
-                raise InvalidArgumentError("weights must be finite and positive")
+        ids, w = _sparse_entries(
+            self.topic_ids, self.weights, "topic", "weights", "proportion must have at least one entry"
+        )
+        with np.errstate(over="ignore"):  # finite weights can sum past the largest float
+            total = w.sum()
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise InvalidArgumentError(f"weights sum to {total:.12g}, not 1")
-        object.__setattr__(self, "topic_ids", _as_readonly(ids))
-        object.__setattr__(self, "weights", _as_readonly(w))
+        object.__setattr__(self, "topic_ids", ids)
+        object.__setattr__(self, "weights", w)
 
     @classmethod
     def from_dense(cls, theta: np.ndarray) -> "TopicProportion":

@@ -253,11 +253,8 @@ def load_model(path) -> ModelFile:
         second = fh.readline()
         if not second:
             raise ModelFormatError("missing dimensions line")
-        dims = second.split()
-        if len(dims) != 2:
-            raise ModelFormatError("dimensions line must hold two integers")
         try:
-            k, v = int(dims[0]), int(dims[1])
+            k, v = map(int, second.split())
         except ValueError:
             raise ModelFormatError("dimensions line must hold two integers") from None
         if k < 1 or v < 1:
@@ -280,18 +277,18 @@ def load_model(path) -> ModelFile:
 
 
 def load_prior(path) -> CtmPrior:
-    """Read a precision matrix from whitespace-separated text: K rows of K
-    numbers, optionally followed by one more row holding the mean.  Blank
-    lines are skipped, and every row holds as many numbers as the first.
-    A malformed file raises CorpusFormatError naming its first bad line;
-    a file that ends early has none, and the error gives the row count."""
+    """Read a precision matrix from whitespace-separated text in the corpus
+    files' grammar: K rows of K numbers, then optionally a row holding the
+    mean.  Blank lines are skipped; every row holds as many numbers as the
+    first.  A malformed file raises CorpusFormatError naming its first bad
+    line; a file that ends early has none, and the error gives the row count."""
     rows = []
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         text = raw.strip()
         if not text:
             continue
         try:
-            values = [float(x) for x in text.split()]
+            values = [_plain_number(x, float) for x in text.split()]
         except ValueError:
             raise CorpusFormatError("non-numeric entry in prior file", line_no) from None
         if not all(map(math.isfinite, values)):
@@ -313,14 +310,12 @@ def load_prior(path) -> CtmPrior:
 
 def save_uci_bow(path, corpus: Corpus) -> None:
     """Write a corpus in the bag-of-words format load_uci_bow reads."""
-    triples = []
-    for doc_id, doc in zip(corpus.doc_ids, corpus.documents):
-        for term_id, count in zip(doc.term_ids, doc.counts):
-            triples.append((doc_id, int(term_id) + 1, float(count)))
+    num_triples = sum(doc.nnz for doc in corpus.documents)
     with open(path, "w") as fh:
-        fh.write(f"{max(corpus.doc_ids)}\n{corpus.vocabulary.size}\n{len(triples)}\n")
-        for doc_id, word_id, count in triples:
-            fh.write(f"{doc_id} {word_id} {count:.17g}\n")
+        fh.write(f"{max(corpus.doc_ids)}\n{corpus.vocabulary.size}\n{num_triples}\n")
+        for doc_id, doc in zip(corpus.doc_ids, corpus.documents):
+            for term_id, count in zip(doc.term_ids, doc.counts):
+                fh.write(f"{doc_id} {int(term_id) + 1} {float(count):.17g}\n")
 
 
 def save_vocab(path, vocab: Vocabulary) -> None:

@@ -109,24 +109,21 @@ def compare_methods(
     methods: Sequence[str] = ALL_METHODS,
 ) -> list[MethodResult]:
     """Evaluate the simplex solver against the baselines under one shared
-    stopping configuration (same max_iters, same rel_tol)."""
+    stopping configuration (same max_iters, same rel_tol).  An unknown
+    method name is refused before any method runs."""
     config = config or SolverConfig()
-    results = []
+    infer = {
+        METHOD_FW: lambda doc: fw_solve(MlObjective(doc, topics), config=config)[0],
+        METHOD_FOLDING: lambda doc: folding_in(doc, topics, config)[0],
+        METHOD_VB: lambda doc: vb_infer(doc, topics, alpha, config)[0],
+    }
     for method in methods:
-        if method == METHOD_FW:
-            def infer(doc, _c=config):
-                return fw_solve(MlObjective(doc, topics), config=_c)[0]
-        elif method == METHOD_FOLDING:
-            def infer(doc, _c=config):
-                return folding_in(doc, topics, _c)[0]
-        elif method == METHOD_VB:
-            def infer(doc, _c=config):
-                return vb_infer(doc, topics, alpha, _c)[0]
-        else:
+        if method not in infer:
             raise InvalidArgumentError(f"unknown method: {method!r}")
-        report = evaluate_inference(testset, topics, infer)
-        results.append(MethodResult(method=method, cap=config.max_iters, report=report))
-    return results
+    return [
+        MethodResult(method, config.max_iters, evaluate_inference(testset, topics, infer[method]))
+        for method in methods
+    ]
 
 
 def tradeoff_sweep(

@@ -17,10 +17,9 @@ the last two steps bound its error within line_search's default tol of
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,8 +55,7 @@ _VERTEX_WEIGHT = np.ones(1)
 _VERTEX_WEIGHT.setflags(write=False)
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One row of a solver trace; record 0 is the starting point with
     vertex = start index (or -1 for non-vertex starts) and alpha = 0."""
 
@@ -146,7 +144,7 @@ def line_search(
 def _greedy_capped(scores: np.ndarray, caps: np.ndarray):
     """Maximize scores . s over {0 <= s <= caps, sum s = 1} by filling
     coordinates in descending score order (stable sort, so ties go to the
-    lowest index).  Returns (ids, values, lead vertex)."""
+    lowest index).  Returns (ids, values)."""
     order = np.argsort(-scores, kind="stable")
     ordered = caps[order]
     # remaining[i] = 1 - ordered[0] - ... - ordered[i-1], subtracted left
@@ -159,7 +157,7 @@ def _greedy_capped(scores: np.ndarray, caps: np.ndarray):
     # under what is left; that one takes the rest.
     fits = ordered < remaining
     n = ordered.size if fits.all() else int(np.argmin(fits)) + 1
-    return order[:n], np.minimum(ordered[:n], remaining[:n]), int(order[0])
+    return order[:n], np.minimum(ordered[:n], remaining[:n])
 
 
 def capped_simplex_argmax(scores: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -169,7 +167,7 @@ def capped_simplex_argmax(scores: np.ndarray, caps: np.ndarray) -> np.ndarray:
     if scores.shape != caps.shape or scores.ndim != 1:
         raise InvalidArgumentError("scores and caps must be equal-length vectors")
     _validate_caps(caps)
-    ids, vals, _ = _greedy_capped(scores, caps)
+    ids, vals = _greedy_capped(scores, caps)
     out = np.zeros(scores.size)
     out[ids] = vals
     return out
@@ -280,16 +278,15 @@ def fw_solve(
         grad = objective.gradient(theta)
         # An infinite gradient entry only picks the target; an overflow that
         # matters reaches the line-search derivative or the objective.
-        if caps is not None:
-            if np.isnan(grad).any():
-                raise NumericFailureError("gradient is NaN")
-            s_ids, s_vals, lead = _greedy_capped(grad, caps)
-        else:
-            # argmax returns the first NaN when there is one.
-            lead = int(grad.argmax())
-            if math.isnan(grad[lead]):
-                raise NumericFailureError("gradient is NaN")
+        # argmax returns the first NaN when there is one, and else the index
+        # a capped fill takes first.
+        lead = int(grad.argmax())
+        if math.isnan(grad[lead]):
+            raise NumericFailureError("gradient is NaN")
+        if caps is None:
             s_ids, s_vals = np.array([lead], dtype=np.int64), _VERTEX_WEIGHT
+        else:
+            s_ids, s_vals = _greedy_capped(grad, caps)
         g, dg = objective.line_restriction(theta, s_ids, s_vals)
         alpha = line_search(dg, upper=upper)
         previous = theta.copy()

@@ -99,11 +99,10 @@ def train(corpus: Corpus, config: TrainConfig):
     for _ in range(config.em_iters):
         stats, thetas = _e_step_range(documents, beta, config, previous)
         candidate = TopicMatrix.normalized(stats + SMOOTHING)
-        terms = []
+        terms = [MlObjective(doc, candidate).value(theta) for doc, theta in zip(documents, thetas)]
         ll = 0.0
-        for doc, theta in zip(documents, thetas):
-            terms.append(MlObjective(doc, candidate).value(theta))
-            ll += terms[-1]
+        for term in terms:  # left to right: sum() compensates from Python 3.12 on
+            ll += term
         if trace and ll < trace[-1]:
             # The only way down is smoothing-floor noise; we are converged.
             break

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from sparsetopics import load_model, load_uci_bow
+from sparsetopics import SolverConfig, fw_solve, lda_map_objective, load_model, load_uci_bow, write_theta
 from sparsetopics.cli import main
 
 
@@ -140,13 +140,18 @@ class TestInfer:
             assert len(line.split()) - 1 == 3
 
     def test_lda_map_derives_the_barycenter_start(self, workdir):
-        outs = []
-        for start in ([], ["--start", "barycenter"]):
-            out = workdir / f"theta.map-start{len(start)}.txt"
-            args = ["--objective", "lda-map", "--alpha", "2", *start, "--out", str(out)]
-            assert main(["infer", *corpus_args(workdir), *args]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        # infer leaves the start to fw_solve, which derives the barycenter
+        # for an interior-only objective
+        out = workdir / "theta.map-cli.txt"
+        args = ["--objective", "lda-map", "--alpha", "2", "--out", str(out)]
+        assert main(["infer", *corpus_args(workdir), *args]) == 0
+        corpus = load_uci_bow(workdir / "toy.docword.txt", workdir / "toy.vocab.txt")
+        topics = load_model(workdir / "fit.model.txt").topics
+        solves = [fw_solve(lda_map_objective(d, topics, 2.0), SolverConfig()) for d in corpus.documents]
+        assert all(trace[0].vertex == -1 for _, trace in solves)
+        want = workdir / "theta.map-library.txt"
+        write_theta(want, [report for report, _ in solves], corpus.doc_ids)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_sparsifying_alpha_is_an_error(self, workdir, capsys):
         rc = main(
@@ -219,25 +224,6 @@ class TestInfer:
         for line in out.read_text().splitlines():
             weights = dict(c.split(":") for c in line.split()[1:])
             assert float(weights["1"]) <= cap + 1e-9
-
-    def test_interior_objective_rejects_vertex_start(self, workdir, capsys):
-        # a CTM prior with a mean is solved over its caps, and the vertex
-        # start is refused there too
-        prior = workdir / "prior.vertex.txt"
-        prior.write_text("1 0 0\n0 1 0\n0 0 1\n-2.0 0 0\n")
-        for objective in (["lda-map", "--alpha", "2.0"], ["ctm", "--prior", str(prior)]):
-            out = workdir / "nope.txt"
-            rc = main(
-                [
-                    "infer", *corpus_args(workdir),
-                    "--objective", *objective,
-                    "--start", "vertex",
-                    "--out", str(out),
-                ]
-            )
-            assert rc == 2
-            assert "barycenter" in capsys.readouterr().err
-            assert not out.exists()
 
 
 class TestEval:

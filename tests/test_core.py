@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,30 @@ class TestDocument:
     def test_fractional_counts_allowed(self):
         doc = Document(np.array([0]), np.array([0.25]))
         assert doc.length == 0.25
+
+    @pytest.mark.parametrize(
+        "ids, counts, message",
+        [
+            ([[0, 1]], [[1.0, 1.0]], "term_ids and counts must be 1-d and equal length"),
+            ([0, 1], [1.0], "term_ids and counts must be 1-d and equal length"),
+            ([], [], "document has no entries"),
+            ([0, 1], [1.0, np.nan], "counts must be finite and positive"),
+            ([0, 1], [np.inf, 1.0], "counts must be finite and positive"),
+            ([0, 1], [1.0, 0.0], "counts must be finite and positive"),
+            ([0, 1], [-1.0, 1.0], "counts must be finite and positive"),
+            ([2, 1], [1.0, 1.0], "term ids must be strictly increasing"),
+            ([1, 1], [1.0, 1.0], "term ids must be strictly increasing"),
+            ([-1, 1], [1.0, 1.0], "negative term id"),
+            # the first failing check, in order, names the fault
+            ([-1, 0], [1.0], "term_ids and counts must be 1-d and equal length"),
+            ([3, -1], [np.nan, 1.0], "negative term id"),
+            ([1, 0], [np.nan, 1.0], "term ids must be strictly increasing"),
+            ([0, 1], [np.inf, -1.0], "counts must be finite and positive"),
+        ],
+    )
+    def test_rejection_messages(self, ids, counts, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            Document(np.array(ids, dtype=np.int64), np.array(counts, dtype=np.float64))
 
 
 class TestCorpus:
@@ -217,6 +243,12 @@ class TestTopicProportion:
     def test_rejection_messages(self, ids, weights, message):
         with pytest.raises(InvalidArgumentError, match=message):
             TopicProportion(np.array(ids), np.array(weights))
+
+    def test_sum_overflow_is_a_bad_sum_under_warnings_as_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="weights sum to inf, not 1"):
+                TopicProportion(np.array([0, 1]), np.array([1e308, 1e308]))
 
     def test_sum_tolerance(self):
         TopicProportion(np.array([0, 1]), np.array([0.5, 0.5 + 5e-10]))

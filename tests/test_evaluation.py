@@ -13,6 +13,7 @@ from sparsetopics import (
     ml_objective,
     tradeoff_sweep,
 )
+from sparsetopics import evaluation
 from sparsetopics.evaluation import ALL_METHODS
 
 
@@ -100,6 +101,20 @@ class TestCompareMethods:
         docs = [Document(np.array([0]), np.array([1.0]))]
         with pytest.raises(InvalidArgumentError):
             compare_methods(docs, topics, methods=("fw", "gibbs"))
+
+    def test_unknown_method_is_refused_before_any_solve(self, monkeypatch):
+        solves = []
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return fw_solve(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fw_solve", counting_solve)
+        topics = TopicMatrix.normalized(np.ones((2, 5)))
+        docs = [Document(np.array([0]), np.array([1.0]))]
+        with pytest.raises(InvalidArgumentError, match="bogus"):
+            compare_methods(docs, topics, methods=("fw", "bogus"))
+        assert solves == []
 
     def test_subset_of_methods(self):
         topics = TopicMatrix.normalized(np.ones((2, 5)))

@@ -351,6 +351,9 @@ MALFORMED_MODEL = {
     "width checked before numbers": (MODEL_HEAD + "2 2\n" + ROW + "x y z\n", "row 1 has 3 entries, expected 2"),
     "empty file": ("", "empty model file"),
     "no dimensions line": (MODEL_HEAD, "missing dimensions line"),
+    "one dimension": (MODEL_HEAD + "3\n" + ROW, "dimensions line must hold two integers"),
+    "three dimensions": (MODEL_HEAD + "3 2 1\n" + ROW, "dimensions line must hold two integers"),
+    "fractional dimension": (MODEL_HEAD + "3 2.5\n" + ROW, "dimensions line must hold two integers"),
 }
 
 
@@ -561,6 +564,14 @@ class TestPriorFiles:
     def test_non_numeric(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="non-numeric"):
             load_prior(write(tmp_path / "p.txt", "1.0 x\n0.0 1.0\n"))
+
+    @pytest.mark.parametrize("entry", ["1_0", "\uff11", "1\u0660"])
+    def test_numbers_follow_the_corpus_grammar(self, tmp_path, entry):
+        # float() reads "1_0" as 10.0 and fullwidth or Arabic-Indic digits
+        # as ASCII ones; corpus and model files refuse them
+        with pytest.raises(CorpusFormatError, match="non-numeric") as info:
+            load_prior(write(tmp_path / "p.txt", f"1 0\n0 {entry}\n"))
+        assert info.value.line == 2
 
     def test_wrong_row_count(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="2 rows"):
