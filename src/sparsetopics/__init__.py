@@ -80,8 +80,6 @@ from .solver import (
     line_search,
 )
 from .training import (
-    M_STEP_HARD,
-    M_STEP_RESPONSIBILITY,
     SyntheticData,
     TrainConfig,
     generate_synthetic_corpus,

@@ -28,8 +28,8 @@ def _add_corpus_flags(p):
 
 
 def _add_stop_flags(p):
-    p.add_argument("--tol", type=float, default=1e-6, help="relative stopping tolerance")
-    p.add_argument("--iters", type=int, default=1000, help="iteration cap")
+    p.add_argument("--tol", type=float, default=SolverConfig.rel_tol, help="relative stopping tolerance")
+    p.add_argument("--iters", type=int, default=SolverConfig.max_iters, help="iteration cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,9 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a topic model by EM")
     _add_corpus_flags(p)
     p.add_argument("--topics", type=int, required=True)
-    p.add_argument("--em-iters", type=int, default=50)
-    p.add_argument("--em-tol", type=float, default=1e-4)
-    p.add_argument("--m-step", choices=["responsibility", "hard"], default="responsibility")
+    p.add_argument("--em-iters", type=int, default=TrainConfig.em_iters)
+    p.add_argument("--em-tol", type=float, default=TrainConfig.em_rel_tol)
     p.add_argument("--seed", type=int, default=0)
     _add_stop_flags(p)
     p.add_argument("--out", required=True, help="model file to write")
@@ -85,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--caps", required=True, help="comma-separated strictly increasing caps")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=SolverConfig.rel_tol)
     p.add_argument("--out", help="CSV file (stdout when omitted)")
     p.set_defaults(func=_cmd_tradeoff)
 
@@ -136,7 +135,6 @@ def _cmd_train(args) -> int:
         em_rel_tol=args.em_tol,
         inner=SolverConfig(max_iters=args.iters, rel_tol=args.tol),
         seed=args.seed,
-        m_step=args.m_step,
     )
     topics, trace = train(corpus, config)
     corpus_io.save_model(args.out, topics, metadata={"topics": args.topics})

@@ -74,8 +74,8 @@ class Vocabulary:
 class Document:
     """Sparse bag of term counts.
 
-    term_ids are strictly increasing, counts strictly positive, and the
-    document is never empty.
+    term_ids are strictly increasing, counts strictly positive with a
+    finite sum, and the document is never empty.
     """
 
     term_ids: np.ndarray
@@ -83,6 +83,9 @@ class Document:
 
     def __post_init__(self):
         ids, cnt = _sparse_entries(self.term_ids, self.counts, "term", "counts", "document has no entries")
+        with np.errstate(over="ignore"):  # finite counts can sum past the largest float
+            if cnt.sum() == np.inf:
+                raise InvalidArgumentError("counts sum to inf")
         object.__setattr__(self, "term_ids", ids)
         object.__setattr__(self, "counts", cnt)
 

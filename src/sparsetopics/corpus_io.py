@@ -4,10 +4,10 @@ precision-matrix files, and the CSV reports.
 The model format stores floats with %.17g so a save/load cycle reproduces
 every entry bit for bit.  The corpus and model loaders stream their files:
 numpy's C text reader parses the numbers, and a line-by-line walk runs only
-to name the first bad line of a file it refused.  Numbers after the
-header lines therefore follow numpy's grammar, which is float()'s and
-int()'s without digit-group underscores or non-ASCII digits, and lines end
-at \n, \r\n or \r only.
+to name the first bad line of a file it refused.  Every number in them,
+header fields included, therefore follows numpy's grammar, which is
+float()'s and int()'s without digit-group underscores or non-ASCII
+digits, and lines end at \n, \r\n or \r only.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ def _plain_int(text):
     return _plain_number(text, int)
 
 
-def _parse_int(line_no, text, what, parse=int):
-    """parse(text); header fields take int()'s grammar, body ids the
-    _plain_int one, so that the line walk refuses what numpy refuses."""
+def _parse_int(line_no, text, what):
+    """_plain_int(text), so that the line walk refuses what numpy refuses
+    and the header takes the numbers the body does."""
     try:
-        return parse(text)
+        return _plain_int(text)
     except ValueError:
         raise CorpusFormatError(f"expected an integer {what}, got {text!r}", line_no) from None
 
@@ -92,8 +92,8 @@ def _raise_first_bad_triple(path, num_docs, vocab_size, num_triples):
             parts = text.split()
             if len(parts) != 3:
                 raise CorpusFormatError(f"expected 'docID wordID count', got {text!r}", line_no)
-            doc_id = _parse_int(line_no, parts[0], "document id", _plain_int)
-            word_id = _parse_int(line_no, parts[1], "word id", _plain_int)
+            doc_id = _parse_int(line_no, parts[0], "document id")
+            word_id = _parse_int(line_no, parts[1], "word id")
             try:
                 count = _plain_number(parts[2], float)
             except ValueError:
@@ -243,7 +243,7 @@ def load_model(path) -> ModelFile:
         if len(header) != 2 or header[0] != MODEL_MAGIC:
             raise ModelFormatError("missing model header")
         try:
-            version = int(header[1])
+            version = _plain_int(header[1])
         except ValueError:
             raise ModelFormatError(f"bad version field {header[1]!r}") from None
         if version != MODEL_VERSION:
@@ -254,7 +254,7 @@ def load_model(path) -> ModelFile:
         if not second:
             raise ModelFormatError("missing dimensions line")
         try:
-            k, v = map(int, second.split())
+            k, v = map(_plain_int, second.split())
         except ValueError:
             raise ModelFormatError("dimensions line must hold two integers") from None
         if k < 1 or v < 1:

@@ -290,7 +290,6 @@ class DirichletLogPenalty(LogPenalty):
                 "nonconcave-prior: alpha_k < 1 makes inference intractable; "
                 "all concentration parameters must be >= 1"
             )
-        self.alpha = a
         self.dim = a.size
         self._lam = a - 1.0
 
@@ -453,7 +452,7 @@ def ctm_caps(prior: CtmPrior) -> np.ndarray:
     all ones without a mean."""
     if prior.mean is None:
         return np.ones(prior.num_topics)
-    return np.minimum(1.0, np.exp(prior.mean))
+    return np.exp(np.minimum(prior.mean, 0.0))
 
 
 def ctm_penalty_hessian(theta: np.ndarray, prior: CtmPrior) -> np.ndarray:

@@ -18,9 +18,6 @@ from .errors import InvalidArgumentError, InvalidConfigError
 from .objectives import MlObjective
 from .solver import fw_solve
 
-M_STEP_RESPONSIBILITY = "responsibility"
-M_STEP_HARD = "hard"
-
 # Added to every sufficient statistic before the M-step normalizes them.
 SMOOTHING = 1e-10
 
@@ -29,9 +26,11 @@ SMOOTHING = 1e-10
 class TrainConfig:
     """Knobs for EM training.
 
-    m_step selects between full per-token responsibilities and a hard
-    variant that credits terms to topics proportionally to theta alone.
-    The E-step is serial: threads accepts only 1.
+    The M-step always reestimates topics from per-token responsibilities,
+    and the E-step is serial: m_step accepts only "responsibility" and
+    threads only 1.  Both fields exist only because the benchmark's
+    configuration passes them; the benchmark port of ROADMAP item 2
+    deletes them.
     """
 
     topics: int
@@ -39,7 +38,7 @@ class TrainConfig:
     em_rel_tol: float = 1e-4
     inner: SolverConfig = dataclasses.field(default_factory=SolverConfig)
     seed: int = 0
-    m_step: str = M_STEP_RESPONSIBILITY
+    m_step: str = "responsibility"
     threads: int = 1
 
     def __post_init__(self):
@@ -49,10 +48,8 @@ class TrainConfig:
             raise InvalidConfigError("em_iters must be at least 1")
         if not (self.em_rel_tol > 0):
             raise InvalidConfigError("em_rel_tol must be positive")
-        if self.m_step not in (M_STEP_RESPONSIBILITY, M_STEP_HARD):
-            raise InvalidConfigError(
-                f"m_step must be '{M_STEP_RESPONSIBILITY}' or '{M_STEP_HARD}'"
-            )
+        if self.m_step != "responsibility":
+            raise InvalidConfigError("m_step must be 'responsibility', the one M-step")
         if self.threads != 1:
             raise InvalidConfigError("threads must be 1; the E-step is serial")
 
@@ -74,11 +71,8 @@ def _e_step_range(documents, beta, config, previous):
         support = np.flatnonzero(theta)
         weights = theta[support]
         cols = objective.term_columns[support]
-        if config.m_step == M_STEP_HARD:
-            contrib = weights[:, None] * doc.counts[None, :]
-        else:
-            mix = weights @ cols
-            contrib = (weights[:, None] * cols) * (doc.counts / mix)[None, :]
+        mix = weights @ cols
+        contrib = (weights[:, None] * cols) * (doc.counts / mix)[None, :]
         stats[np.ix_(support, doc.term_ids)] += contrib
         thetas.append(theta)
     return stats, thetas

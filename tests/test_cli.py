@@ -3,8 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from sparsetopics import SolverConfig, fw_solve, lda_map_objective, load_model, load_uci_bow, write_theta
-from sparsetopics.cli import main
+from sparsetopics import SolverConfig, TrainConfig, fw_solve, lda_map_objective, load_model, load_uci_bow, write_theta
+from sparsetopics.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +279,31 @@ class TestParser:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_train_has_one_m_step_and_no_option_for_it(self, workdir, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--corpus", str(workdir / "toy.docword.txt"), "--topics", "2",
+                  "--m-step", "hard", "--out", str(tmp_path / "m.txt")])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--corpus", "c", "--topics", "2", "--out", "m"],
+            ["infer", "--corpus", "c", "--model", "m", "--out", "t"],
+            ["eval", "--corpus", "c", "--model", "m"],
+            ["tradeoff", "--corpus", "c", "--model", "m", "--caps", "1,2"],
+        ],
+    )
+    def test_stop_flags_default_to_the_config_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        assert args.tol == SolverConfig().rel_tol
+        if argv[0] != "tradeoff":
+            assert args.iters == SolverConfig().max_iters
+        if argv[0] == "train":
+            config = TrainConfig(topics=1)
+            assert (args.em_iters, args.em_tol) == (config.em_iters, config.em_rel_tol)
 
     def test_vocab_size_mismatch(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.docword.txt"

@@ -91,6 +91,12 @@ class TestDocument:
         with pytest.raises(InvalidArgumentError, match=message):
             Document(np.array(ids, dtype=np.int64), np.array(counts, dtype=np.float64))
 
+    def test_count_sum_overflow_is_refused_under_warnings_as_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="counts sum to inf"):
+                Document(np.array([0, 1]), np.array([1e308, 1e308]))
+
 
 class TestCorpus:
     def test_bounds_check(self):

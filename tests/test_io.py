@@ -86,6 +86,9 @@ MALFORMED_BOW = {
     "count before width": ("2\n3\n3\n1 1 0\n\n2 2\n", CorpusFormatError, 4, "count must be positive, got 0"),
     "width before too many": (
         "2\n3\n2\n1 1\n2 2 1\n1 3 1\n", CorpusFormatError, 4, "expected 'docID wordID count', got '1 1'"),
+    # int("1_0") is 10; a header number follows the body's grammar.
+    "digit separator in the header": (
+        "1_0\n3\n1\n1 1 2\n", CorpusFormatError, 1, "expected an integer document count, got '1_0'"),
 }
 
 
@@ -354,6 +357,7 @@ MALFORMED_MODEL = {
     "one dimension": (MODEL_HEAD + "3\n" + ROW, "dimensions line must hold two integers"),
     "three dimensions": (MODEL_HEAD + "3 2 1\n" + ROW, "dimensions line must hold two integers"),
     "fractional dimension": (MODEL_HEAD + "3 2.5\n" + ROW, "dimensions line must hold two integers"),
+    "digit separator in a dimension": (MODEL_HEAD + "1_0 2\n" + ROW, "dimensions line must hold two integers"),
 }
 
 

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -348,6 +349,20 @@ class TestCtmObjectives:
         mu = np.array([-1.0, 0.5, 0.0])
         caps = ctm_caps(CtmPrior(np.eye(3), mean=mu))
         assert np.allclose(caps, [math.exp(-1.0), 1.0, 1.0], atol=1e-12)
+
+    def test_caps_of_a_large_mean_under_warnings_as_errors(self):
+        # exp(800) overflows; a mean entry above 0 caps nothing either way
+        mu = np.array([800.0, -1.0, 709.8, 1e-300, -1e-300, -745.0, -800.0, 0.0, -0.0])
+        prior = CtmPrior(np.eye(mu.size), mean=mu)
+        doc, _ = two_topic_instance()
+        topics = TopicMatrix.normalized(np.ones((mu.size, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            caps = ctm_caps(prior)
+            f = ctm_full_objective(doc, topics, prior)
+        with np.errstate(over="ignore"):
+            assert caps.tobytes() == np.minimum(1.0, np.exp(mu)).tobytes()
+        assert np.array_equal(f.caps, caps)
 
 
 class TestCtmHessian:

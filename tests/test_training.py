@@ -117,16 +117,6 @@ class TestTrain:
         assert np.array_equal(b1.rows, b2.rows)
         assert t1 == t2
 
-    def test_hard_m_step(self):
-        corpus = two_cluster_corpus()
-        beta, trace = train(
-            corpus, TrainConfig(topics=2, em_iters=10, seed=0, m_step="hard")
-        )
-        from sparsetopics import validate_topic_matrix
-
-        assert validate_topic_matrix(beta.rows) == []
-        assert np.all(np.diff(trace) >= 0.0)
-
     def test_more_topics_than_vocab_still_valid(self):
         corpus = tiny_corpus()
         beta, trace = train(corpus, TrainConfig(topics=8, em_iters=3))
@@ -142,6 +132,7 @@ class TestTrainConfig:
             dict(topics=2, em_iters=0),
             dict(topics=2, em_rel_tol=0.0),
             dict(topics=2, m_step="soft"),
+            dict(topics=2, m_step="hard"),
             dict(topics=2, threads=0),
             dict(topics=2, threads=2),
         ],
