@@ -29,8 +29,7 @@ class TrainConfig:
     The M-step always reestimates topics from per-token responsibilities,
     and the E-step is serial: m_step accepts only "responsibility" and
     threads only 1.  Both fields exist only because the benchmark's
-    configuration passes them; the benchmark port of ROADMAP item 2
-    deletes them.
+    configuration passes them, and go when the benchmark is ported.
     """
 
     topics: int
