@@ -147,12 +147,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    # A setting the objective cannot use is refused, never silently ignored.
+    if args.alpha != 1.0 and args.objective != "lda-map":
+        raise InvalidConfigError(f"--alpha applies to --objective lda-map only, not {args.objective}")
+    if (args.prior is not None) != (args.objective == "ctm"):
+        raise InvalidConfigError("--prior applies to --objective ctm, which requires it")
     corpus, topics = _load_pair(args)
-    prior = None
-    if args.objective == "ctm":
-        if not args.prior:
-            raise InvalidConfigError("--objective ctm requires --prior")
-        prior = corpus_io.load_prior(args.prior)
+    prior = corpus_io.load_prior(args.prior) if args.objective == "ctm" else None
 
     def make_objective(doc):
         if args.objective == "ml":

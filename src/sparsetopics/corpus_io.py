@@ -81,6 +81,7 @@ def _raise_first_bad_triple(path, num_docs, vocab_size, num_triples):
     """Raise the error of the first bad line after the header, walking the
     file line by line; called once the fast path has found a fault."""
     seen = 0
+    totals = {}  # each document's running count sum, in file order
     with open(path) as fh:
         for line_no, raw in enumerate(itertools.islice(fh, 3, None), start=4):
             text = raw.strip()
@@ -104,6 +105,9 @@ def _raise_first_bad_triple(path, num_docs, vocab_size, num_triples):
                 raise CorpusBoundsError(f"word id {word_id} outside 1..{vocab_size}", line_no)
             if not (count > 0) or not np.isfinite(count):
                 raise CorpusFormatError(f"count must be positive, got {parts[2]}", line_no)
+            totals[doc_id] = totals.get(doc_id, 0.0) + count
+            if totals[doc_id] == math.inf:
+                raise CorpusFormatError(f"the counts of document {doc_id} sum past the largest float", line_no)
     if seen != num_triples:
         raise CorpusFormatError(f"declared {num_triples} triples but found {seen}")
     raise CorpusFormatError("triples that numpy's reader refuses")
@@ -112,9 +116,10 @@ def _raise_first_bad_triple(path, num_docs, vocab_size, num_triples):
 def load_uci_bow(docword_path, vocab_path=None) -> Corpus:
     """Read a bag-of-words file: three header lines (documents, vocabulary
     size, number of triples) followed by 1-based "docID wordID count"
-    triples.  Duplicate triples add up in file order.  Documents that end
-    up empty are dropped with a warning; the corpus's doc_ids keep the
-    file ids of the others.
+    triples.  Duplicate triples add up in file order; a document whose
+    counts, so summed, pass the largest float is refused at the line where
+    its sum overflows.  Documents that end up empty are dropped with a
+    warning; the corpus's doc_ids keep the file ids of the others.
 
     Without a vocabulary file, terms are named w1..wW.
     """
@@ -136,7 +141,11 @@ def load_uci_bow(docword_path, vocab_path=None) -> Corpus:
         _raise_first_bad_triple(docword_path, num_docs, vocab_size, num_triples)
     doc, word, count = triples["doc"], triples["word"], triples["count"]
     in_range = (doc >= 1) & (doc <= num_docs) & (word >= 1) & (word <= vocab_size)
-    if not np.all(in_range & (count > 0) & (count < np.inf)):
+    # bincount sums each document's counts in file order, as the line walk
+    # does, so an infinite count or an overflowing sum reads inf; when none
+    # does, neither does a pair's sum below, which adds a subset of the same
+    # positive counts in the same order.
+    if not np.all(in_range & (count > 0)) or not np.isfinite(np.bincount(doc, count)).all():
         _raise_first_bad_triple(docword_path, num_docs, vocab_size, num_triples)
 
     if vocab_path is None:

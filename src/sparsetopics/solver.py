@@ -40,9 +40,6 @@ from .errors import (
 )
 from .objectives import INTERIOR_ONLY, Objective, is_concave, vertex_values
 
-# Support entries below this are squashed to exact zero (full-simplex runs).
-PRUNE_TOL = 1e-15
-
 # Interior-only objectives never step all the way onto a face.
 ALPHA_MARGIN = 1e-9
 
@@ -297,17 +294,7 @@ def fw_solve(
         else:
             theta[s_ids] += alpha * s_vals
         nnz = int(np.count_nonzero(theta))
-        stepped = alpha > 0.0  # theta is the chord point at alpha, which g values
-        if not interior:
-            # theta >= 0, so an entry in (0, PRUNE_TOL) exists iff more
-            # entries lie below PRUNE_TOL than are zero.
-            below = int(np.count_nonzero(theta < PRUNE_TOL))
-            if below > k - nnz:
-                theta[theta < PRUNE_TOL] = 0.0
-                theta /= theta.sum()
-                nnz = k - below
-                stepped = False
-        f_curr = g(alpha, theta) if stepped else objective.value(theta)
+        f_curr = g(alpha, theta)  # theta is the chord point at alpha, zero steps too
         if not math.isfinite(f_curr):
             raise NumericFailureError(f"objective is {f_curr}")
         if f_curr < f_prev:

@@ -213,28 +213,19 @@ def objectives(trace) -> np.ndarray:
     return np.array([r.objective for r in trace])
 
 
-def replay_trace(k: int, trace) -> tuple[list, int]:
+def replay_trace(k: int, trace) -> list:
     """The points of a plain (uncapped) solve, replayed from its trace: the
-    start (its vertex, or the barycenter), then each step, with entries in
-    (0, PRUNE_TOL) pruned as the solver prunes them; and how many steps
-    were pruned."""
-    from sparsetopics.solver import PRUNE_TOL
-
+    start (its vertex, or the barycenter), then each step."""
     theta = np.full(k, 1.0 / k)
     if trace[0].vertex >= 0:
         theta = np.zeros(k)
         theta[trace[0].vertex] = 1.0
-    points, pruned = [theta.copy()], 0
+    points = [theta.copy()]
     for record in trace[1:]:
         theta *= 1.0 - record.alpha
         theta[record.vertex] += record.alpha
-        small = (theta > 0.0) & (theta < PRUNE_TOL)
-        if small.any():
-            pruned += 1
-            theta[small] = 0.0
-            theta /= theta.sum()
         points.append(theta.copy())
-    return points, pruned
+    return points
 
 
 def random_ml_instance(rng, k: int, v: int):

@@ -176,6 +176,23 @@ class TestInfer:
         assert rc == 2
         assert "--prior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--objective", "ml", "--alpha", "0.5"], "--alpha"),
+            (["--alpha", "2"], "--alpha"),
+            (["--objective", "ctm", "--prior", "no-such-prior.txt", "--alpha", "3"], "--alpha"),
+            (["--objective", "ml", "--prior", "no-such-prior.txt"], "--prior"),
+            (["--objective", "lda-map", "--alpha", "2", "--prior", "no-such-prior.txt"], "--prior"),
+        ],
+    )
+    def test_a_setting_the_objective_cannot_use_is_refused(self, workdir, capsys, flags, flag):
+        # refused before any file is read, so the missing prior is not the error
+        out = workdir / "unused.txt"
+        assert main(["infer", *corpus_args(workdir), *flags, "--out", str(out)]) == 2
+        assert f"error: {flag} applies to" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ctm_zero_mean(self, workdir):
         prior = workdir / "prior.txt"
         prior.write_text("1 0 0\n0 1 0\n0 0 1\n")

@@ -89,6 +89,16 @@ MALFORMED_BOW = {
     # int("1_0") is 10; a header number follows the body's grammar.
     "digit separator in the header": (
         "1_0\n3\n1\n1 1 2\n", CorpusFormatError, 1, "expected an integer document count, got '1_0'"),
+    # A document's counts, summed in file order, overflow at the named line.
+    "count sum overflow in one pair": (
+        "1\n3\n2\n1 1 1e308\n1 1 1e308\n", CorpusFormatError, 5,
+        "the counts of document 1 sum past the largest float"),
+    "count sum overflow over two terms": (
+        "1\n3\n2\n1 1 1e308\n1 2 1e308\n", CorpusFormatError, 5,
+        "the counts of document 1 sum past the largest float"),
+    "count sum overflow, one sum per document": (
+        "2\n3\n3\n1 1 1e308\n2 1 1e308\n1 3 1e308\n", CorpusFormatError, 6,
+        "the counts of document 1 sum past the largest float"),
 }
 
 
@@ -214,7 +224,9 @@ class TestLoadUciBow:
     @pytest.mark.parametrize("name", sorted(MALFORMED_BOW))
     def test_malformed_file_names_first_bad_line(self, tmp_path, name):
         text, error, line, message = MALFORMED_BOW[name]
-        with pytest.raises(CorpusFormatError) as info:
+        # and refuses it without a warning on the way, an overflow's included
+        with pytest.raises(CorpusFormatError) as info, warnings.catch_warnings():
+            warnings.simplefilter("error")
             load_uci_bow(write(tmp_path / "d.txt", text))
         assert type(info.value) is error
         assert info.value.line == line

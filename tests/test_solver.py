@@ -489,9 +489,10 @@ class ScriptedObjective:
         return (lambda a, point: self.value(point)), lambda a: (root - a, -1.0)
 
 
-class TestPruning:
-    """After each step, entries in (0, PRUNE_TOL) become zero and theta is
-    renormalized; with no such entry theta is left exactly as stepped."""
+class TestSteppedPoint:
+    """After each step theta is exactly the stepped point (1 - alpha) theta
+    + alpha e_s, valued through its chord: a weight left below 1e-15 stays,
+    and nnz counts it."""
 
     def solve(self, k, roots):
         f = ScriptedObjective(k, roots)
@@ -502,19 +503,20 @@ class TestPruning:
             mp.setattr(solver_module, "line_search", exact)
             _, trace = fw_solve(f, config=config)
         assert len(trace) == len(roots) + 1
-        assert [p.tobytes() for p in f.points] == [p.tobytes() for p in replay_trace(k, trace)[0]]
+        assert [p.tobytes() for p in f.points] == [p.tobytes() for p in replay_trace(k, trace)]
         assert [r.nnz for r in trace] == [int(np.count_nonzero(p)) for p in f.points]
-        return f.points
+        return f.points, trace
 
-    def test_tiny_entry_is_pruned(self):
-        points = self.solve(4, [1.0 - 5e-16])
-        assert points[1].tolist() == [0.0, 1.0, 0.0, 0.0]
-
-    def test_no_renormalization_without_a_tiny_entry(self):
+    def test_theta_is_exactly_the_stepped_point(self):
+        alpha = 1.0 - 5e-16
+        points, trace = self.solve(4, [alpha])
+        assert points[1].tolist() == [1.0 - alpha, alpha, 0.0, 0.0]
+        assert 0.0 < points[1][0] < 1e-15
+        assert trace[1].nnz == 2
         rng = np.random.default_rng(41)
         drifted = 0
         for _ in range(20):
-            points = self.solve(12, list(rng.uniform(0.05, 0.6, size=11)))
+            points, _ = self.solve(12, list(rng.uniform(0.05, 0.6, size=11)))
             drifted += sum(p.sum() != 1.0 for p in points)
         # the sums drift, so a renormalization would show in the bits
         assert drifted > 0
