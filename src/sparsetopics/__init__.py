@@ -68,7 +68,6 @@ from .objectives import (
     PenalizedObjective,
     ctm_caps,
     ctm_full_objective,
-    ctm_penalty_hessian,
     lda_map_objective,
     ml_objective,
 )

@@ -282,8 +282,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidConfigError("max_iters must be at least 1")
-        if not (self.rel_tol > 0):
-            raise InvalidConfigError("rel_tol must be positive")
+        if not (0 < self.rel_tol < np.inf):
+            raise InvalidConfigError("rel_tol must be finite and positive")
         if self.max_nnz is not None and self.max_nnz < 1:
             raise InvalidConfigError("max_nnz must be at least 1 when set")
         if self.start is not None and self.start not in _STARTS:

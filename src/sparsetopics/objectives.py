@@ -13,15 +13,17 @@ the whole simplex or only on its interior.
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 
 import numpy as np
 
-from .core import Document, TopicMatrix
+from .core import EPS_BETA, Document, TopicMatrix
 from .errors import (
     DomainViolationError,
     InvalidArgumentError,
     NonconcavePriorError,
+    NumericFailureError,
 )
 
 FULL_SIMPLEX = "full-simplex"
@@ -44,20 +46,49 @@ def is_concave(objective) -> bool:
     return getattr(objective, "concave", True)
 
 
-def vertex_values(objective) -> np.ndarray:
-    """The objective's values at the dim simplex vertices: its own
-    vertex_values() when it has one, one value() call per vertex
-    otherwise."""
-    own = getattr(objective, "vertex_values", None)
-    if own is not None:
-        return own()
+# MlObjective.best_vertex screens vertex k with the float32 score
+# s_k = sum_j w_j log beta_kj, w_j = c_j / max c in [0, 1]: n terms,
+# W = sum w_j >= 1, u = 2^-24, and L = -log EPS_BETA >= |log beta| for a
+# valid TopicMatrix.  Against the exact sum, term by term:
+#  - beta rounded to float32 moves its log by at most 1.01 u;
+#  - float32 log is within 4 ulp of the rounded log (numpy's accuracy
+#    tests hold it there), so within 10 u |log beta|;
+#  - w rounded to float32 after its float64 division, and the product, are
+#    each off by at most 1.01 u relative, plus 2^-150 where they underflow;
+# at most w u (12.03 L + 1.03) together.  A float32 sum of n terms of one
+# sign, in any order, is off by at most (n - 1) u / (1 - n u) of their
+# total, itself at most W L (1 + 13 u).  So for n u <= 1/16,
+# |s_k - exact| <= E = u W ((n + 13) L + 2) / (1 - n u), the underflow terms
+# being far below u <= u W.  value(e_k) in float64 (log within 1 ulp, an
+# n-term dot) is within 2^-28 E of the exact sum.  A vertex scored below
+# top - 2 u W ((n + 14) L + 2) / (1 - n u) thus has a value below the
+# top-scored vertex's: it can neither tie nor beat it.  The screen takes
+# W <= n, which spares a pass over the counts.
+_SCREEN_U = 2.0**-24
+_SCREEN_L = -math.log(EPS_BETA)
+_ONE_BYTES = np.float64(1.0).tobytes()
+
+
+def best_vertex(objective) -> int:
+    """The lowest index k at which the objective's value at the vertex e_k
+    is highest: its own best_vertex() when it has one, the argmax of one
+    value() call per vertex otherwise.  Both refuse an objective that is
+    NaN or infinite at a vertex with NumericFailureError."""
+    own = getattr(objective, "best_vertex", None)
+    return own() if own is not None else _value_argmax(objective)
+
+
+def _value_argmax(objective) -> int:
     values = np.empty(objective.dim)
     basis = np.zeros(objective.dim)
-    for i in range(objective.dim):
-        basis[i] = 1.0
-        values[i] = objective.value(basis)
-        basis[i] = 0.0
-    return values
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for i in range(objective.dim):
+            basis[i] = 1.0
+            values[i] = objective.value(basis)
+            basis[i] = 0.0
+    if not np.all(np.isfinite(values)):
+        raise NumericFailureError("objective is NaN or infinite at a vertex")
+    return int(np.argmax(values))
 
 
 class Objective:
@@ -80,8 +111,8 @@ class Objective:
     not be called from two threads at once; each thread takes its own
     restriction.
 
-    An objective may also offer vertex_values(), its values at all
-    vertices at once, as the likelihood does; read them with vertex_values.
+    An objective may also offer best_vertex(), the vertex where its value
+    is highest, as the likelihood does; read it with best_vertex.
     The likelihood memoizes its mixture and a log-space penalty its point
     state (LogPenalty), each at the last point, keyed by the point's bytes;
     at a point a solver step reached, the mixture is g's (MlObjective).
@@ -167,9 +198,33 @@ class MlObjective(Objective):
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return self.term_columns @ (self._counts / self._mixture(theta))
 
-    def vertex_values(self) -> np.ndarray:
-        """value() at every vertex e_k, in one pass over the slab."""
-        return np.log(self.term_columns) @ self._counts
+    def best_vertex(self) -> int:
+        """The lowest index k where value(e_k) is highest, found by a
+        float32 screen of every vertex.  When the screen's error bound
+        (above) leaves more than one vertex in reach of the top score, each
+        of them is valued again as value() computes it.  Memoizes the
+        winner's slab row, which has the bits of e_k . term_columns, as the
+        mixture at e_k."""
+        counts = self._counts
+        n, c_max = counts.size, float(np.maximum.reduce(counts))
+        m = n * _SCREEN_U
+        if m > 1.0 / 16.0 or not math.isfinite(2.0 * _SCREEN_L * n * c_max):
+            # Past the bound's range, or counts so large that a value (at
+            # most L n max c in size) may overflow: the value loop decides.
+            return _value_argmax(self)
+        weights = (counts / c_max).astype(np.float32)
+        scores = (np.log(self.term_columns, dtype=np.float32) @ weights).astype(np.float64)
+        slack = 2.0 * _SCREEN_U * n * ((n + 14) * _SCREEN_L + 2.0) / (1.0 - m)
+        best = int(scores.argmax())
+        in_reach = scores >= scores[best] - slack
+        if np.count_nonzero(in_reach) > 1:
+            candidates = np.flatnonzero(in_reach)
+            values = [float(counts @ np.log(np.array(self.term_columns[k]))) for k in candidates]
+            best = int(candidates[np.argmax(values)])
+        # The key is the bytes of e_best, as value(e_best) reads them.
+        key = bytes(8 * best) + _ONE_BYTES + bytes(8 * (self.dim - best - 1))
+        self._remember(key, np.array(self.term_columns[best]))
+        return best
 
     def line_restriction(self, theta, s_ids, s_vals):
         p0 = self._mixture(theta)
@@ -454,14 +509,3 @@ def ctm_caps(prior: CtmPrior) -> np.ndarray:
         return np.ones(prior.num_topics)
     return np.exp(np.minimum(prior.mean, 0.0))
 
-
-def ctm_penalty_hessian(theta: np.ndarray, prior: CtmPrior) -> np.ndarray:
-    """Hessian of the log-normal penalty at an interior point:
-
-        H = -D (P - diag(P x)) D,   D = diag(1/theta),  x = log theta - mu.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    x = GaussianLogPenalty(prior)._state(theta)[0]
-    inv = 1.0 / theta
-    inner = prior.precision - np.diag(prior.precision @ x)
-    return -inner * np.outer(inv, inv)

@@ -12,7 +12,7 @@ Each step costs one gradient, one linear subproblem and a one-dimensional
 search: a Newton root search on the slope along the step that crosses a
 pole of the slope in log distance and returns a Newton point unprobed once
 the last two steps bound its error within line_search's default tol of
-1e-10.  The best-vertex start scores all K vertices at once (vertex_values).
+1e-10.  The best-vertex start comes from objectives.best_vertex.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     NonconcavePriorError,
     NumericFailureError,
 )
-from .objectives import INTERIOR_ONLY, Objective, is_concave, vertex_values
+from .objectives import INTERIOR_ONLY, Objective, best_vertex, is_concave
 
 # Interior-only objectives never step all the way onto a face.
 ALPHA_MARGIN = 1e-9
@@ -246,10 +246,7 @@ def fw_solve(
     elif interior or config.start == START_BARYCENTER:
         theta = np.full(k, 1.0 / k)
     else:
-        values = vertex_values(objective)
-        if not np.all(np.isfinite(values)):
-            raise NumericFailureError("objective is NaN or infinite at a vertex")
-        start_vertex = int(np.argmax(values))
+        start_vertex = best_vertex(objective)
         theta = np.zeros(k)
         theta[start_vertex] = 1.0
 

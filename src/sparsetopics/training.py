@@ -45,8 +45,8 @@ class TrainConfig:
             raise InvalidConfigError("need at least one topic")
         if self.em_iters < 1:
             raise InvalidConfigError("em_iters must be at least 1")
-        if not (self.em_rel_tol > 0):
-            raise InvalidConfigError("em_rel_tol must be positive")
+        if not (0 < self.em_rel_tol < np.inf):
+            raise InvalidConfigError("em_rel_tol must be finite and positive")
         if self.m_step != "responsibility":
             raise InvalidConfigError("m_step must be 'responsibility', the one M-step")
         if self.threads != 1:
@@ -132,8 +132,8 @@ def generate_synthetic_corpus(
         raise InvalidArgumentError("num_topics, vocab_size and num_docs must be positive")
     if doc_length < 1:
         raise InvalidArgumentError("doc_length must be at least 1 (no empty documents)")
-    if not (doc_alpha > 0) or not (topic_concentration > 0):
-        raise InvalidArgumentError("Dirichlet concentrations must be positive")
+    if not (0 < doc_alpha < np.inf) or not (0 < topic_concentration < np.inf):
+        raise InvalidArgumentError("Dirichlet concentrations must be finite and positive")
     rng = np.random.default_rng(seed)
     beta = TopicMatrix.normalized(
         rng.dirichlet(np.full(vocab_size, topic_concentration), size=num_topics)

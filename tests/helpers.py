@@ -1,8 +1,8 @@
 """Independent oracles used by the tests: finite differences, exhaustive
 and zoomed grid search over the simplex, a brute-force capped LP, the
-capped linear step as a loop, a bisection line search and the
-likelihood with its chord in the plain six-pass form; and the objective
-values of a solver trace.
+capped linear step as a loop, a bisection line search, the
+likelihood with its chord in the plain six-pass form and the log-normal
+penalty's Hessian; and the objective values of a solver trace.
 
 Nothing in here calls the solvers under test.
 """
@@ -282,3 +282,15 @@ class PlainChordMl(MlObjective):
             return slope, -float(counts.dot(w))
 
         return g, dg
+
+
+def ctm_penalty_hessian(theta: np.ndarray, prior) -> np.ndarray:
+    """Hessian of the log-normal penalty of a CtmPrior at an interior point:
+
+        H = -D (P - diag(P x)) D,   D = diag(1/theta),  x = log theta - mu.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    x = np.log(theta) if prior.mean is None else np.log(theta) - prior.mean
+    inv = 1.0 / theta
+    inner = prior.precision - np.diag(prior.precision @ x)
+    return -inner * np.outer(inv, inv)

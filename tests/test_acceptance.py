@@ -28,7 +28,6 @@ from sparsetopics import (
     capped_simplex_argmax,
     compare_methods,
     ctm_full_objective,
-    ctm_penalty_hessian,
     evaluate_inference,
     fw_solve,
     generate_synthetic_corpus,
@@ -47,6 +46,7 @@ from sparsetopics.core import Document, Vocabulary
 from acceptance_report import verdict
 from helpers import (
     brute_force_capped_lp,
+    ctm_penalty_hessian,
     finite_diff_gradient,
     grid_search_max,
     interior_point,

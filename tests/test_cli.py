@@ -267,6 +267,31 @@ class TestEval:
         assert rc == 2
         assert "unknown method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--methods", "fw", "--alpha", "0.5"], "--alpha applies to the vb method only"),
+            (["--methods", "fw,folding", "--alpha", "2"], "--alpha applies to the vb method only"),
+            (["--alpha", "0.5", "--methods", ""], "--methods names no method"),
+            (["--methods", " , "], "--methods names no method"),
+            (["--methods", "fw,fw"], "--methods names a method twice: fw,fw"),
+            (["--methods", "vb, fw,vb", "--alpha", "2"], "--methods names a method twice"),
+        ],
+    )
+    def test_a_setting_no_method_uses_is_refused(self, tmp_path, capsys, flags, message):
+        # refused before any file is read, so the missing model is not the error
+        out = tmp_path / "eval.csv"
+        args = ["--corpus", "no-such-corpus.txt", "--model", "no-such-model.txt"]
+        assert main(["eval", *args, *flags, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alpha_with_vb_is_used(self, workdir, capsys):
+        rc = main(["eval", *corpus_args(workdir), "--methods", "vb", "--alpha", "2"])
+        assert rc == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert [r[0] for r in rows[1:]] == ["vb"]
+
 
 class TestTradeoff:
     def test_stdout_rows(self, workdir, capsys):
@@ -285,6 +310,34 @@ class TestTradeoff:
     def test_non_integer_caps(self, workdir, capsys):
         rc = main(["tradeoff", *corpus_args(workdir), "--caps", "a,b"])
         assert rc == 2
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("infer", ["--tol", "inf"], "rel_tol must be finite and positive"),
+            ("eval", ["--tol", "inf"], "rel_tol must be finite and positive"),
+            ("train", ["--tol", "inf"], "rel_tol must be finite and positive"),
+            ("train", ["--em-tol", "inf"], "em_rel_tol must be finite and positive"),
+            ("tradeoff", ["--caps", "1,2", "--tol", "inf"], "rel_tol must be finite and positive"),
+        ],
+    )
+    def test_an_infinite_tolerance_is_refused(self, workdir, tmp_path, capsys, command, flags, message):
+        args = corpus_args(workdir)
+        if command == "train":
+            args = args[:4] + ["--topics", "3"]
+        out = tmp_path / "out.txt"
+        assert main([command, *args, *flags, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--doc-alpha", "--concentration"])
+    def test_an_infinite_concentration_is_refused(self, tmp_path, capsys, flag):
+        argv = ["synth", "--topics", "2", "--vocab", "5", "--docs", "2", "--len", "5"]
+        assert main([*argv, flag, "inf", "--out-prefix", str(tmp_path / "x")]) == 2
+        assert "error: Dirichlet concentrations must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParser:

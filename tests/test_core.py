@@ -276,6 +276,8 @@ class TestSolverConfig:
             dict(max_iters=0),
             dict(rel_tol=0.0),
             dict(rel_tol=-1e-6),
+            dict(rel_tol=float("inf")),
+            dict(rel_tol=float("nan")),
             dict(max_nnz=0),
             dict(start="middle"),
         ],

@@ -30,7 +30,7 @@ from sparsetopics import (
     save_model,
     save_uci_bow,
 )
-from sparsetopics.core import SIMPLEX_TOL
+from sparsetopics.core import EPS_BETA, SIMPLEX_TOL
 from sparsetopics.corpus_io import _ROWS_PER_PARSE
 
 from helpers import objectives
@@ -111,6 +111,59 @@ class TestMlInvariants:
         report, trace = fw_solve(ml_objective(doc, topics), config=config)
         assert_on_simplex(report, topics.num_topics)
         assert_monotone(trace)
+
+
+@st.composite
+def vertex_instances(draw):
+    """A likelihood whose best vertex is contested: up to 60 topics over as
+    many as 5,000 terms, counts from 1e-300 to 1e300 (spread over up to
+    300 decades within a document), and a copy of the best row at another
+    index, exact, one ulp up in one entry, or a float32 rounding apart."""
+    k = draw(st.integers(1, 60))
+    v = draw(st.sampled_from([1, 3, 40, 5000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = TopicMatrix.normalized(rng.dirichlet(np.full(v, draw(st.sampled_from([0.05, 1.0, 50.0]))), size=k)).rows
+    n = draw(st.integers(1, min(v, 5000)))
+    ids = np.sort(rng.choice(v, size=n, replace=False)).astype(np.int64)
+    top = draw(st.integers(-300, 300))
+    exponents = np.maximum(top - rng.integers(0, draw(st.sampled_from([0, 2, 300])) + 1, size=n), -300)
+    doc = Document(ids, rng.uniform(1.0, 9.99, size=n) * 10.0 ** exponents.astype(np.float64))
+    copy = draw(st.sampled_from(["none", "exact", "ulp", "float32"]))
+    if k > 1 and copy != "none":
+        rows = np.array(rows)
+        best = int(np.argmax(np.log(rows[:, ids]) @ doc.counts))
+        other = (best + draw(st.integers(1, k - 1))) % k
+        rows[other] = rows[best]
+        j = ids[draw(st.integers(0, n - 1))]
+        if copy == "ulp":
+            rows[other, j] = np.nextafter(rows[other, j], 1.0)
+        elif copy == "float32" and v > 1:
+            # moved by about a float32 rounding, the row sum kept by the
+            # largest other entry
+            moved = max(rows[other, j] * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * 2.0**-24), EPS_BETA)
+            donor = int(np.argmax(np.where(np.arange(v) == j, -1.0, rows[other])))
+            rows[other, donor] -= moved - rows[other, j]
+            rows[other, j] = moved
+    return TopicMatrix(rows), doc
+
+
+class TestBestVertex:
+    @settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(vertex_instances())
+    def test_is_the_value_loops_argmax(self, instance):
+        # the screen may leave out only vertices that can neither tie nor
+        # beat the winner, and ties go to the lowest index, as np.argmax's
+        topics, doc = instance
+        k = topics.num_topics
+        loop = [ml_objective(doc, topics).value(np.eye(k)[i]) for i in range(k)]
+        f = ml_objective(doc, topics)
+        winner = f.best_vertex()
+        assert winner == int(np.argmax(loop))
+        # and the winner's row is memoized as the mixture value() forms at e_k
+        key, p = f._memo.entry
+        assert key == np.eye(k)[winner].tobytes()
+        assert p.tobytes() == (np.eye(k)[winner] @ f.term_columns).tobytes()
+        assert f.value(np.eye(k)[winner]) == loop[winner]
 
 
 class TestCtmInvariants:

@@ -27,7 +27,7 @@ from sparsetopics import (
 )
 
 import sparsetopics.solver as solver_module
-from sparsetopics.objectives import vertex_values
+from sparsetopics.objectives import best_vertex
 
 from helpers import (
     PlainChordMl,
@@ -396,29 +396,81 @@ class TestFwSolve:
 
 
 class TestVertexStart:
-    def test_ml_vertex_values_match_the_value_loop(self):
+    def test_ml_best_vertex_is_the_value_loops_argmax(self):
         rng = np.random.default_rng(77)
         for _ in range(30):
             k = int(rng.integers(1, 40))
             topics, doc = random_ml_instance(rng, k=k, v=int(rng.integers(2, 60)))
             f = ml_objective(doc, topics)
-            loop = np.array([f.value(np.eye(k)[i]) for i in range(k)])
-            fast = f.vertex_values()
-            np.testing.assert_allclose(fast, loop, rtol=1e-12, atol=0.0)
-            assert int(np.argmax(fast)) == int(np.argmax(loop))
+            loop = [f.value(np.eye(k)[i]) for i in range(k)]
+            assert f.best_vertex() == int(np.argmax(loop))
 
     def test_objectives_without_the_method_use_the_loop(self):
         topics, doc = random_ml_instance(np.random.default_rng(78), k=6, v=20)
-        f = WithoutVertexValues(ml_objective(doc, topics))
-        assert not hasattr(f, "vertex_values")
-        loop = np.array([f.value(np.eye(6)[i]) for i in range(6)])
-        assert vertex_values(f).tolist() == loop.tolist()
+        f = WithoutBestVertex(ml_objective(doc, topics))
+        assert not hasattr(f, "best_vertex")
+        loop = [f.value(np.eye(6)[i]) for i in range(6)]
+        assert best_vertex(f) == int(np.argmax(loop))
         _, trace = fw_solve(f)
         assert trace[0].vertex == int(np.argmax(loop))
 
+    def test_a_vertex_row_is_its_one_hot_product_bit_for_bit(self):
+        # 1.0 * beta + 0.0 * ... is beta in any summation order, so the row
+        # best_vertex memoizes is the mixture value() would form at e_k
+        rng = np.random.default_rng(79)
+        for k in (1, 7, 100, 1000):
+            topics, doc = random_ml_instance(rng, k=k, v=300)
+            f = ml_objective(doc, topics)
+            for i in range(k):
+                vertex = np.zeros(k)
+                vertex[i] = 1.0
+                assert (vertex @ f.term_columns).tobytes() == f.term_columns[i].tobytes()
 
-class WithoutVertexValues:
-    """The likelihood's value, gradient and chord, but no vertex_values()."""
+    @pytest.mark.parametrize("scale", [1e307, 1e308, 1.5e308])
+    def test_a_value_that_overflows_at_any_vertex_is_refused(self, scale):
+        # vertex 0 holds 1e-10 on both terms, so its value sums past the
+        # largest float; vertex 1 stays finite.  Refused as the value loop
+        # meets an infinite value, before any step.
+        topics = TopicMatrix(np.array([[1e-10, 1e-10, 1.0 - 2e-10], [0.5, 0.5 - 1e-10, 1e-10]]))
+        doc = Document(np.array([0, 1]), np.array([scale, scale / 8.0]))
+        with np.errstate(over="ignore"):
+            loop = [ml_objective(doc, topics).value(np.eye(2)[i]) for i in range(2)]
+        assert not math.isfinite(loop[0]) and math.isfinite(loop[1])
+        with pytest.raises(NumericFailureError, match="objective is NaN or infinite at a vertex"):
+            fw_solve(ml_objective(doc, topics))
+        with pytest.raises(NumericFailureError, match="objective is NaN or infinite at a vertex"):
+            best_vertex(WithoutBestVertex(ml_objective(doc, topics)))
+
+    @pytest.mark.parametrize("exponent", range(295, 309))
+    def test_refused_exactly_where_a_vertex_value_overflows(self, exponent):
+        # large counts near the overflow of the vertex sums: refused when,
+        # and only when, the value loop meets a non-finite value, which at
+        # these scales is also where the one-pass vertex sums overflow
+        rng = np.random.default_rng(exponent)
+        topics, doc = random_ml_instance(rng, k=20, v=40)
+        doc = Document(doc.term_ids, doc.counts / doc.counts.sum() * 10.0**exponent)
+        f = ml_objective(doc, topics)
+        with np.errstate(over="ignore"):
+            loop = np.array([f.value(np.eye(20)[i]) for i in range(20)])
+            one_pass = np.log(f.term_columns) @ doc.counts
+        assert np.all(np.isfinite(loop)) == np.all(np.isfinite(one_pass))
+        if np.all(np.isfinite(loop)):
+            assert ml_objective(doc, topics).best_vertex() == int(np.argmax(loop))
+        else:
+            with pytest.raises(NumericFailureError, match="at a vertex"):
+                ml_objective(doc, topics).best_vertex()
+
+    def test_a_test_double_nan_at_a_vertex_is_refused(self):
+        topics, doc = random_ml_instance(np.random.default_rng(81), k=4, v=10)
+        f = WithoutBestVertex(ml_objective(doc, topics))
+        value = f.value
+        f.value = lambda theta: math.nan if theta[2] == 1.0 else value(theta)
+        with pytest.raises(NumericFailureError, match="objective is NaN or infinite at a vertex"):
+            fw_solve(f)
+
+
+class WithoutBestVertex:
+    """The likelihood's value, gradient and chord, but no best_vertex()."""
 
     def __init__(self, inner):
         self.dim, self.domain, self.value = inner.dim, inner.domain, inner.value
@@ -432,7 +484,7 @@ class RefusingObjective:
         self.inner = inner
 
     def __getattr__(self, name):
-        if name in ("value", "gradient", "line_restriction", "vertex_values"):
+        if name in ("value", "gradient", "line_restriction", "best_vertex"):
             pytest.fail(f"{name} called")
         return getattr(self.inner, name)
 
@@ -471,8 +523,8 @@ class ScriptedObjective:
         self.points = []
         self.steps = 0
 
-    def vertex_values(self):
-        return -np.arange(self.dim, dtype=np.float64)
+    def best_vertex(self):
+        return 0
 
     def value(self, theta):
         self.points.append(theta.copy())

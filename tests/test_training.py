@@ -131,6 +131,7 @@ class TestTrainConfig:
             dict(topics=0),
             dict(topics=2, em_iters=0),
             dict(topics=2, em_rel_tol=0.0),
+            dict(topics=2, em_rel_tol=float("inf")),
             dict(topics=2, m_step="soft"),
             dict(topics=2, m_step="hard"),
             dict(topics=2, threads=0),
@@ -178,6 +179,8 @@ class TestGenerateSyntheticCorpus:
             dict(num_topics=2, vocab_size=5, num_docs=1, doc_length=0),
             dict(num_topics=2, vocab_size=5, num_docs=1, doc_length=5, doc_alpha=0.0),
             dict(num_topics=2, vocab_size=5, num_docs=1, doc_length=5, topic_concentration=-1.0),
+            dict(num_topics=2, vocab_size=5, num_docs=1, doc_length=5, doc_alpha=float("inf")),
+            dict(num_topics=2, vocab_size=5, num_docs=1, doc_length=5, topic_concentration=float("inf")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
