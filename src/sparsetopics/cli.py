@@ -16,7 +16,7 @@ import numpy as np
 from . import corpus_io
 from .core import SolverConfig, TopicProportion
 from .errors import InvalidArgumentError, InvalidConfigError
-from .evaluation import ALL_METHODS, METHOD_VB, compare_methods, tradeoff_sweep
+from .evaluation import ALL_METHODS, check_methods, compare_methods, tradeoff_sweep
 from .objectives import ctm_full_objective, lda_map_objective, ml_objective
 from .solver import fw_solve
 from .training import TrainConfig, generate_synthetic_corpus, train
@@ -171,19 +171,11 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # As in infer: a setting no chosen method uses is refused, not ignored.
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise InvalidConfigError("--methods names no method")
-    if len(set(methods)) != len(methods):
-        raise InvalidConfigError(f"--methods names a method twice: {args.methods}")
-    if args.alpha != 1.0 and METHOD_VB not in methods:
-        raise InvalidConfigError(f"--alpha applies to the {METHOD_VB} method only, which --methods leaves out")
+    check_methods(methods, args.alpha)  # as in infer, before any file is read
     corpus, topics = _load_pair(args)
     config = SolverConfig(max_iters=args.iters, rel_tol=args.tol)
-    return _write_results(
-        args, compare_methods(corpus, topics, alpha=args.alpha, config=config, methods=methods)
-    )
+    return _write_results(args, compare_methods(corpus, topics, alpha=args.alpha, config=config, methods=methods))
 
 
 def _cmd_tradeoff(args) -> int:

@@ -7,6 +7,8 @@ probability vectors tolerate a drift of SIMPLEX_TOL from exact normalization.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -296,6 +298,11 @@ def converged(previous: float, current: float, tol: float) -> bool:
     both values by the same factor never changes the verdict, and equal
     values (zero included) have converged."""
     return abs(current - previous) <= tol * abs(previous)
+
+
+def sum_left_to_right(values) -> float:
+    """values added left to right from 0.0, as sum() did before Python 3.12."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import folding_in, vb_infer
-from .core import Corpus, Document, InferenceReport, SolverConfig, TopicMatrix
+from .core import Corpus, Document, InferenceReport, SolverConfig, TopicMatrix, sum_left_to_right
 from .errors import InvalidArgumentError
 from .objectives import MlObjective
 from .solver import fw_solve
@@ -84,8 +84,8 @@ def evaluate_inference(
                 seconds=seconds,
             )
         )
-    total_log = sum(r.log_prob for r in rows)
-    total_len = sum(r.length for r in rows)
+    total_log = sum_left_to_right(r.log_prob for r in rows)
+    total_len = sum_left_to_right(r.length for r in rows)
     return EvalReport(
         perplexity=float(np.exp(-total_log / total_len)),
         mean_sparsity=float(np.mean([r.nnz / k for r in rows])),
@@ -101,6 +101,20 @@ METHOD_VB = "vb"
 ALL_METHODS = (METHOD_FW, METHOD_FOLDING, METHOD_VB)
 
 
+def check_methods(methods: Sequence[str], alpha=1.0) -> None:
+    """Refuses (InvalidArgumentError) no method, an unknown or repeated one,
+    and an alpha other than 1 without vb, the only method that reads it."""
+    if len(methods) == 0:
+        raise InvalidArgumentError("methods name no method")
+    for method in methods:
+        if method not in ALL_METHODS:
+            raise InvalidArgumentError(f"unknown method: {method!r}")
+    if len(set(methods)) != len(methods):
+        raise InvalidArgumentError(f"methods name a method twice: {','.join(methods)}")
+    if np.any(np.asarray(alpha) != 1.0) and METHOD_VB not in methods:
+        raise InvalidArgumentError(f"alpha applies to the {METHOD_VB} method only, which methods leave out")
+
+
 def compare_methods(
     testset,
     topics: TopicMatrix,
@@ -109,17 +123,15 @@ def compare_methods(
     methods: Sequence[str] = ALL_METHODS,
 ) -> list[MethodResult]:
     """Evaluate the simplex solver against the baselines under one shared
-    stopping configuration (same max_iters, same rel_tol).  An unknown
-    method name is refused before any method runs."""
+    stopping configuration (same max_iters, same rel_tol).  The methods
+    and alpha pass check_methods before any method runs."""
+    check_methods(methods, alpha)
     config = config or SolverConfig()
     infer = {
         METHOD_FW: lambda doc: fw_solve(MlObjective(doc, topics), config=config)[0],
         METHOD_FOLDING: lambda doc: folding_in(doc, topics, config)[0],
         METHOD_VB: lambda doc: vb_infer(doc, topics, alpha, config)[0],
     }
-    for method in methods:
-        if method not in infer:
-            raise InvalidArgumentError(f"unknown method: {method!r}")
     return [
         MethodResult(method, config.max_iters, evaluate_inference(testset, topics, infer[method]))
         for method in methods

@@ -7,7 +7,9 @@ non-negative precisions only).  Both priors are a concave function of
 log theta, interior only, with one value, gradient and chord
 (LogPenalty); alpha = 1 is no prior, so lda-map is then the likelihood.
 Values are maximized; every objective reports whether it is defined on
-the whole simplex or only on its interior.
+the whole simplex or only on its interior.  A step's products use
+ndarray.dot, cheaper than @; a scalar one adds + 0.0, as dot keeps a lone
+-0.0 product where @ sums from +0.0.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ class Objective:
             return self.value(chord_point(a) if point is None else point)
 
         def dg(a: float) -> tuple[float, float]:
-            return float(direction @ self.gradient(chord_point(a))), 0.0
+            return float(direction.dot(self.gradient(chord_point(a)))) + 0.0, 0.0
 
         return g, dg
 
@@ -189,14 +191,14 @@ class MlObjective(Objective):
         key = theta.tobytes()
         memo_key, p = getattr(self._memo, "entry", (None, None))
         if key != memo_key:
-            p = self._remember(key, theta @ self.term_columns)
+            p = self._remember(key, theta @ self.term_columns)  # at most once a solve
         return p
 
     def value(self, theta: np.ndarray) -> float:
-        return float(self._counts @ np.log(self._mixture(theta)))
+        return float(self._counts.dot(np.log(self._mixture(theta)))) + 0.0
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self.term_columns @ (self._counts / self._mixture(theta))
+        return self.term_columns.dot(self._counts / self._mixture(theta))
 
     def best_vertex(self) -> int:
         """The lowest index k where value(e_k) is highest, found by a
@@ -219,7 +221,7 @@ class MlObjective(Objective):
         in_reach = scores >= scores[best] - slack
         if np.count_nonzero(in_reach) > 1:
             candidates = np.flatnonzero(in_reach)
-            values = [float(counts @ np.log(np.array(self.term_columns[k]))) for k in candidates]
+            values = [float(counts.dot(np.log(np.array(self.term_columns[k])))) + 0.0 for k in candidates]
             best = int(candidates[np.argmax(values)])
         # The key is the bytes of e_best, as value(e_best) reads them.
         key = bytes(8 * best) + _ONE_BYTES + bytes(8 * (self.dim - best - 1))
@@ -229,10 +231,10 @@ class MlObjective(Objective):
     def line_restriction(self, theta, s_ids, s_vals):
         p0 = self._mixture(theta)
         if len(s_ids) == 1 and s_vals[0] == 1.0:
-            # A vertex: 1.0 @ its one slab row is that row, bit for bit.
+            # A vertex: 1.0 times its one slab row is that row, bit for bit.
             ps = self.term_columns[s_ids[0]]
         else:
-            ps = s_vals @ self.term_columns[s_ids, :]
+            ps = s_vals.dot(self.term_columns[s_ids, :])
         dp = ps - p0
         counts, sqrt_counts = self._counts, self._sqrt_counts
         scaled = sqrt_counts * dp
@@ -243,14 +245,12 @@ class MlObjective(Objective):
             p = p0 + a * dp if a <= 0.5 else ps - (1.0 - a) * dp
             if point is not None:
                 self._remember(point.tobytes(), p)
-            return float(counts @ np.log(p))
+            return float(counts.dot(np.log(p))) + 0.0
 
         def dg(a: float) -> tuple[float, float]:
             # v = scaled / (p0 + a * dp), the mixture formed from the nearer
             # end of the chord: above 0.5 as ps - (1 - a) * dp, where 1 - a is
-            # exact; at 0 v is scaled / p0, bit for bit.  A positional out
-            # costs less than out=, and ndarray.dot less than @; the + 0.0
-            # turns a lone -0.0 product into +0.0.
+            # exact; at 0 v is scaled / p0, bit for bit.  A positional out beats out=.
             if a == 0.0:
                 np.divide(scaled, p0, v)
             elif a <= 0.5:
@@ -321,7 +321,7 @@ class LogPenalty(Objective):
                 point, dphi_y = x, dphi(y)
             np.divide(direction, point, u)
             np.multiply(u, u, x)
-            return float(dphi_y @ u), d2phi(u) - float(dphi_y @ x)
+            return float(dphi_y.dot(u)) + 0.0, d2phi(u) - float(dphi_y.dot(x))
 
         return g, dg
 
@@ -349,7 +349,7 @@ class DirichletLogPenalty(LogPenalty):
         self._lam = a - 1.0
 
     def _phi(self, y: np.ndarray, dphi_y: np.ndarray) -> float:
-        return float(self._lam @ y)
+        return float(self._lam.dot(y)) + 0.0
 
     def _dphi(self, y: np.ndarray) -> np.ndarray:
         return self._lam
@@ -423,13 +423,13 @@ class GaussianLogPenalty(LogPenalty):
         self._d2 = -prior.precision
 
     def _phi(self, y: np.ndarray, dphi_y: np.ndarray) -> float:
-        return float(0.5 * (y @ dphi_y))
+        return 0.5 * float(y.dot(dphi_y)) + 0.0
 
     def _dphi(self, y: np.ndarray) -> np.ndarray:
-        return self._d2 @ y
+        return self._d2.dot(y)
 
     def _d2phi(self, u: np.ndarray) -> float:
-        return float(u @ (self._d2 @ u))
+        return float(u.dot(self._d2.dot(u))) + 0.0
 
 
 class PenalizedObjective(Objective):

@@ -142,7 +142,7 @@ def _greedy_capped(scores: np.ndarray, caps: np.ndarray):
     """Maximize scores . s over {0 <= s <= caps, sum s = 1} by filling
     coordinates in descending score order (stable sort, so ties go to the
     lowest index).  Returns (ids, values)."""
-    order = np.argsort(-scores, kind="stable")
+    order = (-scores).argsort(kind="stable")
     ordered = caps[order]
     # remaining[i] = 1 - ordered[0] - ... - ordered[i-1], subtracted left
     # to right.
@@ -153,7 +153,7 @@ def _greedy_capped(scores: np.ndarray, caps: np.ndarray):
     # Coordinates fill to their caps up to the first whose cap does not fit
     # under what is left; that one takes the rest.
     fits = ordered < remaining
-    n = ordered.size if fits.all() else int(np.argmin(fits)) + 1
+    n = ordered.size if fits.all() else int(fits.argmin()) + 1
     return order[:n], np.minimum(ordered[:n], remaining[:n])
 
 
@@ -251,6 +251,7 @@ def fw_solve(
         theta[start_vertex] = 1.0
 
     upper = 1.0 - ALPHA_MARGIN if interior else 1.0
+    vertex_ids = np.arange(k).reshape(k, 1)  # row i is [i], a step's s_ids
     nnz = int(np.count_nonzero(theta))
     if config.max_nnz is not None and nnz > config.max_nnz:
         raise InvalidConfigError(
@@ -278,7 +279,7 @@ def fw_solve(
         if math.isnan(grad[lead]):
             raise NumericFailureError("gradient is NaN")
         if caps is None:
-            s_ids, s_vals = np.array([lead], dtype=np.int64), _VERTEX_WEIGHT
+            s_ids, s_vals = vertex_ids[lead], _VERTEX_WEIGHT
         else:
             s_ids, s_vals = _greedy_capped(grad, caps)
         g, dg = objective.line_restriction(theta, s_ids, s_vals)

@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import Corpus, Document, SolverConfig, TopicMatrix, Vocabulary, converged
+from .core import Corpus, Document, SolverConfig, TopicMatrix, Vocabulary, converged, sum_left_to_right
 from .errors import InvalidArgumentError, InvalidConfigError
 from .objectives import MlObjective
 from .solver import fw_solve
@@ -93,9 +93,7 @@ def train(corpus: Corpus, config: TrainConfig):
         stats, thetas = _e_step_range(documents, beta, config, previous)
         candidate = TopicMatrix.normalized(stats + SMOOTHING)
         terms = [MlObjective(doc, candidate).value(theta) for doc, theta in zip(documents, thetas)]
-        ll = 0.0
-        for term in terms:  # left to right: sum() compensates from Python 3.12 on
-            ll += term
+        ll = sum_left_to_right(terms)
         if trace and ll < trace[-1]:
             # The only way down is smoothing-floor noise; we are converged.
             break

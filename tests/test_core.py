@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -292,6 +293,17 @@ def test_inference_report_nnz_is_the_support_of_theta():
     assert InferenceReport(theta=point, iterations=3, objective=-1.0, seconds=0.0).nnz == 2
     with pytest.raises(InvalidArgumentError):
         InferenceReport(theta=point, iterations=-1, objective=-1.0, seconds=0.0)
+
+
+def test_sum_left_to_right_adds_in_order():
+    from sparsetopics.core import sum_left_to_right
+
+    # each -1.0 is half an ulp of -1e16 and rounds away, added in order
+    values = [-1e16] + [-1.0] * 10
+    assert sum_left_to_right(values) == -1e16
+    assert math.fsum(values) == -1e16 - 10.0
+    assert sum_left_to_right(iter(values[::-1])) == -1e16 - 10.0
+    assert sum_left_to_right([]) == 0.0 and math.copysign(1.0, sum_left_to_right([-0.0])) == 1.0
 
 
 def test_converged_relative_then_absolute():

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from sparsetopics import (
     tradeoff_sweep,
 )
 from sparsetopics import evaluation
+from sparsetopics.core import InferenceReport, TopicProportion, sum_left_to_right
 from sparsetopics.evaluation import ALL_METHODS
 
 
@@ -43,9 +47,26 @@ class TestPerplexity:
     def test_matches_manual_aggregation(self):
         data = generate_synthetic_corpus(3, 40, 8, 30, seed=6)
         report = evaluate_inference(data.corpus, data.topics, fw_infer(data.topics))
-        total_log = sum(r.log_prob for r in report.docs)
-        total_len = sum(r.length for r in report.docs)
+        total_log = sum_left_to_right(r.log_prob for r in report.docs)
+        total_len = sum_left_to_right(r.length for r in report.docs)
         assert report.perplexity == float(np.exp(-total_log / total_len))
+
+    def test_sums_left_to_right(self):
+        # 1.4e16 tokens of probability 1/4, then ten documents of one token
+        # of probability 3/4 each: added left to right, each small term rounds
+        # away, as sum() adds before Python 3.12; compensated sums keep them
+        topics = TopicMatrix(np.array([[0.25, 0.75]]))
+        docs = [Document(np.array([0]), np.array([1.4e16]))] + [Document(np.array([1]), np.array([1.0]))] * 10
+        vertex = InferenceReport(TopicProportion(np.array([0]), np.array([1.0])), 0, 0.0, 0.0)
+        report = evaluate_inference(docs, topics, lambda doc: vertex)
+        log_probs = [r.log_prob for r in report.docs]
+        lengths = [r.length for r in report.docs]
+        left_to_right = [0.0, 0.0]
+        for log_prob, length in zip(log_probs, lengths):
+            left_to_right[0] += log_prob
+            left_to_right[1] += length
+        assert report.perplexity == float(np.exp(-left_to_right[0] / left_to_right[1]))
+        assert report.perplexity != float(np.exp(-math.fsum(log_probs) / math.fsum(lengths)))
 
     def test_accepts_document_sequence(self):
         data = generate_synthetic_corpus(3, 40, 6, 30, seed=6)
@@ -115,6 +136,47 @@ class TestCompareMethods:
         with pytest.raises(InvalidArgumentError, match="bogus"):
             compare_methods(docs, topics, methods=("fw", "bogus"))
         assert solves == []
+
+    @pytest.mark.parametrize(
+        "methods, alpha, message",
+        [
+            ((), 1.0, "methods name no method"),
+            ([], 0.5, "methods name no method"),
+            (("fw", "gibbs"), 1.0, "unknown method: 'gibbs'"),
+            (("fw", "fw"), 1.0, "methods name a method twice: fw,fw"),
+            (("vb", "fw", "vb"), 2.0, "methods name a method twice: vb,fw,vb"),
+            (("fw",), 0.5, "alpha applies to the vb method only"),
+            (("fw", "folding"), 2.0, "alpha applies to the vb method only"),
+            (("folding",), np.array([1.0, 0.5]), "alpha applies to the vb method only"),
+        ],
+    )
+    def test_refused_before_any_method_runs(self, monkeypatch, methods, alpha, message):
+        calls = []
+        for name in ("fw_solve", "folding_in", "vb_infer"):
+            monkeypatch.setattr(evaluation, name, lambda *args, **kwargs: calls.append(args))
+        topics = TopicMatrix.normalized(np.ones((2, 5)))
+        docs = [Document(np.array([0]), np.array([1.0]))]
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            compare_methods(docs, topics, alpha=alpha, methods=methods)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "methods, alpha",
+        [(("fw",), 1.0), (("vb",), 2.0), (("folding", "vb"), 0.5), (("fw",), np.ones(2)), (ALL_METHODS, np.full(2, 3.0))],
+    )
+    def test_accepted(self, methods, alpha):
+        topics = TopicMatrix.normalized(np.ones((2, 5)))
+        docs = [Document(np.array([0]), np.array([1.0]))]
+        results = compare_methods(docs, topics, alpha=alpha, methods=methods)
+        assert [r.method for r in results] == list(methods)
+
+    def test_alpha_reaches_vb(self):
+        data = generate_synthetic_corpus(3, 30, 4, 20, seed=1)
+        flat, peaked = (
+            compare_methods(data.corpus, data.topics, alpha=alpha, methods=("vb",))[0].report.perplexity
+            for alpha in (1.0, 5.0)
+        )
+        assert flat != peaked
 
     def test_subset_of_methods(self):
         topics = TopicMatrix.normalized(np.ones((2, 5)))

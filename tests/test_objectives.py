@@ -515,6 +515,39 @@ class TestMixtureMemo:
         for value in (f.value(theta), g(0.0), dg(0.0)[0]):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
+    @pytest.mark.parametrize("family", ["likelihood", "dirichlet", "gaussian", "likelihood-plus-dirichlet"])
+    def test_products_of_minus_zero_read_plus_zero(self, family):
+        # One topic, so each scalar a step reads is one product, and each
+        # product is -0.0: an underflowed count * log p or slope term, or a
+        # zero lambda or dphi(y) times a negative or zero factor.  As @
+        # would, value, g and the slope of the objective's own chord and of
+        # the default chord return +0.0; ndarray.dot alone keeps the -0.0.
+        topics = TopicMatrix(np.array([[0.75, 0.25]]))
+        ml = MlObjective(Document(np.array([0]), np.array([5e-324])), topics)
+        theta, s_vals = np.array([0.9]), np.array([0.75])
+        if family == "likelihood":
+            f = ml
+        elif family == "dirichlet":
+            f = DirichletLogPenalty(np.ones(1))
+        elif family == "gaussian":
+            f = GaussianLogPenalty(CtmPrior(np.eye(1), mean=np.zeros(1)))
+            theta, s_vals = np.array([1.0]), np.array([1.0])
+        else:
+            f = PenalizedObjective(ml, DirichletLogPenalty(np.ones(1)))
+        values = [f.value(theta)]
+        for restriction in (f.line_restriction, lambda *a: Objective.line_restriction(f, *a)):
+            g, dg = restriction(theta, np.array([0]), s_vals)
+            values += [g(0.0), dg(0.0)[0]]
+        assert [(v, math.copysign(1.0, v)) for v in values] == [(0.0, 1.0)] * 5
+
+    def test_gaussian_curvature_of_an_underflowed_form_reads_plus_zero(self):
+        # u . (phi'' u) underflows to -0.0 and dphi(y) . (u * u) to +0.0, so
+        # the curvature is +0.0 only when d2phi reads -0.0 as +0.0, as @ does
+        pen = GaussianLogPenalty(CtmPrior(np.array([[1e-300]]), mean=np.zeros(1)))
+        _, dg = pen.line_restriction(np.array([0.5]), np.array([0]), np.array([0.5 + 5e-14]))
+        curvature = dg(0.0)[1]
+        assert curvature == 0.0 and math.copysign(1.0, curvature) == 1.0
+
     def test_cached_mixture_is_read_only(self):
         doc, topics, (a, _, _) = self.instance(4)
         f = MlObjective(doc, topics)
@@ -895,7 +928,7 @@ class TestPenaltyMemo:
                 expected = [
                     bits(pen._phi(y, dphi_y)),
                     (dphi_y / theta).tobytes(),
-                    np.array([float(dphi_y @ u), pen._d2phi(u) - float(dphi_y @ (u * u))]).tobytes(),
+                    np.array([float(dphi_y.dot(u)) + 0.0, pen._d2phi(u) - float(dphi_y.dot(u * u))]).tobytes(),
                 ]
                 _, dg = pen.line_restriction(theta, s_ids, s_vals)
                 # the chord at 0 first, then value and gradient, then the chord again
