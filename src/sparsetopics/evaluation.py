@@ -105,14 +105,14 @@ def check_methods(methods: Sequence[str], alpha=1.0) -> None:
     """Refuses (InvalidArgumentError) no method, an unknown or repeated one,
     and an alpha other than 1 without vb, the only method that reads it."""
     if len(methods) == 0:
-        raise InvalidArgumentError("methods name no method")
+        raise InvalidArgumentError("methods names no method")
     for method in methods:
         if method not in ALL_METHODS:
             raise InvalidArgumentError(f"unknown method: {method!r}")
     if len(set(methods)) != len(methods):
-        raise InvalidArgumentError(f"methods name a method twice: {','.join(methods)}")
+        raise InvalidArgumentError(f"methods names a method twice: {','.join(methods)}")
     if np.any(np.asarray(alpha) != 1.0) and METHOD_VB not in methods:
-        raise InvalidArgumentError(f"alpha applies to the {METHOD_VB} method only, which methods leave out")
+        raise InvalidArgumentError(f"alpha applies to the {METHOD_VB} method only, which methods leaves out")
 
 
 def compare_methods(

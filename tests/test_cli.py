@@ -270,21 +270,22 @@ class TestEval:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--methods", "fw", "--alpha", "0.5"], "alpha applies to the vb method only"),
-            (["--methods", "fw,folding", "--alpha", "2"], "alpha applies to the vb method only"),
-            (["--alpha", "0.5", "--methods", ""], "methods name no method"),
-            (["--methods", " , "], "methods name no method"),
-            (["--methods", "fw,fw"], "methods name a method twice: fw,fw"),
-            (["--methods", "vb, fw,vb", "--alpha", "2"], "methods name a method twice"),
+            (["--methods", "fw", "--alpha", "0.5"], "--alpha applies to the vb method only"),
+            (["--methods", "fw,folding", "--alpha", "2"], "--alpha applies to the vb method only"),
+            (["--alpha", "0.5", "--methods", ""], "--methods names no method"),
+            (["--methods", " , "], "--methods names no method"),
+            (["--methods", "fw,fw"], "--methods names a method twice: fw,fw"),
+            (["--methods", "vb, fw,vb", "--alpha", "2"], "--methods names a method twice"),
             (["--methods", "fw,gibbs"], "unknown method: 'gibbs'"),
         ],
     )
     def test_a_setting_no_method_uses_is_refused(self, tmp_path, capsys, flags, message):
-        # refused before any file is read, so the missing model is not the error
+        # refused before any file is read, so the missing model is not the error;
+        # the message is compare_methods's, which names the flag's parameter
         out = tmp_path / "eval.csv"
         args = ["--corpus", "no-such-corpus.txt", "--model", "no-such-model.txt"]
         assert main(["eval", *args, *flags, "--out", str(out)]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {message.removeprefix('--')}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_alpha_with_vb_is_used(self, workdir, capsys):
