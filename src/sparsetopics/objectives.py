@@ -35,9 +35,9 @@ INTERIOR_ONLY = "interior-only"
 def _check_interior(theta: np.ndarray, dim: int) -> None:
     if theta.shape != (dim,):
         raise InvalidArgumentError(f"expected a vector of length {dim}")
-    if (theta <= 0).any():
+    if not np.minimum.reduce(theta) > 0:  # one reduction; NaN fails it too
         raise DomainViolationError(
-            "point has a zero or negative coordinate but the objective "
+            "point has a zero, negative or NaN coordinate but the objective "
             "is defined only on the simplex interior"
         )
 
@@ -105,7 +105,7 @@ class Objective:
     sparse target point: its value g(a, point) and dg(a) = (slope,
     curvature), its first two derivatives, from which the solver's line
     search takes Newton steps.  point, when given, is the chord point at a
-    as the solver's in-place step forms it: theta * (1 - a), then a * s
+    as the solver's step forms it: theta * (1 - a), then a * s
     added on s's support.  The default builds the chord point explicitly
     and reports curvature 0.0, meaning unknown, so the search bisects; the
     likelihood, both priors and their sums override it with exact
@@ -159,6 +159,9 @@ class MlObjective(Objective):
     """
 
     domain = FULL_SIMPLEX
+    # term_columns in row-major order, read-only, built by the first chord to
+    # a fill of several rows (only capped fills), whose strided gather is slow.
+    _slab_rows = None
 
     def __init__(self, document: Document, topics: TopicMatrix):
         if int(document.term_ids[-1]) >= topics.vocab_size:
@@ -172,7 +175,7 @@ class MlObjective(Objective):
         self._counts = document.counts
         self._sqrt_counts = np.sqrt(document.counts)
         # The last mixture p at a point, keyed by the point's bytes (the
-        # solver mutates theta in place, so its identity is no key), one
+        # solver reuses its two point buffers, so identity is no key), one
         # tuple read once, so a key is never paired with another p.  Per
         # thread, as a chord's p differs from the product in its last bits.
         self._memo = threading.local()
@@ -234,7 +237,12 @@ class MlObjective(Objective):
             # A vertex: 1.0 times its one slab row is that row, bit for bit.
             ps = self.term_columns[s_ids[0]]
         else:
-            ps = s_vals.dot(self.term_columns[s_ids, :])
+            rows = self._slab_rows  # threads that build it at once build equal copies
+            if rows is None:
+                rows = np.array(self.term_columns, order="C")
+                rows.setflags(write=False)
+                self._slab_rows = rows
+            ps = s_vals.dot(rows.take(s_ids, axis=0))  # the bits of term_columns[s_ids, :]
         dp = ps - p0
         counts, sqrt_counts = self._counts, self._sqrt_counts
         scaled = sqrt_counts * dp
@@ -302,6 +310,7 @@ class LogPenalty(Objective):
         direction = target - base
         mean, dphi, d2phi, state = self.mean, self._dphi, self._d2phi, self._state
         x, y, u = np.empty(self.dim), np.empty(self.dim), np.empty(self.dim)
+        lowest = float(np.minimum.reduce(base))
 
         def g(a: float, point: np.ndarray | None = None) -> float:
             return self.value((1.0 - a) * base + a * target if point is None else point)
@@ -313,7 +322,7 @@ class LogPenalty(Objective):
                 np.multiply(base, 1.0 - a, x)
                 np.multiply(target, a, y)
                 np.add(x, y, x)
-                if np.minimum.reduce(x) <= 0:
+                if not lowest * (1.0 - a) > 0.0:  # else x >= that, as rounding is monotone
                     _check_interior(x, self.dim)
                 np.log(x, y)
                 if mean is not None:

@@ -151,9 +151,10 @@ def _greedy_capped(scores: np.ndarray, caps: np.ndarray):
     remaining[1:] = ordered[:-1]
     np.subtract.accumulate(remaining, out=remaining)
     # Coordinates fill to their caps up to the first whose cap does not fit
-    # under what is left; that one takes the rest.
+    # under what is left; that one takes the rest.  fits[i] holds at its
+    # argmin i only when every cap fits.
     fits = ordered < remaining
-    n = ordered.size if fits.all() else int(fits.argmin()) + 1
+    n = ordered.size if fits[i := int(fits.argmin())] else i + 1
     return order[:n], np.minimum(ordered[:n], remaining[:n])
 
 
@@ -252,6 +253,7 @@ def fw_solve(
 
     upper = 1.0 - ALPHA_MARGIN if interior else 1.0
     vertex_ids = np.arange(k).reshape(k, 1)  # row i is [i], a step's s_ids
+    spare = np.empty(k)  # a step forms its point here; theta only if kept
     nnz = int(np.count_nonzero(theta))
     if config.max_nnz is not None and nnz > config.max_nnz:
         raise InvalidConfigError(
@@ -284,23 +286,21 @@ def fw_solve(
             s_ids, s_vals = _greedy_capped(grad, caps)
         g, dg = objective.line_restriction(theta, s_ids, s_vals)
         alpha = line_search(dg, upper=upper)
-        previous = theta.copy()
-        nnz_prev = nnz
-        theta *= 1.0 - alpha
+        np.multiply(theta, 1.0 - alpha, spare)
         if caps is None:
-            theta[lead] += alpha
+            spare[lead] += alpha
         else:
-            theta[s_ids] += alpha * s_vals
-        nnz = int(np.count_nonzero(theta))
-        f_curr = g(alpha, theta)  # theta is the chord point at alpha, zero steps too
+            spare[s_ids] += alpha * s_vals
+        f_curr = g(alpha, spare)  # spare is the chord point at alpha, zero steps too
         if not math.isfinite(f_curr):
             raise NumericFailureError(f"objective is {f_curr}")
         if f_curr < f_prev:
             # Float jitter produced a downhill step; keep the old point.
-            theta = previous
-            nnz = nnz_prev
             f_curr = f_prev
             alpha = 0.0
+        else:
+            theta, spare = spare, theta
+            nnz = int(np.count_nonzero(theta))
         iterations = step
         records.append(TraceRecord(step, f_curr, nnz, lead, alpha))
         done = converged(f_prev, f_curr, config.rel_tol)

@@ -665,17 +665,24 @@ class TestMixtureMemo:
     def test_threads_solving_on_one_objective_get_the_bits_of_a_solo_solve(self):
         # Which mixture a point holds depends on the solve that reached it,
         # so each thread keeps its own memo.
+        self.threads_solve(caps=None)
+
+    def test_threads_solving_a_capped_region_get_the_bits_of_a_solo_solve(self):
+        # Their first chords race to build the row-major slab copy.
+        self.threads_solve(caps=np.full(40, 0.1))
+
+    def threads_solve(self, caps):
         rng = np.random.default_rng(29)
         topics, doc = random_ml_instance(rng, k=40, v=200)
         config = SolverConfig(rel_tol=1e-12)
-        solo, solo_trace = fw_solve(MlObjective(doc, topics), config=config)
+        solo, solo_trace = fw_solve(MlObjective(doc, topics), config=config, caps=caps)
         expected = [(solo.theta.weights.tobytes(), solo.theta.topic_ids.tobytes(), solo_trace)] * 3
         shared = MlObjective(doc, topics)
         got = {}
 
         def work(i):
             got[i] = [(r.theta.weights.tobytes(), r.theta.topic_ids.tobytes(), t)
-                      for r, t in (fw_solve(shared, config=config) for _ in range(3))]
+                      for r, t in (fw_solve(shared, config=config, caps=caps) for _ in range(3))]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -1152,3 +1159,106 @@ class TestChordCurvature:
         slope, curvature = f.line_restriction(interior_point(rng, k), s_ids, s_vals)[1](a)
         assert math.isfinite(slope)
         assert curvature <= 0.0
+
+
+class TestCappedGather:
+    """A chord toward a fill of several rows gathers them from a read-only
+    row-major copy of the slab, built on the first such chord; the product
+    keeps the bits of the column-major gather."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 120), share=st.floats(0.0, 1.0))
+    def test_row_major_gather_keeps_the_bits(self, seed, k, share):
+        rng = np.random.default_rng(seed)
+        # entries spread over 1e-10..1 before each row is normalized
+        topics = TopicMatrix.normalized(10.0 ** rng.uniform(-10.0, 0.0, size=(k, 40)))
+        ids = np.sort(rng.choice(40, size=int(rng.integers(1, 41)), replace=False)).astype(np.int64)
+        f = MlObjective(Document(ids, rng.integers(1, 10, size=ids.size).astype(np.float64)), topics)
+        s_ids, s_vals = random_target(rng, k, 2 + int(share * (k - 2)))
+        g, _ = f.line_restriction(interior_point(rng, k), s_ids, s_vals)
+        column_major = s_vals.dot(f.term_columns[s_ids, :])
+        assert s_vals.dot(f._slab_rows.take(s_ids, axis=0)).tobytes() == column_major.tobytes()
+        # g at 1 reads the target's mixture unchanged
+        assert bits(g(1.0)) == bits(float(f._counts.dot(np.log(column_major))) + 0.0)
+
+    def test_built_once_read_only_and_equal_to_the_slab(self):
+        rng = np.random.default_rng(61)
+        topics, doc = random_ml_instance(rng, k=12, v=50)
+        f = MlObjective(doc, topics)
+        f.line_restriction(interior_point(rng, 12), *random_target(rng, 12, 3))
+        rows = f._slab_rows
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        assert rows.tobytes() == np.ascontiguousarray(f.term_columns).tobytes()
+        f.line_restriction(interior_point(rng, 12), *random_target(rng, 12, 5))
+        assert f._slab_rows is rows
+
+    def test_only_capped_fills_build_it(self):
+        rng = np.random.default_rng(67)
+        topics, doc = random_ml_instance(rng, k=8, v=40)
+        uncapped, cap_one, vertex = (MlObjective(doc, topics) for _ in range(3))
+        fw_solve(uncapped)
+        fw_solve(cap_one, caps=np.ones(8))
+        vertex.line_restriction(interior_point(rng, 8), np.array([3]), np.ones(1))
+        assert [f._slab_rows for f in (uncapped, cap_one, vertex)] == [None] * 3
+        prior = CtmPrior(np.eye(8), mean=np.full(8, math.log(0.3)))
+        capped = ctm_full_objective(doc, topics, prior)
+        fw_solve(capped, SolverConfig(max_iters=3))
+        assert not capped.base._slab_rows.flags.writeable
+
+
+class TestInteriorShortcut:
+    """A log-space chord skips a probe's interior check when lowest(theta)
+    * (1 - a) is positive; it refuses exactly the probes whose chord point
+    has a coordinate that is not positive, as the full check does."""
+
+    PROBES = (1e-300, 1e-9, 0.5, 1.0 - 1e-9, 1.0)
+
+    @pytest.mark.parametrize("penalty", [
+        DirichletLogPenalty(np.full(4, 2.0)),
+        GaussianLogPenalty(CtmPrior(np.eye(4) + 0.5, mean=np.full(4, -1.0))),
+    ], ids=["dirichlet", "gaussian"])
+    def test_refuses_where_the_full_check_does(self, penalty):
+        bases = [
+            np.array([5e-324, 0.4, 0.3, 0.3]),  # the smallest weight subnormal
+            np.array([1e-310, 0.5, 0.25, 0.25]),
+            np.array([0.1, 0.2, 0.3, 0.4]),
+            np.array([0.0, 0.5, 0.25, 0.25]),  # on a face
+        ]
+        targets = [(np.array([1]), np.ones(1)), (np.array([0, 2]), np.array([0.5, 0.5]))]
+        refusals = 0
+        for base in bases:
+            for s_ids, s_vals in targets:
+                target = np.zeros(4)
+                target[s_ids] = s_vals
+                _, dg = penalty.line_restriction(base, s_ids, s_vals)
+                for a in self.PROBES:
+                    point = base * (1.0 - a) + target * a
+                    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                        if np.min(point) > 0.0:
+                            dg(a)
+                        else:
+                            refusals += 1
+                            with pytest.raises(DomainViolationError):
+                                dg(a)
+        assert refusals > 8
+
+
+class TestNanRefused:
+    """The log-space priors refuse a point with a NaN coordinate, as one
+    with a zero or negative one."""
+
+    @pytest.mark.parametrize("penalty", [
+        DirichletLogPenalty(np.full(3, 2.0)),
+        GaussianLogPenalty(CtmPrior(np.eye(3))),
+    ], ids=["dirichlet", "gaussian"])
+    def test_value_gradient_and_chord(self, penalty):
+        point = np.array([np.nan, 0.5, 0.5])
+        calls = [
+            lambda: penalty.value(point),
+            lambda: penalty.gradient(point),
+            lambda: penalty.line_restriction(point, np.array([1]), np.ones(1))[1](0.5),
+            lambda: penalty.line_restriction(point, np.array([1]), np.ones(1))[1](0.0),
+        ]
+        for call in calls:
+            with pytest.raises(DomainViolationError, match="NaN"):
+                call()

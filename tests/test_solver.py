@@ -926,6 +926,15 @@ class TestCappedLinearStep:
             checked += 1
         assert checked > 300
 
+    def test_every_cap_fits(self):
+        # The caps sum to 1.0, but subtracted in score order they leave 1 -
+        # 0.7 - 0.2 = 0.10000000000000003 above the last cap: all are taken whole.
+        caps = np.array([0.1, 0.2, 0.7])
+        assert caps.sum() == 1.0 and 1.0 - 0.7 - 0.2 > 0.1
+        ids, vals = solver_module._greedy_capped(np.array([1.0, 2.0, 3.0]), caps)
+        assert ids.tolist() == [2, 1, 0] and vals.tolist() == [0.7, 0.2, 0.1]
+        assert capped_simplex_argmax(np.array([1.0, 2.0, 3.0]), caps).tolist() == caps.tolist()
+
     def test_infeasible_caps(self):
         with pytest.raises(InfeasibleRegionError):
             capped_simplex_argmax(np.ones(3), np.full(3, 0.2))
@@ -937,6 +946,45 @@ class TestCappedLinearStep:
             capped_simplex_argmax(np.ones(2), np.array([0.0, 1.0]))
         with pytest.raises(InvalidArgumentError):
             capped_simplex_argmax(np.ones(2), np.ones(3))
+
+
+class DownhillAtStepTwo:
+    """Delegates to an objective and records each chord's theta, but the
+    second chord's g values its point below every objective value, so the
+    solver rolls that step back."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.bases = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        self.bases.append(theta.tobytes())
+        g, dg = self.inner.line_restriction(theta, s_ids, s_vals)
+        if len(self.bases) == 2:
+            return (lambda a, point: g(a, point) - 1e300), dg
+        return g, dg
+
+
+class TestRolledBackStep:
+    def test_theta_and_nnz_stay_bitwise(self, monkeypatch):
+        # A step that gains nothing ends the solve; here the solve goes on.
+        monkeypatch.setattr(solver_module, "converged", lambda *args: False)
+        topics, doc = random_ml_instance(np.random.default_rng(138), k=10, v=40)
+        config, caps = SolverConfig(max_iters=4), np.full(10, 0.3)
+        f = DownhillAtStepTwo(ml_objective(doc, topics))
+        _, trace = fw_solve(f, config, caps=caps)
+        assert trace[2].alpha == 0.0 and trace[2].objective == trace[1].objective
+        assert trace[2].nnz == trace[1].nnz
+        assert f.bases[2] == f.bases[1] != f.bases[0]
+        # The solve then takes the step a solve without the rolled-back one
+        # takes, to rounding: theta's mixture is formed afresh, as the memo
+        # holds the rejected point's.
+        _, plain = fw_solve(ml_objective(doc, topics), config, caps=caps)
+        assert f.bases[3] != f.bases[2] and trace[3].nnz == plain[2].nnz
+        assert trace[3].alpha == pytest.approx(plain[2].alpha, rel=1e-12) and trace[3].alpha > 0.0
 
 
 class TestFwSolveCapped:
