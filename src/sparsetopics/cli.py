@@ -16,7 +16,7 @@ import numpy as np
 from . import corpus_io
 from .core import SolverConfig, TopicProportion
 from .errors import InvalidArgumentError, InvalidConfigError
-from .evaluation import ALL_METHODS, check_methods, compare_methods, tradeoff_sweep
+from .evaluation import ALL_METHODS, check_caps, check_methods, compare_methods, tradeoff_sweep
 from .objectives import ctm_full_objective, lda_map_objective, ml_objective
 from .solver import fw_solve
 from .training import TrainConfig, generate_synthetic_corpus, train
@@ -128,7 +128,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    corpus = corpus_io.load_uci_bow(args.corpus, args.vocab)
     config = TrainConfig(
         topics=args.topics,
         em_iters=args.em_iters,
@@ -136,6 +135,7 @@ def _cmd_train(args) -> int:
         inner=SolverConfig(max_iters=args.iters, rel_tol=args.tol),
         seed=args.seed,
     )
+    corpus = corpus_io.load_uci_bow(args.corpus, args.vocab)
     topics, trace = train(corpus, config)
     corpus_io.save_model(args.out, topics, metadata={"topics": args.topics})
     corpus_io.write_likelihood_csv(args.out + ".trace.csv", trace)
@@ -152,6 +152,7 @@ def _cmd_infer(args) -> int:
         raise InvalidConfigError(f"--alpha applies to --objective lda-map only, not {args.objective}")
     if (args.prior is not None) != (args.objective == "ctm"):
         raise InvalidConfigError("--prior applies to --objective ctm, which requires it")
+    config = SolverConfig(max_iters=args.iters, rel_tol=args.tol, max_nnz=args.max_nnz)
     corpus, topics = _load_pair(args)
     prior = corpus_io.load_prior(args.prior) if args.objective == "ctm" else None
 
@@ -162,7 +163,6 @@ def _cmd_infer(args) -> int:
             return lda_map_objective(doc, topics, args.alpha)
         return ctm_full_objective(doc, topics, prior)
 
-    config = SolverConfig(max_iters=args.iters, rel_tol=args.tol, max_nnz=args.max_nnz)
     reports = [fw_solve(make_objective(doc), config)[0] for doc in corpus.documents]
     corpus_io.write_theta(args.out, reports, corpus.doc_ids)
     mean_nnz = float(np.mean([r.nnz for r in reports]))
@@ -173,18 +173,19 @@ def _cmd_infer(args) -> int:
 def _cmd_eval(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     check_methods(methods, args.alpha)  # as in infer, before any file is read
-    corpus, topics = _load_pair(args)
     config = SolverConfig(max_iters=args.iters, rel_tol=args.tol)
+    corpus, topics = _load_pair(args)
     return _write_results(args, compare_methods(corpus, topics, alpha=args.alpha, config=config, methods=methods))
 
 
 def _cmd_tradeoff(args) -> int:
-    corpus, topics = _load_pair(args)
     try:
         caps = [int(c) for c in args.caps.split(",") if c.strip()]
     except ValueError:
         raise InvalidArgumentError(f"bad --caps value: {args.caps!r}") from None
+    check_caps(caps)  # tradeoff_sweep's own check, before any file is read
     config = SolverConfig(rel_tol=args.tol)
+    corpus, topics = _load_pair(args)
     return _write_results(args, tradeoff_sweep(corpus, topics, caps, config=config))
 
 

@@ -174,7 +174,8 @@ class TopicMatrix:
     def _adopt(cls, rows: np.ndarray) -> "TopicMatrix":
         """A TopicMatrix that takes over rows without the constructor's
         copy and check.  For load_model only: rows is a valid F-contiguous
-        float64 array it has just parsed and keeps no other reference to."""
+        float64 array it has just parsed or read from a sidecar and keeps
+        no other reference to."""
         rows.setflags(write=False)
         topics = object.__new__(cls)
         object.__setattr__(topics, "rows", rows)

@@ -8,6 +8,10 @@ to name the first bad line of a file it refused.  Every number in them,
 header fields included, therefore follows numpy's grammar, which is
 float()'s and int()'s without digit-group underscores or non-ASCII
 digits, and lines end at \n, \r\n or \r only.
+
+A model's parsed rows are kept in a sidecar file next to it, under the
+SHA-256 of the model file's bytes; a later load of the same bytes reads
+the rows from there instead of converting the decimal text again.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import stat
+import threading
 import warnings
 from pathlib import Path
 
@@ -240,11 +247,88 @@ def _read_rows(fh, k, v):
     raise ModelFormatError("topic rows that numpy's reader refuses")
 
 
+# A sidecar holds this line, the 32-byte SHA-256 of the model file's bytes,
+# then the rows as a version 1.0 .npy stream: a (K, V) float64 array in
+# Fortran order.
+SIDECAR_MAGIC = b"sparsetopics-rows 1\n"
+_HASH_BLOCK = 1 << 20
+
+
+def sidecar_path(path) -> str:
+    """The one sidecar of a model path: the model's name plus ".sidecar"."""
+    return os.fsdecode(path) + ".sidecar"
+
+
+def _file_digest(fh, h):
+    """h's digest of fh's bytes, read in _HASH_BLOCK blocks."""
+    block = bytearray(_HASH_BLOCK)
+    view = memoryview(block)
+    while n := fh.readinto(block):
+        h.update(view[:n])
+    return h.digest()
+
+
+def _read_sidecar(path, digest, k, v):
+    """The rows the sidecar at path holds under digest, read into memory;
+    None unless it holds exactly a (k, v) float64 Fortran-order array
+    whose rows validate_topic_matrix accepts."""
+    npy = np.lib.format
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(SIDECAR_MAGIC) + len(digest))
+            if head != SIDECAR_MAGIC + digest or npy.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran_order, dtype = npy.read_array_header_1_0(fh)
+            if shape != (k, v) or not fortran_order or dtype != np.float64:
+                return None
+            rows = np.empty((k, v), order="F")
+            if fh.readinto(rows.T) != rows.nbytes or fh.read(1):
+                return None
+    except (OSError, ValueError):
+        return None
+    return None if validate_topic_matrix(rows) else rows
+
+
+def _write_sidecar(path, digest, rows) -> None:
+    """Replace the sidecar at path by one holding digest and rows, through
+    a temporary file and os.replace; a failed write is ignored and leaves
+    no temporary file behind."""
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    header = {"descr": np.lib.format.dtype_to_descr(rows.dtype), "fortran_order": True, "shape": rows.shape}
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(SIDECAR_MAGIC + digest)
+            np.lib.format.write_array_header_1_0(fh, header)
+            fh.write(rows.T)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
 def load_model(path) -> ModelFile:
     """Read a model file.  Its K rows stream into one column-major float64
     array whose entries are bitwise equal to float() of their tokens;
-    lines after row K are ignored."""
+    lines after row K are ignored.
+
+    For a regular file, the rows come from its sidecar (sidecar_path)
+    when that holds the SHA-256 of the file's bytes, a (K, V) float64
+    column-major array, and rows validate_topic_matrix accepts; any
+    other sidecar is ignored.  After the text is parsed and its rows
+    pass the check, the sidecar is rewritten, unless the file changed
+    during the load; a failed write is ignored.  Header, metadata and
+    errors are the text's on both paths."""
+    import hashlib
+
+    sidecar = sidecar_path(path)
     with open(path) as fh:
+        before = os.fstat(fh.fileno())
+        digest = None
+        if stat.S_ISREG(before.st_mode):
+            digest = _file_digest(fh.buffer, hashlib.sha256())
+            fh.seek(0)
         first = fh.readline()
         if not first:
             raise ModelFormatError("empty model file")
@@ -278,10 +362,16 @@ def load_model(path) -> ModelFile:
                 raise ModelFormatError("bad metadata json") from None
         else:
             fh.seek(body)
+        rows = digest and _read_sidecar(sidecar, digest, k, v)
+        if rows is not None:
+            return ModelFile(topics=TopicMatrix._adopt(rows), metadata=metadata)
         rows = _read_rows(fh, k, v)
+        after = os.fstat(fh.fileno())
     problems = validate_topic_matrix(rows)
     if problems:
         raise ModelFormatError("invalid topic matrix: " + "; ".join(problems))
+    if digest is not None and (before.st_size, before.st_mtime_ns) == (after.st_size, after.st_mtime_ns):
+        _write_sidecar(sidecar, digest, rows)
     return ModelFile(topics=TopicMatrix._adopt(rows), metadata=metadata)
 
 

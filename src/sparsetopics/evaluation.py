@@ -138,6 +138,17 @@ def compare_methods(
     ]
 
 
+def check_caps(caps: Sequence[int]) -> list[int]:
+    """The caps as ints; refuses (InvalidArgumentError) none, one below 1,
+    and a series that is not strictly increasing."""
+    caps = [int(c) for c in caps]
+    if not caps or any(c < 1 for c in caps):
+        raise InvalidArgumentError("caps must be positive integers")
+    if any(b <= a for a, b in zip(caps, caps[1:])):
+        raise InvalidArgumentError("caps must be strictly increasing")
+    return caps
+
+
 def tradeoff_sweep(
     testset,
     topics: TopicMatrix,
@@ -148,11 +159,7 @@ def tradeoff_sweep(
     caps.  Because a longer run extends a shorter one step for step, each
     document's likelihood is non-decreasing in the cap and the perplexity
     column is non-increasing."""
-    caps = [int(c) for c in caps]
-    if not caps or any(c < 1 for c in caps):
-        raise InvalidArgumentError("caps must be positive integers")
-    if any(b <= a for a, b in zip(caps, caps[1:])):
-        raise InvalidArgumentError("caps must be strictly increasing")
+    caps = check_caps(caps)
     config = config or SolverConfig()
     return [
         compare_methods(

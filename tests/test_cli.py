@@ -342,6 +342,42 @@ class TestNonFiniteSettings:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestRefusedBeforeAnyFile:
+    """A bad setting exits 2 with its own message before the corpus or
+    the model is read: with missing files the error is still the
+    setting's, and with present ones no model sidecar is written."""
+
+    CASES = [
+        ("infer", ["--tol", "inf"], "rel_tol must be finite and positive"),
+        ("infer", ["--iters", "0"], "max_iters must be at least 1"),
+        ("infer", ["--max-nnz", "0"], "max_nnz must be at least 1 when set"),
+        ("eval", ["--tol", "inf"], "rel_tol must be finite and positive"),
+        ("train", ["--tol", "inf"], "rel_tol must be finite and positive"),
+        ("train", ["--em-tol", "inf"], "em_rel_tol must be finite and positive"),
+        ("train", ["--topics", "0"], "need at least one topic"),
+        ("tradeoff", ["--caps", "2,1"], "caps must be strictly increasing"),
+        ("tradeoff", ["--caps", "0,1"], "caps must be positive integers"),
+        ("tradeoff", ["--caps", "1,x"], "bad --caps value: '1,x'"),
+        ("tradeoff", ["--caps", "1,2", "--tol", "inf"], "rel_tol must be finite and positive"),
+    ]
+
+    @pytest.mark.parametrize("files", ["missing", "present"])
+    @pytest.mark.parametrize("command, flags, message", CASES)
+    def test_refused_before_reading(self, workdir, tmp_path, capsys, files, command, flags, message):
+        corpus, model = tmp_path / "toy.docword.txt", tmp_path / "m.txt"
+        if files == "present":
+            corpus.write_bytes((workdir / "toy.docword.txt").read_bytes())
+            model.write_bytes((workdir / "fit.model.txt").read_bytes())
+        args = ["--corpus", str(corpus)]
+        args += ["--topics", "3"] if command == "train" else ["--model", str(model)]
+        out = tmp_path / "out.txt"
+        assert main([command, *args, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["m.txt", "toy.docword.txt"] if files == "present" else [])
+
+
 class TestParser:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as excinfo:

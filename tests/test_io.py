@@ -1,7 +1,13 @@
 import csv
+import hashlib
 import io
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,9 +38,12 @@ from sparsetopics import (
     save_vocab,
     train,
 )
+import sparsetopics
 from sparsetopics import core, corpus_io
 from sparsetopics.corpus_io import (
+    SIDECAR_MAGIC,
     _read_rows,
+    sidecar_path,
     write_eval_csv,
     write_likelihood_csv,
     write_proportions,
@@ -341,6 +350,33 @@ def test_save_uci_bow_round_trip(tmp_path):
         assert np.array_equal(a.counts, b.counts)
 
 
+def count_parses(monkeypatch):
+    """The list that each parse of a model's rows text appends to."""
+    parses = []
+    real = corpus_io._read_rows
+    monkeypatch.setattr(corpus_io, "_read_rows", lambda fh, k, v: parses.append((k, v)) or real(fh, k, v))
+    return parses
+
+
+def forge_sidecar(model, rows, digest=None, **header):
+    """Write model's sidecar by hand: its magic line, the digest of model's
+    bytes (or the one given), a .npy header that describes rows unless
+    header overrides a field, and rows' column-major float64 bytes."""
+    rows = np.asarray(rows, dtype=np.float64)
+    fields = {"descr": np.lib.format.dtype_to_descr(rows.dtype), "fortran_order": True, "shape": rows.shape}
+    with open(sidecar_path(model), "wb") as fh:
+        fh.write(SIDECAR_MAGIC + (digest or hashlib.sha256(Path(model).read_bytes()).digest()))
+        np.lib.format.write_array_header_1_0(fh, {**fields, **header})
+        fh.write(rows.tobytes(order="F"))
+
+
+def sidecar_digest(model):
+    """The digest the sidecar of model holds."""
+    with open(sidecar_path(model), "rb") as fh:
+        return fh.read(len(SIDECAR_MAGIC) + 32)[len(SIDECAR_MAGIC):]
+
+
+
 MODEL_HEAD = "sparsetopics-model 1\n"
 ROW = "0.25 0.75\n"
 
@@ -413,14 +449,18 @@ class TestModelFiles:
         topics = TopicMatrix.normalized(rng.random((300, 2000)))
         path = tmp_path / "m.txt"
         save_model(path, topics)
-        tracemalloc.start()
-        try:
-            loaded = load_model(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(loaded.topics.rows, topics.rows)
-        assert peak < 1.5 * topics.rows.nbytes
+        # The text is about three times the matrix, so reading it whole to
+        # hash it would show here too.
+        assert path.stat().st_size > 2 * topics.rows.nbytes
+        for load in ("parse", "sidecar"):
+            tracemalloc.start()
+            try:
+                loaded = load_model(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(loaded.topics.rows, topics.rows), load
+            assert peak < 1.5 * topics.rows.nbytes, load
 
     def test_reloaded_model_solves_bitwise_alike(self, tmp_path):
         # Bit for bit, where the model round trip of test_acceptance compares
@@ -523,10 +563,14 @@ class TestModelFiles:
             rows[2, :2] = [0.5, np.nextafter(0.5, 0.0)]
             rows[2, 2:] = 1e-10
             save_model(path, TopicMatrix(rows), metadata={"trial": trial})
-            loaded = load_model(path).topics.rows
             tokens = np.array([[float(x) for x in line.split()] for line in path.read_text().splitlines()[3:]])
-            assert np.array_equal(loaded.view(np.int64), tokens.view(np.int64))
-            assert np.array_equal(loaded.view(np.int64), rows.view(np.int64))
+            for load in ("parse", "sidecar"):
+                model = load_model(path)
+                loaded = model.topics.rows
+                assert model.metadata == {"trial": trial}, load
+                assert np.array_equal(loaded.view(np.int64), tokens.view(np.int64)), load
+                assert np.array_equal(loaded.view(np.int64), rows.view(np.int64)), load
+                assert loaded.flags.f_contiguous and not loaded.flags.writeable, load
 
     def test_row_parse_bitwise_outside_the_valid_range(self):
         # Subnormals, signed zeros and huge values fail validation, so the
@@ -554,12 +598,264 @@ class TestModelFiles:
         real = core.validate_topic_matrix
         for module in (core, corpus_io):
             monkeypatch.setattr(module, "validate_topic_matrix", lambda rows: scans.append(rows) or real(rows))
-        topics = load_model(path).topics
-        doc = Document(np.array([0, 3]), np.array([1.0, 2.0]))
-        ml_objective(doc, topics)
-        ml_objective(doc, topics)
+        parses = count_parses(monkeypatch)
+        for load in ("parse", "sidecar"):
+            scans.clear()
+            topics = load_model(path).topics
+            doc = Document(np.array([0, 3]), np.array([1.0, 2.0]))
+            ml_objective(doc, topics)
+            ml_objective(doc, topics)
+            assert len(scans) == 1 and scans[0] is topics.rows, load
+        assert len(parses) == 1
         save_model(path, topics)
-        assert len(scans) == 1 and scans[0] is topics.rows
+        assert len(scans) == 1
+
+
+# Sidecar states that load_model must refuse, each made from a model file
+# with a valid sidecar and the model's rows; the load then parses the text
+# and rewrites the sidecar.
+def _rewrite_model(path, rows):
+    save_model(path, TopicMatrix(rows[::-1]))
+
+
+def _truncate(path, rows):
+    with open(sidecar_path(path), "r+b") as fh:
+        fh.truncate(os.path.getsize(sidecar_path(path)) - 8)
+
+
+STALE_SIDECARS = {
+    "model rewritten": _rewrite_model,
+    "trailing line after row K": lambda path, rows: path.write_text(path.read_text() + "not a row\n"),
+    "changed meta line": lambda path, rows: save_model(path, TopicMatrix(rows), metadata={"note": "new"}),
+    "truncated sidecar": _truncate,
+    "trailing byte in the sidecar": lambda path, rows: Path(sidecar_path(path)).write_bytes(
+        Path(sidecar_path(path)).read_bytes() + b"\0"),
+    "other digest": lambda path, rows: forge_sidecar(path, rows, digest=bytes(32)),
+    "fewer rows": lambda path, rows: forge_sidecar(path, rows[:-1]),
+    # The header alone is wrong in these: the bytes are the right rows.
+    "wrong shape": lambda path, rows: forge_sidecar(path, rows, shape=rows.shape[::-1]),
+    "wrong dtype": lambda path, rows: forge_sidecar(path, rows, descr="<f4"),
+    "big-endian": lambda path, rows: forge_sidecar(path, rows, descr=">f8"),
+    "C-order": lambda path, rows: forge_sidecar(path, rows, fortran_order=False),
+    "rows below EPS_BETA": lambda path, rows: forge_sidecar(path, np.where(rows == rows.max(), 1.0, 0.0)),
+    "not a sidecar": lambda path, rows: Path(sidecar_path(path)).write_bytes(b"junk"),
+    "empty sidecar": lambda path, rows: Path(sidecar_path(path)).write_bytes(b""),
+}
+
+
+class TestSidecar:
+    """load_model keeps the rows it parsed in a sidecar next to the model
+    and reads them from there while the model's bytes stay the same."""
+
+    def model(self, tmp_path, seed=81, metadata=None):
+        rng = np.random.default_rng(seed)
+        topics = TopicMatrix.normalized(rng.dirichlet(np.full(7, 0.3), size=5))
+        path = tmp_path / "m.txt"
+        save_model(path, topics, metadata=metadata)
+        return path, topics.rows
+
+    def test_second_load_reads_the_sidecar_bitwise(self, tmp_path, monkeypatch):
+        path, rows = self.model(tmp_path, metadata={"topics": 5})
+        parses = count_parses(monkeypatch)
+        cold, warm = load_model(path), load_model(path)
+        assert len(parses) == 1
+        assert sorted(os.listdir(tmp_path)) == ["m.txt", "m.txt.sidecar"]
+        for model in (cold, warm):
+            assert model.metadata == {"topics": 5}
+            assert model.topics.rows.tobytes() == rows.tobytes()
+            assert model.topics.rows.flags.f_contiguous and not model.topics.rows.flags.writeable
+
+    def test_sidecar_is_a_digest_then_a_fortran_order_npy(self, tmp_path):
+        path, rows = self.model(tmp_path)
+        load_model(path)
+        assert sidecar_digest(path) == hashlib.sha256(path.read_bytes()).digest()
+        with open(sidecar_path(path), "rb") as fh:
+            fh.seek(len(SIDECAR_MAGIC) + 32)
+            stored = np.load(fh, allow_pickle=False)
+        assert stored.flags.f_contiguous and stored.tobytes() == rows.tobytes()
+
+    def test_a_valid_sidecar_is_trusted(self, tmp_path, monkeypatch):
+        # Any rows that pass the topic-matrix check are taken as the file's:
+        # the sidecar is trusted as far as the model's directory is.
+        path, rows = self.model(tmp_path)
+        forge_sidecar(path, rows[::-1])
+        parses = count_parses(monkeypatch)
+        assert load_model(path).topics.rows.tobytes() == rows[::-1].tobytes()
+        assert parses == []
+
+    @pytest.mark.parametrize("name", sorted(STALE_SIDECARS))
+    def test_stale_sidecar_is_refused_then_rewritten(self, tmp_path, monkeypatch, name):
+        path, rows = self.model(tmp_path)
+        load_model(path)
+        STALE_SIDECARS[name](path, rows)
+        tokens = [line.split() for line in path.read_text().splitlines()[2:] if not line.startswith("meta ")][:5]
+        text_rows = np.array(tokens, dtype=np.float64)
+        parses = count_parses(monkeypatch)
+        first, second = load_model(path), load_model(path)
+        assert len(parses) == 1, name
+        for model in (first, second):
+            assert model.topics.rows.tobytes() == text_rows.tobytes(), name
+        assert first.metadata == second.metadata == ({"note": "new"} if name == "changed meta line" else None)
+        assert sidecar_digest(path) == hashlib.sha256(path.read_bytes()).digest()
+        assert sorted(os.listdir(tmp_path)) == ["m.txt", "m.txt.sidecar"]
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_MODEL))
+    def test_malformed_file_errors_past_an_earlier_sidecar(self, tmp_path, name):
+        path, _ = self.model(tmp_path)
+        load_model(path)
+        before = Path(sidecar_path(path)).read_bytes()
+        text, message = MALFORMED_MODEL[name]
+        with pytest.raises(ModelFormatError) as info:
+            load_model(write(path, text))
+        assert str(info.value) == message
+        assert Path(sidecar_path(path)).read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (MODEL_HEAD + "1 2\n0.9 0.9\n", ModelFormatError, "invalid topic matrix: row-sum: row 0 sums to 1.8"),
+            ("sparsetopics-model 2\n1 2\n" + ROW, UnsupportedVersionError,
+             "model version 2 is not supported (this reader handles 1)"),
+            (MODEL_HEAD + "1 2\nmeta {oops\n" + ROW, ModelFormatError, "bad metadata json"),
+            ("2 3\n" + ROW, ModelFormatError, "missing model header"),
+        ],
+    )
+    def test_invalid_file_errors_past_an_earlier_sidecar(self, tmp_path, text, error, message):
+        path = write(tmp_path / "m.txt", MODEL_HEAD + "1 2\n" + ROW)
+        load_model(path)
+        with pytest.raises(error) as info:
+            load_model(write(path, text))
+        assert str(info.value) == message
+        # The sidecar of the good version stays, and serves it again.
+        assert load_model(write(path, MODEL_HEAD + "1 2\n" + ROW)).topics.rows.tolist() == [[0.25, 0.75]]
+
+    def test_one_sidecar_per_model_path(self, tmp_path):
+        for seed in range(4):
+            path, rows = self.model(tmp_path, seed=seed)
+            assert load_model(path).topics.rows.tobytes() == rows.tobytes()
+            assert load_model(path).topics.rows.tobytes() == rows.tobytes()
+            assert sorted(os.listdir(tmp_path)) == ["m.txt", "m.txt.sidecar"]
+        save_model(tmp_path / "other.txt", TopicMatrix(rows))
+        load_model(tmp_path / "other.txt")
+        assert sorted(os.listdir(tmp_path)) == ["m.txt", "m.txt.sidecar", "other.txt", "other.txt.sidecar"]
+
+    @staticmethod
+    def refuse_replace(src, dst):
+        raise OSError("refused")
+
+    def test_failed_write_leaves_no_file_and_the_same_result(self, tmp_path, monkeypatch):
+        path, rows = self.model(tmp_path, metadata={"k": 5})
+        monkeypatch.setattr(corpus_io.os, "replace", self.refuse_replace)
+        for _ in range(2):
+            model = load_model(path)
+            assert model.topics.rows.tobytes() == rows.tobytes()
+            assert model.metadata == {"k": 5}
+            assert os.listdir(tmp_path) == ["m.txt"]
+
+    def test_failed_write_keeps_the_old_sidecar(self, tmp_path, monkeypatch):
+        path, _ = self.model(tmp_path)
+        load_model(path)
+        before = Path(sidecar_path(path)).read_bytes()
+        path, rows = self.model(tmp_path, seed=82)
+        monkeypatch.setattr(corpus_io.os, "replace", self.refuse_replace)
+        assert load_model(path).topics.rows.tobytes() == rows.tobytes()
+        assert Path(sidecar_path(path)).read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["m.txt", "m.txt.sidecar"]
+
+    def test_no_sidecar_for_a_file_that_changed_during_the_load(self, tmp_path, monkeypatch):
+        path, rows = self.model(tmp_path)
+        real = corpus_io._read_rows
+
+        def append_then_parse(fh, k, v):
+            with open(path, "a") as out:
+                out.write("a line after the rows\n")
+            return real(fh, k, v)
+
+        monkeypatch.setattr(corpus_io, "_read_rows", append_then_parse)
+        assert load_model(path).topics.rows.tobytes() == rows.tobytes()
+        assert os.listdir(tmp_path) == ["m.txt"]
+
+    def test_no_sidecar_for_an_invalid_matrix(self, tmp_path):
+        path = write(tmp_path / "m.txt", MODEL_HEAD + "1 2\n0.9 0.9\n")
+        with pytest.raises(ModelFormatError, match="row-sum"):
+            load_model(path)
+        assert os.listdir(tmp_path) == ["m.txt"]
+
+    def test_only_regular_files_get_a_sidecar(self, tmp_path, monkeypatch):
+        # A pipe is read as before, without a hash pass: the loader's seek
+        # refuses it, and no sidecar appears.
+        hashed = []
+        monkeypatch.setattr(corpus_io, "_file_digest", lambda fh, h: hashed.append(fh))
+        path = tmp_path / "m.txt"
+        os.mkfifo(path)
+
+        def feed():
+            try:
+                with open(path, "w") as fh:
+                    fh.write(MODEL_HEAD + "1 2\n" + ROW)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            with pytest.raises(io.UnsupportedOperation, match="not seekable"):
+                load_model(path)
+        finally:
+            writer.join(timeout=10)
+        assert os.listdir(tmp_path) == ["m.txt"]
+        assert hashed == []
+
+    def test_digest_streams_blocks(self, tmp_path):
+        data = np.random.default_rng(83).bytes(2 * corpus_io._HASH_BLOCK + 12345)
+        (tmp_path / "blob").write_bytes(data)
+        with open(tmp_path / "blob", "rb") as fh:
+            assert corpus_io._file_digest(fh, hashlib.sha256()) == hashlib.sha256(data).digest()
+
+    def test_threads_loading_one_model_at_once(self, tmp_path, monkeypatch):
+        # More loaders than cores, cold at once, each writing its own
+        # temporary file before os.replace: every load returns the file's
+        # rows, and one whole sidecar is left.
+        rng = np.random.default_rng(84)
+        rows = TopicMatrix.normalized(rng.dirichlet(np.full(400, 0.3), size=100)).rows
+        path = tmp_path / "m.txt"
+        save_model(path, TopicMatrix(rows))
+        results, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            loaders = [
+                threading.Thread(target=lambda: results.extend(load_model(path).topics.rows.tobytes() for _ in range(2)))
+                for _ in range(6)
+            ]
+            for t in loaders:
+                t.start()
+            for t in loaders:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in loaders)
+        assert results == [rows.tobytes()] * 12
+        assert sorted(os.listdir(tmp_path)) == ["m.txt", "m.txt.sidecar"]
+        parses = count_parses(monkeypatch)
+        assert load_model(path).topics.rows.tobytes() == rows.tobytes() and parses == []
+
+    def test_sidecar_rows_are_read_into_memory(self, tmp_path):
+        # Not a memory map: the rows stay when the sidecar is replaced.
+        path, rows = self.model(tmp_path)
+        load_model(path)
+        loaded = load_model(path).topics.rows
+        assert loaded.base is None
+        Path(sidecar_path(path)).write_bytes(b"")
+        os.remove(sidecar_path(path))
+        assert loaded.tobytes() == rows.tobytes()
+
+
+def test_importing_the_package_leaves_hashlib_unloaded():
+    # load_model imports hashlib on its first call, not at import time.
+    code = "import sys, sparsetopics; print('hashlib' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(sparsetopics.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestPriorFiles:
