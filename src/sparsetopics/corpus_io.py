@@ -9,9 +9,10 @@ header fields included, therefore follows numpy's grammar, which is
 float()'s and int()'s without digit-group underscores or non-ASCII
 digits, and lines end at \n, \r\n or \r only.
 
-A model's parsed rows are kept in a sidecar file next to it, under the
-SHA-256 of the model file's bytes; a later load of the same bytes reads
-the rows from there instead of converting the decimal text again.
+A model's rows are kept in a sidecar file next to it, under the SHA-256
+of the model file's bytes: save_model writes it with the text, and a load
+that had to parse the text writes it after.  A load of the same bytes
+reads the rows from there instead of converting the decimal text again.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import json
 import math
 import os
 import stat
-import threading
 import warnings
 from pathlib import Path
 
@@ -192,13 +192,25 @@ class ModelFile:
 
 
 def save_model(path, topics: TopicMatrix, metadata: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
-        fh.write(f"{topics.num_topics} {topics.vocab_size}\n")
-        if metadata is not None:
-            fh.write("meta " + json.dumps(metadata) + "\n")
-        for row in topics.rows:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+    """Write topics as a model file.  For a regular file, the sidecar of
+    its rows is written too, under the SHA-256 of the bytes written, so
+    that a load of the file need not parse its text; a failed sidecar
+    write is ignored."""
+    import hashlib
+
+    head = [f"{MODEL_MAGIC} {MODEL_VERSION}\n", f"{topics.num_topics} {topics.vocab_size}\n"]
+    if metadata is not None:
+        head.append("meta " + json.dumps(metadata) + "\n")
+    rows = (" ".join(f"{x:.17g}" for x in row) + "\n" for row in topics.rows)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for line in itertools.chain(head, rows):
+            data = line.encode()
+            digest.update(data)
+            fh.write(data)
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    if regular:
+        _write_sidecar(sidecar_path(path), digest.digest(), topics.rows)
 
 
 def _model_rows(lines, k):
@@ -291,12 +303,18 @@ def _read_sidecar(path, digest, k, v):
 
 def _write_sidecar(path, digest, rows) -> None:
     """Replace the sidecar at path by one holding digest and rows, through
-    a temporary file and os.replace; a failed write is ignored and leaves
-    no temporary file behind."""
-    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    a new temporary file and os.replace; a failed write is ignored and
+    leaves no temporary file behind."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     header = {"descr": np.lib.format.dtype_to_descr(rows.dtype), "fortran_order": True, "shape": rows.shape}
     try:
-        with open(tmp, "wb") as fh:
+        # Exclusive creation: a link or file already at the name is never
+        # followed, truncated or removed.
+        fh = open(tmp, "xb")
+    except OSError:
+        return
+    try:
+        with fh:
             fh.write(SIDECAR_MAGIC + digest)
             np.lib.format.write_array_header_1_0(fh, header)
             fh.write(rows.T)
@@ -318,15 +336,18 @@ def load_model(path) -> ModelFile:
     column-major array, and rows validate_topic_matrix accepts; any
     other sidecar is ignored.  After the text is parsed and its rows
     pass the check, the sidecar is rewritten, unless the file changed
-    during the load; a failed write is ignored.  Header, metadata and
-    errors are the text's on both paths."""
+    during the load; a failed write is ignored.  Without a sidecar in a
+    directory it cannot write, the file is not hashed.  Header, metadata
+    and errors are the text's on both paths."""
     import hashlib
 
     sidecar = sidecar_path(path)
     with open(path) as fh:
         before = os.fstat(fh.fileno())
         digest = None
-        if stat.S_ISREG(before.st_mode):
+        if stat.S_ISREG(before.st_mode) and (
+            os.path.exists(sidecar) or os.access(os.path.dirname(sidecar) or ".", os.W_OK)
+        ):
             digest = _file_digest(fh.buffer, hashlib.sha256())
             fh.seek(0)
         first = fh.readline()

@@ -370,6 +370,19 @@ def forge_sidecar(model, rows, digest=None, **header):
         fh.write(rows.tobytes(order="F"))
 
 
+def save_text(path, topics, metadata=None):
+    """Write save_model's bytes to path and leave its sidecar, if any, as
+    it was: a model that arrives without one, or rewritten by another tool."""
+    side = Path(sidecar_path(path))
+    kept = side.read_bytes() if side.exists() else None
+    save_model(path, topics, metadata=metadata)
+    if kept is None:
+        side.unlink()
+    else:
+        side.write_bytes(kept)
+    return path
+
+
 def sidecar_digest(model):
     """The digest the sidecar of model holds."""
     with open(sidecar_path(model), "rb") as fh:
@@ -447,8 +460,7 @@ class TestModelFiles:
     def test_load_holds_one_copy_of_the_matrix(self, tmp_path):
         rng = np.random.default_rng(73)
         topics = TopicMatrix.normalized(rng.random((300, 2000)))
-        path = tmp_path / "m.txt"
-        save_model(path, topics)
+        path = save_text(tmp_path / "m.txt", topics)
         # The text is about three times the matrix, so reading it whole to
         # hash it would show here too.
         assert path.stat().st_size > 2 * topics.rows.nbytes
@@ -564,7 +576,9 @@ class TestModelFiles:
             rows[2, 2:] = 1e-10
             save_model(path, TopicMatrix(rows), metadata={"trial": trial})
             tokens = np.array([[float(x) for x in line.split()] for line in path.read_text().splitlines()[3:]])
-            for load in ("parse", "sidecar"):
+            for load in ("save_model's sidecar", "parse", "load_model's sidecar"):
+                if load == "parse":
+                    os.remove(sidecar_path(path))
                 model = load_model(path)
                 loaded = model.topics.rows
                 assert model.metadata == {"trial": trial}, load
@@ -592,8 +606,7 @@ class TestModelFiles:
             load_model(write(tmp_path / "m.txt", text))
 
     def test_loaded_model_is_scanned_once(self, tmp_path, monkeypatch):
-        path = tmp_path / "m.txt"
-        save_model(path, TopicMatrix.normalized(np.ones((3, 4))))
+        path = save_text(tmp_path / "m.txt", TopicMatrix.normalized(np.ones((3, 4))))
         scans = []
         real = core.validate_topic_matrix
         for module in (core, corpus_io):
@@ -615,7 +628,7 @@ class TestModelFiles:
 # with a valid sidecar and the model's rows; the load then parses the text
 # and rewrites the sidecar.
 def _rewrite_model(path, rows):
-    save_model(path, TopicMatrix(rows[::-1]))
+    save_text(path, TopicMatrix(rows[::-1]))
 
 
 def _truncate(path, rows):
@@ -626,7 +639,7 @@ def _truncate(path, rows):
 STALE_SIDECARS = {
     "model rewritten": _rewrite_model,
     "trailing line after row K": lambda path, rows: path.write_text(path.read_text() + "not a row\n"),
-    "changed meta line": lambda path, rows: save_model(path, TopicMatrix(rows), metadata={"note": "new"}),
+    "changed meta line": lambda path, rows: save_text(path, TopicMatrix(rows), metadata={"note": "new"}),
     "truncated sidecar": _truncate,
     "trailing byte in the sidecar": lambda path, rows: Path(sidecar_path(path)).write_bytes(
         Path(sidecar_path(path)).read_bytes() + b"\0"),
@@ -645,14 +658,14 @@ STALE_SIDECARS = {
 
 class TestSidecar:
     """load_model keeps the rows it parsed in a sidecar next to the model
-    and reads them from there while the model's bytes stay the same."""
+    and reads them from there while the model's bytes stay the same;
+    save_model writes the sidecar with the text."""
 
     def model(self, tmp_path, seed=81, metadata=None):
+        """A model file without a sidecar, and its rows."""
         rng = np.random.default_rng(seed)
         topics = TopicMatrix.normalized(rng.dirichlet(np.full(7, 0.3), size=5))
-        path = tmp_path / "m.txt"
-        save_model(path, topics, metadata=metadata)
-        return path, topics.rows
+        return save_text(tmp_path / "m.txt", topics, metadata=metadata), topics.rows
 
     def test_second_load_reads_the_sidecar_bitwise(self, tmp_path, monkeypatch):
         path, rows = self.model(tmp_path, metadata={"topics": 5})
@@ -664,6 +677,24 @@ class TestSidecar:
             assert model.metadata == {"topics": 5}
             assert model.topics.rows.tobytes() == rows.tobytes()
             assert model.topics.rows.flags.f_contiguous and not model.topics.rows.flags.writeable
+
+    def test_save_model_writes_the_sidecar_of_the_bytes_it_wrote(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(85)
+        topics = TopicMatrix.normalized(rng.dirichlet(np.full(7, 0.3), size=5))
+        path = tmp_path / "m.txt"
+        save_model(path, topics, metadata={"topics": 5})
+        assert sorted(os.listdir(tmp_path)) == ["m.txt", "m.txt.sidecar"]
+        assert sidecar_digest(path) == hashlib.sha256(path.read_bytes()).digest()
+        parses = count_parses(monkeypatch)
+        model = load_model(path)
+        assert parses == []
+        assert model.metadata == {"topics": 5}
+        assert model.topics.rows.tobytes() == topics.rows.tobytes()
+        # Saving over a model replaces its sidecar.
+        save_model(path, TopicMatrix(topics.rows[::-1]))
+        assert load_model(path).topics.rows.tobytes() == topics.rows[::-1].tobytes()
+        assert parses == []
+        assert sorted(os.listdir(tmp_path)) == ["m.txt", "m.txt.sidecar"]
 
     def test_sidecar_is_a_digest_then_a_fortran_order_npy(self, tmp_path):
         path, rows = self.model(tmp_path)
@@ -751,6 +782,10 @@ class TestSidecar:
             assert model.topics.rows.tobytes() == rows.tobytes()
             assert model.metadata == {"k": 5}
             assert os.listdir(tmp_path) == ["m.txt"]
+        # save_model writes the text whole all the same.
+        save_model(path, TopicMatrix(rows[::-1]))
+        assert os.listdir(tmp_path) == ["m.txt"]
+        assert load_model(path).topics.rows.tobytes() == rows[::-1].tobytes()
 
     def test_failed_write_keeps_the_old_sidecar(self, tmp_path, monkeypatch):
         path, _ = self.model(tmp_path)
@@ -805,6 +840,43 @@ class TestSidecar:
             writer.join(timeout=10)
         assert os.listdir(tmp_path) == ["m.txt"]
         assert hashed == []
+        # save_model writes the text into the pipe, and no sidecar.
+        got = []
+        reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            save_model(path, TopicMatrix(np.array([[0.25, 0.75]])))
+        finally:
+            reader.join(timeout=10)
+        assert got == [(MODEL_HEAD + "1 2\n" + ROW).encode()]
+        assert os.listdir(tmp_path) == ["m.txt"]
+
+    def test_no_hash_pass_without_a_sidecar_where_none_can_be_written(self, tmp_path, monkeypatch):
+        # os.access is patched, not chmod: these tests run as root.
+        path, rows = self.model(tmp_path)
+        hashed = []
+        real = corpus_io._file_digest
+        monkeypatch.setattr(corpus_io, "_file_digest", lambda fh, h: hashed.append(fh) or real(fh, h))
+        monkeypatch.setattr(corpus_io.os, "access", lambda where, mode: False)
+        assert load_model(path).topics.rows.tobytes() == rows.tobytes()
+        assert hashed == [] and os.listdir(tmp_path) == ["m.txt"]
+        # A sidecar that is there is still checked, and read.
+        forge_sidecar(path, rows)
+        parses = count_parses(monkeypatch)
+        assert load_model(path).topics.rows.tobytes() == rows.tobytes()
+        assert len(hashed) == 1 and parses == []
+
+    def test_temporary_file_is_never_opened_through_a_link(self, tmp_path, monkeypatch):
+        # A link planted at the temporary file's name is neither followed
+        # nor removed: the load returns the file's rows and writes nothing.
+        path, rows = self.model(tmp_path)
+        victim = write(tmp_path / "victim", "kept\n")
+        link = Path(f"{sidecar_path(path)}.{bytes(8).hex()}.tmp")
+        link.symlink_to(victim)
+        monkeypatch.setattr(corpus_io.os, "urandom", bytes)
+        assert load_model(path).topics.rows.tobytes() == rows.tobytes()
+        assert victim.read_text() == "kept\n" and link.is_symlink()
+        assert sorted(os.listdir(tmp_path)) == sorted(["m.txt", "victim", link.name])
 
     def test_digest_streams_blocks(self, tmp_path):
         data = np.random.default_rng(83).bytes(2 * corpus_io._HASH_BLOCK + 12345)
@@ -818,8 +890,7 @@ class TestSidecar:
         # rows, and one whole sidecar is left.
         rng = np.random.default_rng(84)
         rows = TopicMatrix.normalized(rng.dirichlet(np.full(400, 0.3), size=100)).rows
-        path = tmp_path / "m.txt"
-        save_model(path, TopicMatrix(rows))
+        path = save_text(tmp_path / "m.txt", TopicMatrix(rows))
         results, interval = [], sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
