@@ -213,10 +213,10 @@ def save_model(path, topics: TopicMatrix, metadata: dict | None = None) -> None:
         _write_sidecar(sidecar_path(path), digest.digest(), topics.rows)
 
 
-def _model_rows(lines, k):
-    """Yield the next k lines, one per topic row; a blank or missing line
-    means the file ends early."""
-    for r in range(k):
+def _model_rows(lines, rows, k):
+    """Yield the next line for each topic row numbered in rows, of k; a
+    blank or missing line means the file ends early."""
+    for r in rows:
         line = next(lines, "")
         if not line.strip():
             raise ModelFormatError(f"model file ends early: expected {k} rows, found {r}")
@@ -227,36 +227,34 @@ def _model_rows(lines, k):
 _ROWS_PER_PARSE = 16
 
 
-def _read_rows(fh, k, v):
-    """The next k lines of fh as a column-major (k, v) float64 array,
-    parsed by numpy's C reader _ROWS_PER_PARSE rows at a time; if the
-    reader refuses a chunk, a line-by-line walk from the first row raises
-    the error of the first bad row."""
-    start = fh.tell()
+def _read_rows(lines, k, v):
+    """The next k lines as a column-major (k, v) float64 array, parsed by
+    numpy's C reader _ROWS_PER_PARSE rows at a time.  Each chunk's lines
+    are kept; if the reader refuses a chunk, a line-by-line walk of it
+    raises the error of its first bad row, the chunks before it passed."""
     rows = np.empty((k, v), order="F")
-    try:
-        for r in range(0, k, _ROWS_PER_PARSE):
-            n = min(_ROWS_PER_PARSE, k - r)
-            # An early end raises ModelFormatError, a ValueError, too.
-            chunk = np.loadtxt(_model_rows(fh, n), comments=None, ndmin=2)
-            if chunk.shape != (n, v):
-                break
-            rows[r : r + n] = chunk
-        else:
-            return rows
-    except ValueError:
-        pass
-    fh.seek(start)
-    for r, line in enumerate(_model_rows(fh, k)):
-        parts = line.split()
-        if len(parts) != v:
-            raise ModelFormatError(f"row {r} has {len(parts)} entries, expected {v}")
+    for r in range(0, k, _ROWS_PER_PARSE):
+        numbers = range(r, min(r + _ROWS_PER_PARSE, k))
+        chunk = list(itertools.islice(lines, len(numbers)))
         try:
-            for x in parts:
-                _plain_number(x, float)
+            # An early end raises ModelFormatError, a ValueError, too.
+            parsed = np.loadtxt(_model_rows(iter(chunk), numbers, k), comments=None, ndmin=2)
+            if parsed.shape == (len(numbers), v):
+                rows[r : r + len(numbers)] = parsed
+                continue
         except ValueError:
-            raise ModelFormatError(f"row {r} holds a non-numeric entry") from None
-    raise ModelFormatError("topic rows that numpy's reader refuses")
+            pass
+        for r, line in zip(numbers, _model_rows(iter(chunk), numbers, k)):
+            parts = line.split()
+            if len(parts) != v:
+                raise ModelFormatError(f"row {r} has {len(parts)} entries, expected {v}")
+            try:
+                for x in parts:
+                    _plain_number(x, float)
+            except ValueError:
+                raise ModelFormatError(f"row {r} holds a non-numeric entry") from None
+        raise ModelFormatError("topic rows that numpy's reader refuses")
+    return rows
 
 
 # A sidecar holds this line, the 32-byte SHA-256 of the model file's bytes,
@@ -338,7 +336,8 @@ def load_model(path) -> ModelFile:
     pass the check, the sidecar is rewritten, unless the file changed
     during the load; a failed write is ignored.  Without a sidecar in a
     directory it cannot write, the file is not hashed.  Header, metadata
-    and errors are the text's on both paths."""
+    and errors are the text's on both paths.  The text is read once, front
+    to back, so a pipe serves as a file does."""
     import hashlib
 
     sidecar = sidecar_path(path)
@@ -373,20 +372,19 @@ def load_model(path) -> ModelFile:
             raise ModelFormatError("dimensions line must hold two integers") from None
         if k < 1 or v < 1:
             raise ModelFormatError("dimensions must be positive")
-        body = fh.tell()
-        metadata = None
-        line = fh.readline()
+        # The line after the dimensions is the meta line or the first row.
+        metadata, line = None, fh.readline()
+        lines = itertools.chain([line], fh)
         if line.startswith("meta "):
             try:
                 metadata = json.loads(line[5:])
             except json.JSONDecodeError:
                 raise ModelFormatError("bad metadata json") from None
-        else:
-            fh.seek(body)
+            lines = fh
         rows = digest and _read_sidecar(sidecar, digest, k, v)
         if rows is not None:
             return ModelFile(topics=TopicMatrix._adopt(rows), metadata=metadata)
-        rows = _read_rows(fh, k, v)
+        rows = _read_rows(lines, k, v)
         after = os.fstat(fh.fileno())
     problems = validate_topic_matrix(rows)
     if problems:

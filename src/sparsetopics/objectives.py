@@ -155,7 +155,8 @@ class MlObjective(Objective):
     Along a chord the mixture is p0 + a * dp; with v = sqrt(d) * dp / (p0
     + a * dp) the slope is sqrt(d) . v and the curvature -v . v.  g(a, point)
     memoizes the chord's mixture for point, so a point reached by a solver
-    step holds it, within a few ulps of point . term_columns, unformed.
+    step holds it, within a few ulps of point . term_columns, unformed;
+    fw_solve carries it from step to step instead (solve_steps).
     """
 
     domain = FULL_SIMPLEX
@@ -231,8 +232,10 @@ class MlObjective(Objective):
         self._remember(key, np.array(self.term_columns[best]))
         return best
 
-    def line_restriction(self, theta, s_ids, s_vals):
-        p0 = self._mixture(theta)
+    def _chord(self, p0, s_ids, s_vals, v, keep):
+        """(g, dg) along the chord from the mixture p0 toward the target s:
+        g(a, point) hands keep(point, p) the mixture p it values, and dg
+        writes v as scratch."""
         if len(s_ids) == 1 and s_vals[0] == 1.0:
             # A vertex: 1.0 times its one slab row is that row, bit for bit.
             ps = self.term_columns[s_ids[0]]
@@ -246,13 +249,11 @@ class MlObjective(Objective):
         dp = ps - p0
         counts, sqrt_counts = self._counts, self._sqrt_counts
         scaled = sqrt_counts * dp
-        v = np.empty_like(dp)
 
         def g(a: float, point: np.ndarray | None = None) -> float:
             # The mixture from the nearer end, as dg forms it.
             p = p0 + a * dp if a <= 0.5 else ps - (1.0 - a) * dp
-            if point is not None:
-                self._remember(point.tobytes(), p)
+            keep(point, p)
             return float(counts.dot(np.log(p))) + 0.0
 
         def dg(a: float) -> tuple[float, float]:
@@ -268,6 +269,47 @@ class MlObjective(Objective):
             return float(sqrt_counts.dot(v)) + 0.0, -float(v.dot(v))
 
         return g, dg
+
+    def _keep(self, point, p) -> None:
+        if point is not None:
+            self._remember(point.tobytes(), p)
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        return self._chord(self._mixture(theta), s_ids, s_vals, np.empty(self._counts.size), self._keep)
+
+
+class _CarriedMl:
+    """fw_solve's steps on an MlObjective: the mixture at the current point
+    rides from each step's g to the next step, with no memo read or
+    written, and one scratch vector serves the gradient and every probe.
+    A rolled-back step ends the solve; finish() then memoizes the mixture
+    of g's last point, as line_restriction's g would have."""
+
+    def __init__(self, objective: MlObjective, theta: np.ndarray):
+        self._f, self._p, self._point = objective, objective._mixture(theta), None
+        self._scratch = np.empty(objective._counts.size)
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        f = self._f
+        return f.term_columns.dot(np.divide(f._counts, self._p, self._scratch))
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        return self._f._chord(self._p, s_ids, s_vals, self._scratch, self._keep)
+
+    def _keep(self, point, p) -> None:
+        self._point, self._p = point, p
+
+    def finish(self) -> None:
+        if self._point is not None:
+            self._f._remember(self._point.tobytes(), self._p)
+
+
+def solve_steps(objective, theta: np.ndarray):
+    """What fw_solve steps on from theta: gradient and line_restriction,
+    and finish() once the solve ends when it is not the objective itself.
+    Only an objective whose class is exactly MlObjective gets carried
+    steps; a subclass or wrapper may override or intercept the methods."""
+    return _CarriedMl(objective, theta) if type(objective) is MlObjective else objective
 
 
 class LogPenalty(Objective):

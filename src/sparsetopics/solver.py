@@ -38,7 +38,7 @@ from .errors import (
     NonconcavePriorError,
     NumericFailureError,
 )
-from .objectives import INTERIOR_ONLY, Objective, best_vertex, is_concave
+from .objectives import INTERIOR_ONLY, Objective, best_vertex, is_concave, solve_steps
 
 # Interior-only objectives never step all the way onto a face.
 ALPHA_MARGIN = 1e-9
@@ -271,8 +271,9 @@ def fw_solve(
         # most one coordinate.  With max_nnz >= K there is nothing to cap.
         iter_cap = min(iter_cap, config.max_nnz - nnz)
     iterations = 0
+    steps = solve_steps(objective, theta)
     for step in range(1, iter_cap + 1):
-        grad = objective.gradient(theta)
+        grad = steps.gradient(theta)
         # An infinite gradient entry only picks the target; an overflow that
         # matters reaches the line-search derivative or the objective.
         # argmax returns the first NaN when there is one, and else the index
@@ -284,7 +285,7 @@ def fw_solve(
             s_ids, s_vals = vertex_ids[lead], _VERTEX_WEIGHT
         else:
             s_ids, s_vals = _greedy_capped(grad, caps)
-        g, dg = objective.line_restriction(theta, s_ids, s_vals)
+        g, dg = steps.line_restriction(theta, s_ids, s_vals)
         alpha = line_search(dg, upper=upper)
         np.multiply(theta, 1.0 - alpha, spare)
         if caps is None:
@@ -307,6 +308,8 @@ def fw_solve(
         f_prev = f_curr
         if done:
             break
+    if steps is not objective:
+        steps.finish()
     ids = np.flatnonzero(theta)  # over the full sum: the bits of theta / theta.sum()
     report = InferenceReport(
         theta=TopicProportion(ids, theta[ids] / theta.sum()),

@@ -10,6 +10,7 @@ from sparsetopics import (
     InfeasibleRegionError,
     InvalidArgumentError,
     InvalidConfigError,
+    MlObjective,
     NonconcavePriorError,
     NumericFailureError,
     SolverConfig,
@@ -985,6 +986,111 @@ class TestRolledBackStep:
         _, plain = fw_solve(ml_objective(doc, topics), config, caps=caps)
         assert f.bases[3] != f.bases[2] and trace[3].nnz == plain[2].nnz
         assert trace[3].alpha == pytest.approx(plain[2].alpha, rel=1e-12) and trace[3].alpha > 0.0
+
+
+class Forwarding:
+    """Forwards every attribute read to an objective, so fw_solve calls
+    its gradient, line_restriction and g, as for any class but exactly
+    MlObjective."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class OwnGradient(MlObjective):
+    def gradient(self, theta):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().gradient(theta)
+
+
+class OwnChord(MlObjective):
+    def line_restriction(self, theta, s_ids, s_vals):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().line_restriction(theta, s_ids, s_vals)
+
+
+class TestCarriedMixture:
+    """An MlObjective's solve carries the mixture from step to step; any
+    other object's solve calls its methods.  Both give the same bits, and
+    leave the same memo behind."""
+
+    CASES = {
+        "best vertex": (SolverConfig(rel_tol=1e-12), None),
+        "barycenter": (SolverConfig(rel_tol=1e-12, start="barycenter"), None),
+        "caps below one": (SolverConfig(rel_tol=1e-12), 0.3),
+        "caps of all ones": (SolverConfig(rel_tol=1e-12), 1.0),
+        "max_nnz": (SolverConfig(rel_tol=1e-12, max_nnz=3), None),
+    }
+
+    @staticmethod
+    def both(doc, topics, config, caps, before=lambda: None):
+        """(report, trace, memo) of a carried solve, then of a method solve;
+        before() runs before each."""
+        out = []
+        for wrap in (lambda f: f, Forwarding):
+            before()
+            f = MlObjective(doc, topics)
+            report, trace = fw_solve(wrap(f), config, caps=caps)
+            key, p = f._memo.entry
+            out.append((report, trace, (key, p.tobytes())))
+        return out
+
+    @staticmethod
+    def assert_same(carried, method):
+        (a, a_trace, a_memo), (b, b_trace, b_memo) = carried, method
+        assert a.theta.topic_ids.tobytes() == b.theta.topic_ids.tobytes()
+        assert a.theta.weights.tobytes() == b.theta.weights.tobytes()
+        assert (a.iterations, repr(a.objective)) == (b.iterations, repr(b.objective))
+        assert repr(a_trace) == repr(b_trace)
+        assert a_memo == b_memo
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_carried_and_method_solves_are_bitwise_equal(self, case):
+        config, cap = self.CASES[case]
+        rng = np.random.default_rng(151)
+        steps = 0
+        for _ in range(8):
+            k = int(rng.integers(2, 30))
+            topics, doc = random_ml_instance(rng, k=k, v=60)
+            caps = None if cap is None else np.full(k, max(cap, 1.0 / k))
+            carried, method = self.both(doc, topics, config, caps)
+            self.assert_same(carried, method)
+            steps += carried[0].iterations
+        assert steps > 40
+
+    def test_a_rolled_back_step_ends_both_solves_alike(self, monkeypatch):
+        # Step 3 is sent to the vertex itself, below the start's best vertex
+        # value: the step is rolled back, and the solve ends there.
+        real, calls = solver_module.line_search, []
+
+        def downhill_at_three(dg, **kwargs):
+            calls.append(1)
+            return 1.0 if len(calls) == 3 else real(dg, **kwargs)
+
+        rng = np.random.default_rng(152)
+        instances = [random_ml_instance(rng, k=int(rng.integers(4, 20)), v=60) for _ in range(12)]
+        # only those whose own solve runs past step 3
+        instances = [(t, d) for t, d in instances if fw_solve(MlObjective(d, t), SolverConfig(rel_tol=1e-300))[0].iterations > 3]
+        assert len(instances) >= 6
+        monkeypatch.setattr(solver_module, "line_search", downhill_at_three)
+        for topics, doc in instances:
+            carried, method = self.both(doc, topics, SolverConfig(rel_tol=1e-300), None, calls.clear)
+            self.assert_same(carried, method)
+            report, trace, _ = carried
+            assert report.iterations == 3
+            assert trace[3].alpha == 0.0 and repr(trace[3].objective) == repr(trace[2].objective)
+
+    @pytest.mark.parametrize("cls", [OwnGradient, OwnChord])
+    @pytest.mark.parametrize("caps", [None, 0.5])
+    def test_a_subclass_has_its_overrides_called(self, cls, caps):
+        topics, doc = random_ml_instance(np.random.default_rng(153), k=8, v=40)
+        f = cls(doc, topics)
+        report, _ = fw_solve(f, SolverConfig(rel_tol=1e-12), caps=None if caps is None else np.full(8, caps))
+        assert report.iterations > 1
+        assert f.calls == report.iterations
 
 
 class TestFwSolveCapped:
