@@ -282,8 +282,9 @@ class _CarriedMl:
     """fw_solve's steps on an MlObjective: the mixture at the current point
     rides from each step's g to the next step, with no memo read or
     written, and one scratch vector serves the gradient and every probe.
-    A rolled-back step ends the solve; finish() then memoizes the mixture
-    of g's last point, as line_restriction's g would have."""
+    The mixture g formed last is the current point's only because a
+    rolled-back step ends the solve.  finish() memoizes it for g's last
+    point, as line_restriction's g would have."""
 
     def __init__(self, objective: MlObjective, theta: np.ndarray):
         self._f, self._p, self._point = objective, objective._mixture(theta), None

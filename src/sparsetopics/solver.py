@@ -296,7 +296,9 @@ def fw_solve(
         if not math.isfinite(f_curr):
             raise NumericFailureError(f"objective is {f_curr}")
         if f_curr < f_prev:
-            # Float jitter produced a downhill step; keep the old point.
+            # Float jitter produced a downhill step; keep the old point.  Equal
+            # values have converged, so this ends the solve (solve_steps
+            # relies on that).
             f_curr = f_prev
             alpha = 0.0
         else:
