@@ -66,57 +66,85 @@ def _parse_int(line_no, text, what):
 _TRIPLE = np.dtype([("doc", np.int64), ("word", np.int64), ("count", np.float64)])
 
 
-def _read_triples(lines):
-    """Every remaining triple in one C-level pass that skips blank lines,
-    or None when the reader refuses a line."""
-    for first in lines:
-        if first.strip():
-            break
-    else:
+# Triple lines per np.loadtxt call; only a refused chunk's lines are walked.
+_TRIPLES_PER_PARSE = 1 << 10
+
+
+def _parse_triples(lines):
+    """The chunk's triples in one C-level pass that skips blank lines, or
+    None when the reader refuses a line."""
+    if not any(line.strip() for line in lines):
         return np.empty(0, dtype=_TRIPLE)
     try:
         # numpy before 2.x parses a fractional id through a float, truncates
         # it and only warns; as an error the warning refuses the line.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(itertools.chain([first], lines), dtype=_TRIPLE, comments=None, ndmin=1)
+            return np.loadtxt(lines, dtype=_TRIPLE, comments=None, ndmin=1)
     except (ValueError, DeprecationWarning):
         return None
 
 
-def _raise_first_bad_triple(path, num_docs, vocab_size, num_triples):
-    """Raise the error of the first bad line after the header, walking the
-    file line by line; called once the fast path has found a fault."""
-    seen = 0
-    totals = {}  # each document's running count sum, in file order
-    with open(path) as fh:
-        for line_no, raw in enumerate(itertools.islice(fh, 3, None), start=4):
-            text = raw.strip()
-            if not text:
-                continue
-            seen += 1
-            if seen > num_triples:
-                raise CorpusFormatError(f"more than the declared {num_triples} triples", line_no)
-            parts = text.split()
-            if len(parts) != 3:
-                raise CorpusFormatError(f"expected 'docID wordID count', got {text!r}", line_no)
-            doc_id = _parse_int(line_no, parts[0], "document id")
-            word_id = _parse_int(line_no, parts[1], "word id")
-            try:
-                count = _plain_number(parts[2], float)
-            except ValueError:
-                raise CorpusFormatError(f"expected a numeric count, got {parts[2]!r}", line_no) from None
-            if not (1 <= doc_id <= num_docs):
-                raise CorpusBoundsError(f"document id {doc_id} outside 1..{num_docs}", line_no)
-            if not (1 <= word_id <= vocab_size):
-                raise CorpusBoundsError(f"word id {word_id} outside 1..{vocab_size}", line_no)
-            if not (count > 0) or not np.isfinite(count):
-                raise CorpusFormatError(f"count must be positive, got {parts[2]}", line_no)
-            totals[doc_id] = totals.get(doc_id, 0.0) + count
-            if totals[doc_id] == math.inf:
-                raise CorpusFormatError(f"the counts of document {doc_id} sum past the largest float", line_no)
+def _read_triples(lines, num_docs, vocab_size, num_triples):
+    """Every remaining triple, parsed _TRIPLES_PER_PARSE lines at a time and
+    checked: ids in range, counts positive, each document's running count
+    sum finite, num_triples in all.  Each chunk's lines are kept, and a
+    line-by-line walk of a refused chunk raises the error of its first bad
+    line, the chunks before it passed."""
+    parsed, seen, first_line = [], 0, 4
+    totals = np.zeros(1)  # each document's running count sum, by id
+    while chunk := list(itertools.islice(lines, _TRIPLES_PER_PARSE)):
+        triples = _parse_triples(chunk)
+        if triples is not None and seen + triples.size <= num_triples:
+            doc, word, count = triples["doc"], triples["word"], triples["count"]
+            if np.all((doc >= 1) & (doc <= num_docs) & (word >= 1) & (word <= vocab_size) & (count > 0)):
+                if (top := int(doc.max(initial=0)) + 1) > totals.size:  # doubled, up to num_docs + 1
+                    totals = np.append(totals, np.zeros(min(max(top, 2 * totals.size), num_docs + 1) - totals.size))
+                # add.at sums in file order, as the walk does; an overflow reads inf.
+                with np.errstate(over="ignore"):
+                    np.add.at(totals, doc, count)
+                if np.isfinite(totals[doc]).all():
+                    parsed.append(triples)
+                    seen += triples.size
+                    first_line += len(chunk)
+                    continue
+        before = np.concatenate(parsed or [np.empty(0, dtype=_TRIPLE)])
+        sums = dict(enumerate(np.bincount(before["doc"], before["count"]).tolist()))
+        _raise_first_bad_triple(chunk, first_line, seen, sums, num_docs, vocab_size, num_triples)
     if seen != num_triples:
         raise CorpusFormatError(f"declared {num_triples} triples but found {seen}")
+    return parsed[0] if len(parsed) == 1 else np.concatenate(parsed)
+
+
+def _raise_first_bad_triple(lines, first_line, seen, totals, num_docs, vocab_size, num_triples):
+    """Raise the error of the first bad line of a refused chunk, walking
+    it line by line from line number first_line; seen and totals (each
+    document's count sum by id) count the chunks before it."""
+    for line_no, raw in enumerate(lines, start=first_line):
+        text = raw.strip()
+        if not text:
+            continue
+        seen += 1
+        if seen > num_triples:
+            raise CorpusFormatError(f"more than the declared {num_triples} triples", line_no)
+        parts = text.split()
+        if len(parts) != 3:
+            raise CorpusFormatError(f"expected 'docID wordID count', got {text!r}", line_no)
+        doc_id = _parse_int(line_no, parts[0], "document id")
+        word_id = _parse_int(line_no, parts[1], "word id")
+        try:
+            count = _plain_number(parts[2], float)
+        except ValueError:
+            raise CorpusFormatError(f"expected a numeric count, got {parts[2]!r}", line_no) from None
+        if not (1 <= doc_id <= num_docs):
+            raise CorpusBoundsError(f"document id {doc_id} outside 1..{num_docs}", line_no)
+        if not (1 <= word_id <= vocab_size):
+            raise CorpusBoundsError(f"word id {word_id} outside 1..{vocab_size}", line_no)
+        if not (count > 0) or not np.isfinite(count):
+            raise CorpusFormatError(f"count must be positive, got {parts[2]}", line_no)
+        totals[doc_id] = totals.get(doc_id, 0.0) + count
+        if totals[doc_id] == math.inf:
+            raise CorpusFormatError(f"the counts of document {doc_id} sum past the largest float", line_no)
     raise CorpusFormatError("triples that numpy's reader refuses")
 
 
@@ -143,17 +171,10 @@ def load_uci_bow(docword_path, vocab_path=None) -> Corpus:
             raise CorpusFormatError("no documents", 1 if num_docs < 1 else 3)
         if vocab_size < 1:
             raise CorpusFormatError("vocabulary size must be positive", 2)
-        triples = _read_triples(fh)
-    if triples is None or triples.size != num_triples:
-        _raise_first_bad_triple(docword_path, num_docs, vocab_size, num_triples)
+        triples = _read_triples(fh, num_docs, vocab_size, num_triples)
+    # No document's running count sum overflowed, so no pair's sum below,
+    # which adds a subset of the same positive counts in the same order, does.
     doc, word, count = triples["doc"], triples["word"], triples["count"]
-    in_range = (doc >= 1) & (doc <= num_docs) & (word >= 1) & (word <= vocab_size)
-    # bincount sums each document's counts in file order, as the line walk
-    # does, so an infinite count or an overflowing sum reads inf; when none
-    # does, neither does a pair's sum below, which adds a subset of the same
-    # positive counts in the same order.
-    if not np.all(in_range & (count > 0)) or not np.isfinite(np.bincount(doc, count)).all():
-        _raise_first_bad_triple(docword_path, num_docs, vocab_size, num_triples)
 
     if vocab_path is None:
         vocab = Vocabulary(tuple(f"w{j}" for j in range(1, vocab_size + 1)))

@@ -278,39 +278,37 @@ class MlObjective(Objective):
         return self._chord(self._mixture(theta), s_ids, s_vals, np.empty(self._counts.size), self._keep)
 
 
-class _CarriedMl:
-    """fw_solve's steps on an MlObjective: the mixture at the current point
-    rides from each step's g to the next step, with no memo read or
-    written, and one scratch vector serves the gradient and every probe.
-    The mixture g formed last is the current point's only because a
+class _Carried:
+    """Steps that carry the point state their g formed last (the mixture,
+    or a penalty's (y, dphi(y))) to the next gradient and chord, with no
+    memo read or written.  It is the current point's only because a
     rolled-back step ends the solve.  finish() memoizes it for g's last
-    point, as line_restriction's g would have."""
+    point, as the objective's own g would have."""
+
+    _point = None
+
+    def _keep(self, point, state) -> None:
+        self._point, self._state = point, state
+
+    def finish(self) -> None:
+        if self._point is not None:
+            self._f._keep(self._point, self._state)
+
+
+class _CarriedMl(_Carried):
+    """fw_solve's steps on an MlObjective: one scratch vector serves the
+    gradient and every probe."""
 
     def __init__(self, objective: MlObjective, theta: np.ndarray):
-        self._f, self._p, self._point = objective, objective._mixture(theta), None
+        self._f, self._state = objective, objective._mixture(theta)
         self._scratch = np.empty(objective._counts.size)
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         f = self._f
-        return f.term_columns.dot(np.divide(f._counts, self._p, self._scratch))
+        return f.term_columns.dot(np.divide(f._counts, self._state, self._scratch))
 
     def line_restriction(self, theta, s_ids, s_vals):
-        return self._f._chord(self._p, s_ids, s_vals, self._scratch, self._keep)
-
-    def _keep(self, point, p) -> None:
-        self._point, self._p = point, p
-
-    def finish(self) -> None:
-        if self._point is not None:
-            self._f._remember(self._point.tobytes(), self._p)
-
-
-def solve_steps(objective, theta: np.ndarray):
-    """What fw_solve steps on from theta: gradient and line_restriction,
-    and finish() once the solve ends when it is not the objective itself.
-    Only an objective whose class is exactly MlObjective gets carried
-    steps; a subclass or wrapper may override or intercept the methods."""
-    return _CarriedMl(objective, theta) if type(objective) is MlObjective else objective
+        return self._f._chord(self._state, s_ids, s_vals, self._scratch, self._keep)
 
 
 class LogPenalty(Objective):
@@ -320,21 +318,29 @@ class LogPenalty(Objective):
     priors.  The gradient is dphi(y) / theta; along a chord with direction
     d, at the point x and with u = d / x, the slope is dphi(y) . u and the
     curvature d2phi(u) - dphi(y) . (u * u).  Like the likelihood's mixture,
-    (y, dphi(y)) is memoized at the last theta for value, gradient, chord at 0.
+    (y, dphi(y)) is memoized at the last theta for value, gradient, chord at
+    0; fw_solve carries it from step to step instead (solve_steps).
     """
 
     domain = INTERIOR_ONLY
     mean = None
     _memo = (None, None)
 
+    def _point_state(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(y, dphi(y)) at theta, formed; a point off the interior is refused."""
+        _check_interior(theta, self.dim)
+        y = np.log(theta) if self.mean is None else np.log(theta) - self.mean
+        return y, self._dphi(y)
+
     def _state(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(y, dphi(y)) at theta, formed only when theta's bytes change."""
         key, (memo_key, state) = theta.tobytes(), self._memo
         if key != memo_key:
-            _check_interior(theta, self.dim)
-            y = np.log(theta) if self.mean is None else np.log(theta) - self.mean
-            self._memo = (key, state := (y, self._dphi(y)))
+            self._memo = (key, state := self._point_state(theta))
         return state
+
+    def _keep(self, point, state) -> None:
+        self._memo = (point.tobytes(), state)
 
     def value(self, theta: np.ndarray) -> float:
         return self._phi(*self._state(np.asarray(theta, dtype=np.float64)))
@@ -343,24 +349,29 @@ class LogPenalty(Objective):
         theta = np.asarray(theta, dtype=np.float64)
         return self._state(theta)[1] / theta
 
-    def line_restriction(self, theta, s_ids, s_vals):
+    def _chord(self, base, state, s_ids, s_vals, scratch, keep):
+        """(g, dg) along the chord from base toward the target s: state()
+        is (y, dphi(y)) at base, read by the probe at 0 only; g(a, point)
+        hands keep(point, state) the state it values.  The five vectors of
+        scratch hold the target, the direction and dg's three."""
         # Scratch arrays, as dphi may return a stored array.  x is formed
         # from two products: base + a * direction would keep only about
         # eps / (1 - a) relative precision where the target is 0.
-        base = np.asarray(theta, dtype=np.float64)
-        target = np.zeros(self.dim)
+        target, direction, x, y, u = scratch
+        target.fill(0.0)
         target[s_ids] = s_vals
-        direction = target - base
-        mean, dphi, d2phi, state = self.mean, self._dphi, self._d2phi, self._state
-        x, y, u = np.empty(self.dim), np.empty(self.dim), np.empty(self.dim)
+        np.subtract(target, base, direction)
+        mean, dphi, d2phi = self.mean, self._dphi, self._d2phi
         lowest = float(np.minimum.reduce(base))
 
         def g(a: float, point: np.ndarray | None = None) -> float:
-            return self.value((1.0 - a) * base + a * target if point is None else point)
+            point = (1.0 - a) * base + a * target if point is None else point
+            keep(point, point_state := self._point_state(point))
+            return self._phi(*point_state)
 
         def dg(a: float) -> tuple[float, float]:
-            if a == 0.0:  # at base, whose memoized state refuses a face
-                point, dphi_y = base, state(base)[1]
+            if a == 0.0:  # at base, whose state refuses a face
+                point, dphi_y = base, state()[1]
             else:
                 np.multiply(base, 1.0 - a, x)
                 np.multiply(target, a, y)
@@ -376,6 +387,11 @@ class LogPenalty(Objective):
             return float(dphi_y.dot(u)) + 0.0, d2phi(u) - float(dphi_y.dot(x))
 
         return g, dg
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        base = np.asarray(theta, dtype=np.float64)
+        scratch = tuple(np.empty(self.dim) for _ in range(5))
+        return self._chord(base, lambda: self._state(base), s_ids, s_vals, scratch, self._keep)
 
 
 class DirichletLogPenalty(LogPenalty):
@@ -522,6 +538,50 @@ class PenalizedObjective(Objective):
             return slope1 + slope2, curvature1 + curvature2
 
         return g, dg
+
+
+class _CarriedPenalty(_Carried):
+    """fw_solve's steps on a Gaussian or Dirichlet log penalty: the chord
+    writes into vectors owned for the solve."""
+
+    def __init__(self, penalty: LogPenalty, theta: np.ndarray):
+        self._f, self._state = penalty, penalty._state(theta)
+        self._scratch = tuple(np.empty(penalty.dim) for _ in range(5))
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        return self._state[1] / theta
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        state = self._state
+        return self._f._chord(theta, lambda: state, s_ids, s_vals, self._scratch, self._keep)
+
+
+class _CarriedSum:
+    """fw_solve's steps on a likelihood plus a log penalty: the sum's own
+    gradient and chord over both parts' carried steps."""
+
+    gradient, line_restriction = PenalizedObjective.gradient, PenalizedObjective.line_restriction
+
+    def __init__(self, objective: PenalizedObjective, theta: np.ndarray):
+        self.base, self.penalty = _CarriedMl(objective.base, theta), _CarriedPenalty(objective.penalty, theta)
+
+    def finish(self) -> None:
+        self.base.finish()
+        self.penalty.finish()
+
+
+def solve_steps(objective, theta: np.ndarray):
+    """What fw_solve steps on from theta: gradient and line_restriction,
+    and finish() once the solve ends when it is not the objective itself.
+    Only objectives whose classes are exactly those below get carried
+    steps; a subclass or wrapper may override or intercept the methods."""
+    if type(objective) is MlObjective:
+        return _CarriedMl(objective, theta)
+    if type(objective) is PenalizedObjective and type(objective.base) is MlObjective and (
+        type(objective.penalty) in (GaussianLogPenalty, DirichletLogPenalty)
+    ):
+        return _CarriedSum(objective, theta)
+    return objective
 
 
 def ml_objective(document: Document, topics: TopicMatrix) -> MlObjective:

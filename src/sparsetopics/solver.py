@@ -143,19 +143,15 @@ def _greedy_capped(scores: np.ndarray, caps: np.ndarray):
     coordinates in descending score order (stable sort, so ties go to the
     lowest index).  Returns (ids, values)."""
     order = (-scores).argsort(kind="stable")
-    ordered = caps[order]
-    # remaining[i] = 1 - ordered[0] - ... - ordered[i-1], subtracted left
-    # to right.
-    remaining = np.empty(ordered.size)
-    remaining[0] = 1.0
-    remaining[1:] = ordered[:-1]
-    np.subtract.accumulate(remaining, out=remaining)
-    # Coordinates fill to their caps up to the first whose cap does not fit
-    # under what is left; that one takes the rest.  fits[i] holds at its
-    # argmin i only when every cap fits.
-    fits = ordered < remaining
-    n = ordered.size if fits[i := int(fits.argmin())] else i + 1
-    return order[:n], np.minimum(ordered[:n], remaining[:n])
+    ordered = caps[order].tolist()
+    remaining = 1.0  # 1 - ordered[0] - ... - ordered[n-1], subtracted left to right
+    for n, cap in enumerate(ordered):
+        if not cap < remaining:
+            # The first cap that does not fit under what is left takes the rest.
+            ordered[n] = remaining
+            return order[: n + 1], np.array(ordered[: n + 1])
+        remaining -= cap
+    return order, np.array(ordered)
 
 
 def capped_simplex_argmax(scores: np.ndarray, caps: np.ndarray) -> np.ndarray:

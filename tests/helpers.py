@@ -182,6 +182,25 @@ def greedy_capped_loop(scores: np.ndarray, caps: np.ndarray):
     return np.array(ids, dtype=np.int64), np.array(vals), int(order[0])
 
 
+def greedy_capped_vectorized(scores: np.ndarray, caps: np.ndarray):
+    """The capped linear step as whole-array numpy calls, the solver's own
+    before its fill became a loop: the same (ids, values), bit for bit."""
+    order = (-scores).argsort(kind="stable")
+    ordered = caps[order]
+    # remaining[i] = 1 - ordered[0] - ... - ordered[i-1], subtracted left
+    # to right.
+    remaining = np.empty(ordered.size)
+    remaining[0] = 1.0
+    remaining[1:] = ordered[:-1]
+    np.subtract.accumulate(remaining, out=remaining)
+    # Coordinates fill to their caps up to the first whose cap does not fit
+    # under what is left; that one takes the rest.  fits[i] holds at its
+    # argmin i only when every cap fits.
+    fits = ordered < remaining
+    n = ordered.size if fits[i := int(fits.argmin())] else i + 1
+    return order[:n], np.minimum(ordered[:n], remaining[:n])
+
+
 def bisection_line_search(dg, *, tol=1e-10, max_steps=60, upper=1.0):
     """Sign bisection of a nonincreasing slope on [0, upper], with the
     solver's line_search signature and defaults: dg(a) is (slope,

@@ -241,6 +241,54 @@ class TestLoadUciBow:
         assert info.value.line == line
         assert str(info.value) == (f"line {line}: {message}" if line else message)
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED_BOW))
+    def test_malformed_pipe_names_the_files_line(self, name):
+        text, error, line, message = MALFORMED_BOW[name]
+        with pytest.raises(CorpusFormatError) as info, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_from_pipe(text, load_uci_bow)
+        assert type(info.value) is error
+        assert str(info.value) == (f"line {line}: {message}" if line else message)
+
+    @staticmethod
+    def corpus_text(rng, lines, blank_every=7):
+        """A valid corpus of lines triples over 30 documents, with repeated
+        pairs and blank lines, sorted by document as a saved corpus is."""
+        doc, word = np.sort(rng.integers(1, 31, size=lines)).tolist(), rng.integers(1, 51, size=lines).tolist()
+        body = [f"{d} {w} {c!r}" for d, w, c in zip(doc, word, (rng.random(lines) * 9 + 0.5).tolist())]
+        body = [t + ("\n\n" if i % blank_every == 0 else "\n") for i, t in enumerate(body)]
+        return f"30\n50\n{lines}\n" + "".join(body)
+
+    @staticmethod
+    def as_bits(corpus):
+        return corpus.doc_ids, [(d.term_ids.tobytes(), d.counts.tobytes()) for d in corpus.documents]
+
+    def test_pipe_loads_the_files_bits(self, tmp_path):
+        rng = np.random.default_rng(29)
+        for lines in (1, 200, 3 * corpus_io._TRIPLES_PER_PARSE + 5):
+            text = self.corpus_text(rng, lines)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # documents left empty
+                want = load_uci_bow(write(tmp_path / "d.txt", text))
+                assert self.as_bits(load_from_pipe(text, load_uci_bow)) == self.as_bits(want)
+
+    @pytest.mark.parametrize("per_parse", [1, 2, 3, 5])
+    def test_any_chunk_size_reads_as_one(self, tmp_path, monkeypatch, per_parse):
+        # The walk of a refused chunk starts from the counts and sums of
+        # the chunks before it.
+        rng = np.random.default_rng(31)
+        texts = [self.corpus_text(rng, n, 3) for n in (1, 4, 17)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            want = [self.as_bits(load_uci_bow(write(tmp_path / "d.txt", t))) for t in texts]
+            monkeypatch.setattr(corpus_io, "_TRIPLES_PER_PARSE", per_parse)
+            assert [self.as_bits(load_uci_bow(write(tmp_path / "d.txt", t))) for t in texts] == want
+        for text, error, line, message in MALFORMED_BOW.values():
+            with pytest.raises(CorpusFormatError) as info:
+                load_uci_bow(write(tmp_path / "d.txt", text))
+            assert type(info.value) is error
+            assert str(info.value) == (f"line {line}: {message}" if line else message)
+
     @pytest.mark.parametrize("token", ["1.0", "1.5", "2.7", "1e0"])
     def test_fractional_id_refused_with_warnings_ignored(self, tmp_path, token):
         text = f"2\n3\n2\n1 1 2\n{token} 2 1\n"
@@ -390,9 +438,10 @@ def sidecar_digest(model):
 
 
 
-def load_from_pipe(text):
-    """load_model of text fed by a thread into an os.pipe(), read through
-    its /dev/fd path, as a shell's process substitution hands it over."""
+def load_from_pipe(text, load=load_model):
+    """load (load_model by default) of text fed by a thread into an
+    os.pipe(), read through its /dev/fd path, as a shell's process
+    substitution hands it over."""
     r, w = os.pipe()
 
     def feed():
@@ -405,7 +454,7 @@ def load_from_pipe(text):
     writer = threading.Thread(target=feed)
     writer.start()
     try:
-        return load_model(f"/dev/fd/{r}")
+        return load(f"/dev/fd/{r}")
     finally:
         os.close(r)
         writer.join(10)

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -32,9 +33,11 @@ from sparsetopics.objectives import (
     Objective,
     PenalizedObjective,
     is_concave,
+    solve_steps,
 )
 
 import sparsetopics.core as core
+import sparsetopics.solver as solver_module
 
 from helpers import (
     ctm_penalty_hessian,
@@ -850,30 +853,28 @@ class TestChordBitwise:
             assert got == {i: [expected[i]] * 20 for i in range(len(chords))}, name
 
 
-def counted_products(pen) -> list:
+def counted_products(pen, monkeypatch) -> list:
     """Counts pen's dphi(y) products at a point of its own, leaving out
-    those at the chord's probes past 0, which form their own point."""
+    those at the line search's probes past 0, which form their own point.
+    fw_solve's line_search is patched to tell the probes apart, as a
+    carried solve never calls pen's line_restriction."""
     products, probing = [], [False]
-    dphi, restrict = pen._dphi, pen.line_restriction
+    dphi, search = pen._dphi, solver_module.line_search
 
     def counting(y):
         if not probing[0]:
             products.append(1)
         return dphi(y)
 
-    def restriction(theta, s_ids, s_vals):
-        g, dg = restrict(theta, s_ids, s_vals)
+    def probe(dg, a):
+        probing[0] = a != 0.0
+        try:
+            return dg(a)
+        finally:
+            probing[0] = False
 
-        def probe(a):
-            probing[0] = a != 0.0
-            try:
-                return dg(a)
-            finally:
-                probing[0] = False
-
-        return g, probe
-
-    pen._dphi, pen.line_restriction = counting, restriction
+    pen._dphi = counting
+    monkeypatch.setattr(solver_module, "line_search", lambda dg, **kw: search(functools.partial(probe, dg), **kw))
     return products
 
 
@@ -976,15 +977,19 @@ class TestPenaltyMemo:
         assert mismatches == []
 
     @pytest.mark.parametrize("with_mean", [False, True])
-    def test_one_product_per_step(self, with_mean):
+    def test_one_product_per_step(self, with_mean, monkeypatch):
+        # On carried steps (the objective itself) and on its methods (a delegate).
         rng = np.random.default_rng(97 + with_mean)
         for _ in range(5):
-            _, _, f = self.ctm(rng, 12, with_mean)
-            products = counted_products(f.penalty)
-            report, trace = fw_solve(f, SolverConfig(start="barycenter", rel_tol=1e-12))
-            still = sum(1 for r in trace[1:] if r.alpha == 0.0)
-            assert report.iterations > 5
-            assert len(products) <= 1 + report.iterations + still
+            seed = int(rng.integers(2**32))
+            for wrap in (lambda f: f, Delegating):
+                _, _, f = self.ctm(np.random.default_rng(seed), 12, with_mean)
+                with monkeypatch.context() as patch:
+                    products = counted_products(f.penalty, patch)
+                    report, trace = fw_solve(wrap(f), SolverConfig(start="barycenter", rel_tol=1e-12))
+                still = sum(1 for r in trace[1:] if r.alpha == 0.0)
+                assert report.iterations > 5
+                assert len(products) <= 1 + report.iterations + still
 
     def test_delegating_wrapper_solves_bitwise(self):
         rng = np.random.default_rng(101)
@@ -996,6 +1001,127 @@ class TestPenaltyMemo:
                 assert wrapped.theta.weights.tobytes() == bare.theta.weights.tobytes()
                 assert wrapped.theta.topic_ids.tobytes() == bare.theta.topic_ids.tobytes()
                 assert wrapped_trace == bare_trace
+
+
+class CountingPenalized(PenalizedObjective):
+    def gradient(self, theta):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().gradient(theta)
+
+
+class CountingGaussian(GaussianLogPenalty):
+    def line_restriction(self, theta, s_ids, s_vals):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().line_restriction(theta, s_ids, s_vals)
+
+
+class CountingMl(MlObjective):
+    def gradient(self, theta):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().gradient(theta)
+
+
+class TestCarriedPenalty:
+    """A likelihood plus a Gaussian or Dirichlet log penalty, each of
+    exactly its class, is solved on carried steps; any other object calls
+    its methods.  Both give the same bits and leave the same memos."""
+
+    CASES = ("ctm with a mean", "ctm without a mean", "ctm under caps below its own", "lda-map")
+
+    @staticmethod
+    def instance(rng, case):
+        """(make, caps): make() builds a fresh objective of the case, and
+        caps are the explicit caps to solve under, or None."""
+        k = int(rng.integers(4, 20))
+        topics, doc = random_ml_instance(rng, k=k, v=60)
+        if case == "lda-map":
+            alpha = 1.0 + 3.0 * rng.random(k)
+            return (lambda: lda_map_objective(doc, topics, alpha)), None
+        a = rng.random((k, k))
+        # caps exp(mean) of 0.25 to 0.6, which sum past 1 for k >= 4
+        mean = None if case == "ctm without a mean" else np.log(rng.uniform(0.25, 0.6, size=k))
+        prior = CtmPrior(a @ a.T + k * np.eye(k), mean=mean)
+        caps = np.maximum(0.8 * ctm_caps(prior), 1.0 / k) if case == "ctm under caps below its own" else None
+        return (lambda: ctm_full_objective(doc, topics, prior)), caps
+
+    @staticmethod
+    def both(make, config, caps, before=lambda: None):
+        """(report, trace, memos) of a carried solve, then of a Delegating
+        one; before() runs before each."""
+        out = []
+        for wrap in (lambda f: f, Delegating):
+            before()
+            f = make()
+            solved = wrap(f)
+            report, trace = fw_solve(solved, config, caps=caps)
+            key, p = f.base._memo.entry
+            # A Delegating penalty's methods write the memo on the wrapper.
+            penalty_key, (y, dphi_y) = solved.penalty._memo
+            out.append((report, trace, (key, p.tobytes(), penalty_key, y.tobytes(), dphi_y.tobytes())))
+        return out
+
+    @staticmethod
+    def assert_same(carried, method):
+        (a, a_trace, a_memos), (b, b_trace, b_memos) = carried, method
+        assert a.theta.topic_ids.tobytes() == b.theta.topic_ids.tobytes()
+        assert a.theta.weights.tobytes() == b.theta.weights.tobytes()
+        assert (a.iterations, repr(a.objective)) == (b.iterations, repr(b.objective))
+        assert repr(a_trace) == repr(b_trace)
+        assert a_memos == b_memos
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_carried_and_method_solves_are_bitwise_equal(self, case):
+        rng = np.random.default_rng(157)
+        steps = 0
+        for _ in range(6):
+            make, caps = self.instance(rng, case)
+            f = make()
+            assert solve_steps(f, np.full(f.dim, 1.0 / f.dim)) is not f
+            carried, method = self.both(make, SolverConfig(rel_tol=1e-12), caps)
+            self.assert_same(carried, method)
+            steps += carried[0].iterations
+        assert steps > 60
+
+    def test_a_rolled_back_step_ends_both_solves_alike(self, monkeypatch):
+        # Step 3 is sent next to the target's face, far below the point it
+        # leaves: the step is rolled back, and the solve ends there.
+        real, calls = solver_module.line_search, []
+
+        def downhill_at_three(dg, **kwargs):
+            calls.append(1)
+            return kwargs["upper"] if len(calls) == 3 else real(dg, **kwargs)
+
+        monkeypatch.setattr(solver_module, "line_search", downhill_at_three)
+        rng = np.random.default_rng(158)
+        rolled_back = 0
+        for i in range(12):
+            make, caps = self.instance(rng, self.CASES[i % len(self.CASES)])
+            carried, method = self.both(make, SolverConfig(rel_tol=1e-300, max_iters=40), caps, calls.clear)
+            self.assert_same(carried, method)
+            report, trace, _ = carried
+            if trace[3].alpha == 0.0:
+                assert report.iterations == 3 and repr(trace[3].objective) == repr(trace[2].objective)
+                rolled_back += 1
+        assert rolled_back >= 8
+
+    @pytest.mark.parametrize("part", ["composite", "penalty", "base"])
+    @pytest.mark.parametrize("with_mean", [False, True])
+    def test_a_subclass_has_its_overrides_called(self, part, with_mean):
+        rng = np.random.default_rng(159)
+        topics, doc = random_ml_instance(rng, k=8, v=40)
+        prior = random_prior(rng, 8, with_mean=False)
+        if with_mean:
+            prior = CtmPrior(prior.precision, mean=np.full(8, math.log(0.3)))
+        plain = ctm_full_objective(doc, topics, prior)
+        cls = CountingPenalized if part == "composite" else PenalizedObjective
+        base = (CountingMl if part == "base" else MlObjective)(doc, topics)
+        penalty = (CountingGaussian if part == "penalty" else GaussianLogPenalty)(prior)
+        f = cls(base, penalty)
+        report, trace = fw_solve(f, SolverConfig(rel_tol=1e-12))
+        want, want_trace = fw_solve(plain, SolverConfig(rel_tol=1e-12))
+        assert report.iterations > 1
+        assert {"composite": f, "penalty": penalty, "base": base}[part].calls == report.iterations
+        assert repr(trace) == repr(want_trace)
 
 
 class TestChordPrecision:

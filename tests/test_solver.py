@@ -35,6 +35,7 @@ from helpers import (
     bisection_line_search,
     brute_force_capped_lp,
     greedy_capped_loop,
+    greedy_capped_vectorized,
     objectives,
     random_ml_instance,
     replay_trace,
@@ -926,6 +927,38 @@ class TestCappedLinearStep:
             assert int(scores.argmax()) == got[0][0] == want[2]
             checked += 1
         assert checked > 300
+
+    @staticmethod
+    def fill_cases(rng, count):
+        """count (scores, caps) pairs with valid caps: K from 1 to 60,
+        integer scores that tie, some +-inf, and caps of four kinds."""
+        made = 0
+        while made < count:
+            k = int(rng.integers(1, 61))
+            scores = rng.integers(-3, 4, size=k).astype(np.float64)
+            scores[rng.random(k) < 0.1] = np.inf
+            scores[rng.random(k) < 0.1] = -np.inf
+            kind = made % 4
+            if kind == 0:  # dyadic caps whose running sums are exact: some fill to exactly 1
+                caps = rng.choice([0.125, 0.25, 0.5, 1.0], size=k)
+            elif kind == 1:
+                caps = np.ones(k)
+            elif kind == 2:  # a sum just above 1, whose running sum may stop short of 1
+                caps = rng.dirichlet(np.ones(k)) * (1.0 + rng.choice([0.0, 1e-15, 1e-12]))
+            else:
+                caps = np.minimum(rng.uniform(0.01, 1.0, size=k) * rng.uniform(1.0, 4.0), 1.0)
+            if np.all((caps > 0.0) & (caps <= 1.0)) and caps.sum() >= 1.0:
+                made += 1
+                yield scores, caps
+
+    def test_matches_vectorized_fill_bitwise(self):
+        for scores, caps in self.fill_cases(np.random.default_rng(71), 10_000):
+            got, want = solver_module._greedy_capped(scores, caps), greedy_capped_vectorized(scores, caps)
+            assert (got[0].dtype, got[0].tobytes()) == (want[0].dtype, want[0].tobytes())
+            assert (got[1].dtype, got[1].tobytes()) == (want[1].dtype, want[1].tobytes())
+            dense = np.zeros(scores.size)
+            dense[want[0]] = want[1]
+            assert capped_simplex_argmax(scores, caps).tobytes() == dense.tobytes()
 
     def test_every_cap_fits(self):
         # The caps sum to 1.0, but subtracted in score order they leave 1 -

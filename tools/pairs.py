@@ -4,20 +4,23 @@
         [--pairs 10] [--seconds 20] [--smoke] [--tag TAG]
 
 Run from a checkout's root.  REV is exported with git archive into a
-temporary directory.  Each pair runs bench/run.py once there and once in
-this checkout, on one workload and seed, the side that goes first
-alternating from pair to pair.  Both sides run under
-PYTHONDONTWRITEBYTECODE=1 with PYTHONPYCACHEPREFIX an empty directory, so
-both compile every module alike and neither reads bytecode the other
-lacks.  Each side generates and checks its own inputs, as bench/run.py
-does.
+temporary directory, and so is this checkout's tracked state: the commit
+git stash create makes of its uncommitted changes to tracked files, or
+HEAD when there are none (untracked files are not exported).  Both sides
+thus start from fresh trees, with no data or sidecars left by earlier
+runs.  Each pair runs bench/run.py once in each tree, on one workload
+and seed, the side that goes first alternating from pair to pair.  Both
+sides run under PYTHONDONTWRITEBYTECODE=1 with PYTHONPYCACHEPREFIX an
+empty directory, so both compile every module alike and neither reads
+bytecode the other lacks.  Each side generates and checks its own
+inputs, as bench/run.py does.
 
-The runs go to BENCH_<tag>.json in this checkout's root: every run's
-metrics with correct and failed, then for each workload and seed the
-median and quartiles of every metric on each side and the pairs in which
-this checkout did better (wins; a tie is no win).  Which way is better
-comes from BENCHMARK.json.  The exit status is 1 if a run failed or was
-not correct.
+The runs go to BENCH_<tag>.json in this checkout's root: the commit each
+side ran, every run's metrics with correct and failed, then for each
+workload and seed the median and quartiles of every metric on each side
+and the pairs in which this checkout did better (wins; a tie is no win).
+Which way is better comes from BENCHMARK.json.  The exit status is 1 if
+a run failed or was not correct.
 """
 
 from __future__ import annotations
@@ -121,10 +124,12 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower_is_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
-    base_sha = _git("rev-parse", "--verify", args.base + "^{commit}")
+    base_sha, head_sha = _git("rev-parse", "--verify", args.base + "^{commit}"), _git("rev-parse", "HEAD")
+    # The commit of the uncommitted tracked changes, empty when there are none.
+    stashed = _git("stash", "create")
     record = {
         "base": {"rev": args.base, "sha": base_sha},
-        "head": {"sha": _git("rev-parse", "HEAD"), "dirty": bool(_git("status", "--porcelain", "--untracked-files=no"))},
+        "head": {"sha": head_sha, "dirty": bool(stashed), "ran": stashed or head_sha},
         "settings": {
             "pairs": args.pairs, "seconds": args.seconds, "size": "smoke" if args.smoke else "full",
             "workloads": args.workloads, "seeds": args.seeds,
@@ -133,15 +138,16 @@ def main(argv=None) -> int:
         "runs": [],
     }
     failed = False
-    with tempfile.TemporaryDirectory(prefix="pairs-base-") as tmp:
-        base, no_cache = Path(tmp) / "tree", Path(tmp) / "no-pycache"
-        base.mkdir()
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        base, head, no_cache = Path(tmp) / "base", Path(tmp) / "head", Path(tmp) / "no-pycache"
+        for tree, sha in ((base, base_sha), (head, record["head"]["ran"])):
+            tree.mkdir()
+            _export(sha, tree)
         no_cache.mkdir()
-        _export(base_sha, base)
         for workload in args.workloads:
             for seed in args.seeds:
                 for pair in range(args.pairs):
-                    sides = [("base", base), ("head", ROOT)]
+                    sides = [("base", base), ("head", head)]
                     for order, (side, tree) in enumerate(sides if pair % 2 == 0 else sides[::-1]):
                         run = {"workload": workload, "seed": seed, "pair": pair, "side": side, "order": order}
                         run.update(_run(tree, workload, seed, args.seconds, args.smoke, no_cache))
