@@ -25,7 +25,6 @@ import math
 import os
 import stat
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -179,14 +178,15 @@ def load_uci_bow(docword_path, vocab_path=None) -> Corpus:
     if vocab_path is None:
         vocab = Vocabulary(tuple(f"w{j}" for j in range(1, vocab_size + 1)))
     else:
-        terms = Path(vocab_path).read_text().splitlines()
-        while terms and not terms[-1].strip():
+        with open(vocab_path) as fh:  # lines end only at \n, \r\n or \r
+            terms = [t.strip() for t in fh]
+        while terms and not terms[-1]:
             terms.pop()
         if len(terms) != vocab_size:
             raise CorpusFormatError(
                 f"vocabulary file has {len(terms)} terms but the corpus declares {vocab_size}"
             )
-        vocab = Vocabulary(tuple(t.strip() for t in terms))
+        vocab = Vocabulary(tuple(terms))
 
     # The stable sort keeps the duplicates of a (doc, word) pair in file
     # order, and add.at sums them one at a time from 0.0.
@@ -422,23 +422,24 @@ def load_prior(path) -> CtmPrior:
     first.  A malformed file raises CorpusFormatError naming its first bad
     line; a file that ends early has none, and the error gives the row count."""
     rows = []
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            values = [_plain_number(x, float) for x in text.split()]
-        except ValueError:
-            raise CorpusFormatError("non-numeric entry in prior file", line_no) from None
-        if not all(map(math.isfinite, values)):
-            raise CorpusFormatError(f"non-finite entry in prior file: {text!r}", line_no)
-        k = len(rows[0]) if rows else len(values)
-        need = f"prior file must hold {k} rows (precision) or {k + 1} (precision plus mean)"
-        if len(values) != k:
-            raise CorpusFormatError(f"expected {k} numbers per row", line_no)
-        if len(rows) == k + 1:
-            raise CorpusFormatError(need + ", found more", line_no)
-        rows.append(values)
+    with open(path) as fh:  # lines end only at \n, \r\n or \r
+        for line_no, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text:
+                continue
+            try:
+                values = [_plain_number(x, float) for x in text.split()]
+            except ValueError:
+                raise CorpusFormatError("non-numeric entry in prior file", line_no) from None
+            if not all(map(math.isfinite, values)):
+                raise CorpusFormatError(f"non-finite entry in prior file: {text!r}", line_no)
+            k = len(rows[0]) if rows else len(values)
+            need = f"prior file must hold {k} rows (precision) or {k + 1} (precision plus mean)"
+            if len(values) != k:
+                raise CorpusFormatError(f"expected {k} numbers per row", line_no)
+            if len(rows) == k + 1:
+                raise CorpusFormatError(need + ", found more", line_no)
+            rows.append(values)
     if not rows:
         raise CorpusFormatError("empty prior file", 1)
     if len(rows) < k:

@@ -114,10 +114,9 @@ class Objective:
     restriction.
 
     An objective may also offer best_vertex(), the vertex where its value
-    is highest, as the likelihood does; read it with best_vertex.
-    The likelihood memoizes its mixture and a log-space penalty its point
-    state (LogPenalty), each at the last point, keyed by the point's bytes;
-    at a point a solver step reached, the mixture is g's (MlObjective).
+    is highest, as the likelihood does; read it with best_vertex.  The
+    likelihood memoizes its mixture at the last point (MlObjective); the
+    priors form their point state at every call (LogPenalty).
     """
 
     domain: str = FULL_SIMPLEX
@@ -154,9 +153,10 @@ class MlObjective(Objective):
 
     Along a chord the mixture is p0 + a * dp; with v = sqrt(d) * dp / (p0
     + a * dp) the slope is sqrt(d) . v and the curvature -v . v.  g(a, point)
-    memoizes the chord's mixture for point, so a point reached by a solver
-    step holds it, within a few ulps of point . term_columns, unformed;
-    fw_solve carries it from step to step instead (solve_steps).
+    memoizes the chord's mixture for point, within a few ulps of point .
+    term_columns, unformed; the memo is per thread.  fw_solve reads it at
+    the start only, then carries the mixture from step to step
+    (solve_steps) and writes no memo.
     """
 
     domain = FULL_SIMPLEX
@@ -282,17 +282,10 @@ class _Carried:
     """Steps that carry the point state their g formed last (the mixture,
     or a penalty's (y, dphi(y))) to the next gradient and chord, with no
     memo read or written.  It is the current point's only because a
-    rolled-back step ends the solve.  finish() memoizes it for g's last
-    point, as the objective's own g would have."""
-
-    _point = None
+    rolled-back step ends the solve."""
 
     def _keep(self, point, state) -> None:
-        self._point, self._state = point, state
-
-    def finish(self) -> None:
-        if self._point is not None:
-            self._f._keep(self._point, self._state)
+        self._state = state
 
 
 class _CarriedMl(_Carried):
@@ -317,14 +310,13 @@ class LogPenalty(Objective):
     dphi(y) and the form d2phi(u) = u . phi'' u, phi'' constant for both
     priors.  The gradient is dphi(y) / theta; along a chord with direction
     d, at the point x and with u = d / x, the slope is dphi(y) . u and the
-    curvature d2phi(u) - dphi(y) . (u * u).  Like the likelihood's mixture,
-    (y, dphi(y)) is memoized at the last theta for value, gradient, chord at
-    0; fw_solve carries it from step to step instead (solve_steps).
+    curvature d2phi(u) - dphi(y) . (u * u).  value, gradient and the
+    chord's probe at 0 form (y, dphi(y)) at each call; fw_solve carries it
+    from step to step instead (solve_steps).
     """
 
     domain = INTERIOR_ONLY
     mean = None
-    _memo = (None, None)
 
     def _point_state(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(y, dphi(y)) at theta, formed; a point off the interior is refused."""
@@ -332,22 +324,12 @@ class LogPenalty(Objective):
         y = np.log(theta) if self.mean is None else np.log(theta) - self.mean
         return y, self._dphi(y)
 
-    def _state(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(y, dphi(y)) at theta, formed only when theta's bytes change."""
-        key, (memo_key, state) = theta.tobytes(), self._memo
-        if key != memo_key:
-            self._memo = (key, state := self._point_state(theta))
-        return state
-
-    def _keep(self, point, state) -> None:
-        self._memo = (point.tobytes(), state)
-
     def value(self, theta: np.ndarray) -> float:
-        return self._phi(*self._state(np.asarray(theta, dtype=np.float64)))
+        return self._phi(*self._point_state(np.asarray(theta, dtype=np.float64)))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
-        return self._state(theta)[1] / theta
+        return self._point_state(theta)[1] / theta
 
     def _chord(self, base, state, s_ids, s_vals, scratch, keep):
         """(g, dg) along the chord from base toward the target s: state()
@@ -391,7 +373,7 @@ class LogPenalty(Objective):
     def line_restriction(self, theta, s_ids, s_vals):
         base = np.asarray(theta, dtype=np.float64)
         scratch = tuple(np.empty(self.dim) for _ in range(5))
-        return self._chord(base, lambda: self._state(base), s_ids, s_vals, scratch, self._keep)
+        return self._chord(base, lambda: self._point_state(base), s_ids, s_vals, scratch, lambda *_: None)
 
 
 class DirichletLogPenalty(LogPenalty):
@@ -545,7 +527,7 @@ class _CarriedPenalty(_Carried):
     writes into vectors owned for the solve."""
 
     def __init__(self, penalty: LogPenalty, theta: np.ndarray):
-        self._f, self._state = penalty, penalty._state(theta)
+        self._f, self._state = penalty, penalty._point_state(theta)
         self._scratch = tuple(np.empty(penalty.dim) for _ in range(5))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
@@ -565,16 +547,12 @@ class _CarriedSum:
     def __init__(self, objective: PenalizedObjective, theta: np.ndarray):
         self.base, self.penalty = _CarriedMl(objective.base, theta), _CarriedPenalty(objective.penalty, theta)
 
-    def finish(self) -> None:
-        self.base.finish()
-        self.penalty.finish()
-
 
 def solve_steps(objective, theta: np.ndarray):
-    """What fw_solve steps on from theta: gradient and line_restriction,
-    and finish() once the solve ends when it is not the objective itself.
+    """What fw_solve steps on from theta: gradient and line_restriction.
     Only objectives whose classes are exactly those below get carried
-    steps; a subclass or wrapper may override or intercept the methods."""
+    steps, which leave no memo behind; a subclass or wrapper may override
+    or intercept the methods, and is stepped through them."""
     if type(objective) is MlObjective:
         return _CarriedMl(objective, theta)
     if type(objective) is PenalizedObjective and type(objective.base) is MlObjective and (

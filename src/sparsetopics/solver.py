@@ -306,8 +306,6 @@ def fw_solve(
         f_prev = f_curr
         if done:
             break
-    if steps is not objective:
-        steps.finish()
     ids = np.flatnonzero(theta)  # over the full sum: the bits of theta / theta.sum()
     report = InferenceReport(
         theta=TopicProportion(ids, theta[ids] / theta.sum()),

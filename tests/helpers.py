@@ -280,6 +280,18 @@ def hooked(f, hook):
     return f
 
 
+class Forwarding:
+    """Forwards every attribute read to an objective, so fw_solve calls
+    its gradient, line_restriction and g, as for any class but exactly
+    MlObjective."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
 class PlainChordMl(MlObjective):
     """The likelihood with its chord in the plain form, six passes a probe:
     w = dp / (p0 + a * dp), slope counts . w and curvature -counts . w**2.

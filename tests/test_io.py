@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import os
@@ -58,6 +59,10 @@ def write(path, text):
 
 
 BOW = "2\n3\n3\n1 1 2\n1 3 1\n2 2 5\n"
+
+# The line ends str.splitlines knows beyond \n, \r\n and \r, at which no
+# loader ends a line.
+LINE_BREAKS_OF_SPLITLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 # Malformed bag-of-words files, each with the error type, line and message
 # the line-by-line loader gave before the vectorized parse: the first bad
@@ -155,6 +160,15 @@ class TestLoadUciBow:
         vocab = write(tmp_path / "v.txt", "apple\nbanana\ncherry\n")
         corpus = load_uci_bow(write(tmp_path / "d.txt", BOW), vocab)
         assert corpus.vocabulary.terms == ("apple", "banana", "cherry")
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    @pytest.mark.parametrize("sep", LINE_BREAKS_OF_SPLITLINES)
+    def test_vocab_lines_end_only_at_newlines(self, tmp_path, sep, source):
+        # str.splitlines would read this term as two
+        docword, text = write(tmp_path / "d.txt", BOW), f"alpha\nbe{sep}ta\ngamma\n"
+        load = functools.partial(load_uci_bow, docword)
+        corpus = load(write(tmp_path / "v.txt", text)) if source == "file" else load_from_pipe(text, load)
+        assert corpus.vocabulary.terms == ("alpha", f"be{sep}ta", "gamma")
 
     def test_vocab_length_mismatch(self, tmp_path):
         vocab = write(tmp_path / "v.txt", "apple\nbanana\n")
@@ -1060,6 +1074,14 @@ class TestPriorFiles:
         with pytest.raises(CorpusFormatError, match="non-finite") as info:
             load_prior(write(tmp_path / "p.txt", text))
         assert info.value.line == line
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    @pytest.mark.parametrize("sep", LINE_BREAKS_OF_SPLITLINES)
+    def test_a_row_ends_only_at_a_newline(self, tmp_path, sep, source):
+        # one row of 4 numbers, which str.splitlines would read as [[2, 0.5], [0.5, 2]]
+        text = f"2 0.5{sep}0.5 2\n"
+        with pytest.raises(CorpusFormatError, match="must hold 4 rows"):
+            load_prior(write(tmp_path / "p.txt", text)) if source == "file" else load_from_pipe(text, load_prior)
 
     def test_indefinite_precision_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError):

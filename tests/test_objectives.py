@@ -40,6 +40,7 @@ import sparsetopics.core as core
 import sparsetopics.solver as solver_module
 
 from helpers import (
+    Forwarding,
     ctm_penalty_hessian,
     finite_diff_gradient,
     finite_diff_hessian,
@@ -659,7 +660,8 @@ class TestMixtureMemo:
         for _ in range(3):
             topics, doc = random_ml_instance(rng, k=k, v=300)
             f = MlObjective(doc, topics)
-            report, _ = fw_solve(f, config=SolverConfig(rel_tol=1e-12))
+            # Through the methods: a carried solve writes no memo.
+            report, _ = fw_solve(Forwarding(f), config=SolverConfig(rel_tol=1e-12))
             key, p = f._memo.entry
             exact = np.frombuffer(key) @ f.term_columns
             assert report.iterations > 1
@@ -903,9 +905,10 @@ class Delegating(Objective):
 
 
 class TestPenaltyMemo:
-    """A log-space penalty remembers (y, dphi(y)) at its last theta; value,
-    gradient and the chord's probe at 0 read it, and each must give what
-    the memo-less expressions give, bit for bit."""
+    """A log-space penalty keeps no memo: value, gradient and the chord's
+    probe at 0 each form (y, dphi(y)) at their own theta, and must give
+    what the plain expressions give, bit for bit.  The carried steps form
+    it once a step."""
 
     @staticmethod
     def ctm(rng, k, with_mean=True):
@@ -925,7 +928,7 @@ class TestPenaltyMemo:
             else:
                 pen = GaussianLogPenalty(random_prior(rng, k, kind == "gaussian-mean"))
             thetas = [interior_point(rng, k) for _ in range(3)]
-            # cold for each new point, warm where the list turns back
+            # each point twice, where the list turns back
             for theta in thetas + thetas[::-1]:
                 s_ids, s_vals = random_target(rng, k, int(rng.integers(1, k + 1)))
                 target = np.zeros(k)
@@ -978,18 +981,17 @@ class TestPenaltyMemo:
 
     @pytest.mark.parametrize("with_mean", [False, True])
     def test_one_product_per_step(self, with_mean, monkeypatch):
-        # On carried steps (the objective itself) and on its methods (a delegate).
+        # On carried steps: the start's state is formed by value and again
+        # for the steps, then once by each step's g.
         rng = np.random.default_rng(97 + with_mean)
         for _ in range(5):
-            seed = int(rng.integers(2**32))
-            for wrap in (lambda f: f, Delegating):
-                _, _, f = self.ctm(np.random.default_rng(seed), 12, with_mean)
-                with monkeypatch.context() as patch:
-                    products = counted_products(f.penalty, patch)
-                    report, trace = fw_solve(wrap(f), SolverConfig(start="barycenter", rel_tol=1e-12))
-                still = sum(1 for r in trace[1:] if r.alpha == 0.0)
-                assert report.iterations > 5
-                assert len(products) <= 1 + report.iterations + still
+            _, _, f = self.ctm(np.random.default_rng(int(rng.integers(2**32))), 12, with_mean)
+            with monkeypatch.context() as patch:
+                products = counted_products(f.penalty, patch)
+                report, trace = fw_solve(f, SolverConfig(start="barycenter", rel_tol=1e-12))
+            still = sum(1 for r in trace[1:] if r.alpha == 0.0)
+            assert report.iterations > 5
+            assert len(products) <= 2 + report.iterations + still
 
     def test_delegating_wrapper_solves_bitwise(self):
         rng = np.random.default_rng(101)
@@ -1024,7 +1026,7 @@ class CountingMl(MlObjective):
 class TestCarriedPenalty:
     """A likelihood plus a Gaussian or Dirichlet log penalty, each of
     exactly its class, is solved on carried steps; any other object calls
-    its methods.  Both give the same bits and leave the same memos."""
+    its methods.  Both give the same bits."""
 
     CASES = ("ctm with a mean", "ctm without a mean", "ctm under caps below its own", "lda-map")
 
@@ -1046,28 +1048,21 @@ class TestCarriedPenalty:
 
     @staticmethod
     def both(make, config, caps, before=lambda: None):
-        """(report, trace, memos) of a carried solve, then of a Delegating
-        one; before() runs before each."""
+        """(report, trace) of a carried solve, then of a Delegating one;
+        before() runs before each."""
         out = []
         for wrap in (lambda f: f, Delegating):
             before()
-            f = make()
-            solved = wrap(f)
-            report, trace = fw_solve(solved, config, caps=caps)
-            key, p = f.base._memo.entry
-            # A Delegating penalty's methods write the memo on the wrapper.
-            penalty_key, (y, dphi_y) = solved.penalty._memo
-            out.append((report, trace, (key, p.tobytes(), penalty_key, y.tobytes(), dphi_y.tobytes())))
+            out.append(fw_solve(wrap(make()), config, caps=caps))
         return out
 
     @staticmethod
     def assert_same(carried, method):
-        (a, a_trace, a_memos), (b, b_trace, b_memos) = carried, method
+        (a, a_trace), (b, b_trace) = carried, method
         assert a.theta.topic_ids.tobytes() == b.theta.topic_ids.tobytes()
         assert a.theta.weights.tobytes() == b.theta.weights.tobytes()
         assert (a.iterations, repr(a.objective)) == (b.iterations, repr(b.objective))
         assert repr(a_trace) == repr(b_trace)
-        assert a_memos == b_memos
 
     @pytest.mark.parametrize("case", CASES)
     def test_carried_and_method_solves_are_bitwise_equal(self, case):
@@ -1098,7 +1093,7 @@ class TestCarriedPenalty:
             make, caps = self.instance(rng, self.CASES[i % len(self.CASES)])
             carried, method = self.both(make, SolverConfig(rel_tol=1e-300, max_iters=40), caps, calls.clear)
             self.assert_same(carried, method)
-            report, trace, _ = carried
+            report, trace = carried
             if trace[3].alpha == 0.0:
                 assert report.iterations == 3 and repr(trace[3].objective) == repr(trace[2].objective)
                 rolled_back += 1

@@ -31,6 +31,7 @@ import sparsetopics.solver as solver_module
 from sparsetopics.objectives import best_vertex
 
 from helpers import (
+    Forwarding,
     PlainChordMl,
     bisection_line_search,
     brute_force_capped_lp,
@@ -1021,18 +1022,6 @@ class TestRolledBackStep:
         assert trace[3].alpha == pytest.approx(plain[2].alpha, rel=1e-12) and trace[3].alpha > 0.0
 
 
-class Forwarding:
-    """Forwards every attribute read to an objective, so fw_solve calls
-    its gradient, line_restriction and g, as for any class but exactly
-    MlObjective."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
 class OwnGradient(MlObjective):
     def gradient(self, theta):
         self.calls = getattr(self, "calls", 0) + 1
@@ -1047,8 +1036,7 @@ class OwnChord(MlObjective):
 
 class TestCarriedMixture:
     """An MlObjective's solve carries the mixture from step to step; any
-    other object's solve calls its methods.  Both give the same bits, and
-    leave the same memo behind."""
+    other object's solve calls its methods.  Both give the same bits."""
 
     CASES = {
         "best vertex": (SolverConfig(rel_tol=1e-12), None),
@@ -1060,25 +1048,21 @@ class TestCarriedMixture:
 
     @staticmethod
     def both(doc, topics, config, caps, before=lambda: None):
-        """(report, trace, memo) of a carried solve, then of a method solve;
+        """(report, trace) of a carried solve, then of a method solve;
         before() runs before each."""
         out = []
         for wrap in (lambda f: f, Forwarding):
             before()
-            f = MlObjective(doc, topics)
-            report, trace = fw_solve(wrap(f), config, caps=caps)
-            key, p = f._memo.entry
-            out.append((report, trace, (key, p.tobytes())))
+            out.append(fw_solve(wrap(MlObjective(doc, topics)), config, caps=caps))
         return out
 
     @staticmethod
     def assert_same(carried, method):
-        (a, a_trace, a_memo), (b, b_trace, b_memo) = carried, method
+        (a, a_trace), (b, b_trace) = carried, method
         assert a.theta.topic_ids.tobytes() == b.theta.topic_ids.tobytes()
         assert a.theta.weights.tobytes() == b.theta.weights.tobytes()
         assert (a.iterations, repr(a.objective)) == (b.iterations, repr(b.objective))
         assert repr(a_trace) == repr(b_trace)
-        assert a_memo == b_memo
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_carried_and_method_solves_are_bitwise_equal(self, case):
@@ -1112,7 +1096,7 @@ class TestCarriedMixture:
         for topics, doc in instances:
             carried, method = self.both(doc, topics, SolverConfig(rel_tol=1e-300), None, calls.clear)
             self.assert_same(carried, method)
-            report, trace, _ = carried
+            report, trace = carried
             assert report.iterations == 3
             assert trace[3].alpha == 0.0 and repr(trace[3].objective) == repr(trace[2].objective)
 

@@ -16,7 +16,9 @@ bytecode the other lacks.  Each side generates and checks its own
 inputs, as bench/run.py does.
 
 The runs go to BENCH_<tag>.json in this checkout's root: the commit each
-side ran, every run's metrics with correct and failed, then for each
+side ran and its source size (src_lines, the total that
+wc -l src/sparsetopics/*.py prints in its tree), every run's metrics
+with correct and failed, then for each
 workload and seed the median and quartiles of every metric on each side
 and the pairs in which this checkout did better (wins; a tie is no win).
 Which way is better comes from BENCHMARK.json.  The exit status is 1 if
@@ -50,6 +52,11 @@ def _export(rev: str, into: Path) -> None:
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"git archive {rev} failed")
+
+
+def _src_lines(tree: Path) -> int:
+    """The total wc -l src/sparsetopics/*.py prints in tree: its newlines."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "sparsetopics").glob("*.py"))
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float, smoke: bool, no_cache: Path) -> dict:
@@ -140,9 +147,10 @@ def main(argv=None) -> int:
     failed = False
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         base, head, no_cache = Path(tmp) / "base", Path(tmp) / "head", Path(tmp) / "no-pycache"
-        for tree, sha in ((base, base_sha), (head, record["head"]["ran"])):
+        for side, tree, sha in (("base", base, base_sha), ("head", head, record["head"]["ran"])):
             tree.mkdir()
             _export(sha, tree)
+            record[side]["src_lines"] = _src_lines(tree)
         no_cache.mkdir()
         for workload in args.workloads:
             for seed in args.seeds:
@@ -165,6 +173,7 @@ def main(argv=None) -> int:
             print(f"{entry['workload']} seed {entry['seed']} {name}: base {base_spread['median']:.6g} "
                   f"[{base_spread['q1']:.6g}, {base_spread['q3']:.6g}]  head {head['median']:.6g} "
                   f"[{head['q1']:.6g}, {head['q3']:.6g}]  wins {entry['wins'][name]} of {entry['pairs']}")
+    print(f"src lines: base {record['base']['src_lines']}  head {record['head']['src_lines']}")
     print(f"wrote {out}")
     return 1 if failed else 0
 
