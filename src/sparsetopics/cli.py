@@ -152,6 +152,10 @@ def _cmd_infer(args) -> int:
         raise InvalidConfigError(f"--alpha applies to --objective lda-map only, not {args.objective}")
     if (args.prior is not None) != (args.objective == "ctm"):
         raise InvalidConfigError("--prior applies to --objective ctm, which requires it")
+    if args.max_nnz is not None and (args.objective == "ctm" or args.alpha != 1.0):  # alpha != 1: lda-map
+        raise InvalidConfigError(
+            "--max-nnz applies to objectives that start from a vertex: ml, and lda-map with --alpha 1"
+        )
     config = SolverConfig(max_iters=args.iters, rel_tol=args.tol, max_nnz=args.max_nnz)
     corpus, topics = _load_pair(args)
     prior = corpus_io.load_prior(args.prior) if args.objective == "ctm" else None

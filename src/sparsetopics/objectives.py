@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 
 import numpy as np
 
@@ -68,7 +67,6 @@ def is_concave(objective) -> bool:
 # W <= n, which spares a pass over the counts.
 _SCREEN_U = 2.0**-24
 _SCREEN_L = -math.log(EPS_BETA)
-_ONE_BYTES = np.float64(1.0).tobytes()
 
 
 def best_vertex(objective) -> int:
@@ -114,9 +112,9 @@ class Objective:
     restriction.
 
     An objective may also offer best_vertex(), the vertex where its value
-    is highest, as the likelihood does; read it with best_vertex.  The
-    likelihood memoizes its mixture at the last point (MlObjective); the
-    priors form their point state at every call (LogPenalty).
+    is highest, as the likelihood does; read it with best_vertex.  Called as
+    methods, the likelihood memoizes its mixture at the last point
+    (MlObjective) and the priors form their point state (LogPenalty).
     """
 
     domain: str = FULL_SIMPLEX
@@ -154,15 +152,17 @@ class MlObjective(Objective):
     Along a chord the mixture is p0 + a * dp; with v = sqrt(d) * dp / (p0
     + a * dp) the slope is sqrt(d) . v and the curvature -v . v.  g(a, point)
     memoizes the chord's mixture for point, within a few ulps of point .
-    term_columns, unformed; the memo is per thread.  fw_solve reads it at
-    the start only, then carries the mixture from step to step
-    (solve_steps) and writes no memo.
+    term_columns, unformed.  Threads share the memo, and only method calls
+    read it: fw_solve's carried steps neither read nor write it (solve_steps).
     """
 
     domain = FULL_SIMPLEX
     # term_columns in row-major order, read-only, built by the first chord to
     # a fill of several rows (only capped fills), whose strided gather is slow.
     _slab_rows = None
+    # The last mixture p at a point, read-only, keyed by the point's bytes (the
+    # solver reuses its point buffers) in one tuple, never paired with another p.
+    _memo = (None, None)
 
     def __init__(self, document: Document, topics: TopicMatrix):
         if int(document.term_ids[-1]) >= topics.vocab_size:
@@ -175,27 +175,14 @@ class MlObjective(Objective):
         self.term_columns = topics.rows[:, document.term_ids]
         self._counts = document.counts
         self._sqrt_counts = np.sqrt(document.counts)
-        # The last mixture p at a point, keyed by the point's bytes (the
-        # solver reuses its two point buffers, so identity is no key), one
-        # tuple read once, so a key is never paired with another p.  Per
-        # thread, as a chord's p differs from the product in its last bits.
-        self._memo = threading.local()
-
-    def _remember(self, key: bytes, p: np.ndarray) -> np.ndarray:
-        """Makes p, read-only, the memo for the point whose bytes are key; a
-        method, so a wrapper that forwards attribute reads writes it here."""
-        p.setflags(write=False)
-        self._memo.entry = (key, p)
-        return p
 
     def _mixture(self, theta) -> np.ndarray:
         """The mixture at theta: the memo when theta's bytes match it, else
         theta . term_columns, formed and memoized; read-only."""
         theta = np.asarray(theta, dtype=np.float64)
-        key = theta.tobytes()
-        memo_key, p = getattr(self._memo, "entry", (None, None))
-        if key != memo_key:
-            p = self._remember(key, theta @ self.term_columns)  # at most once a solve
+        key, p = self._memo
+        if theta.tobytes() != key:
+            self._keep(theta, p := theta @ self.term_columns)
         return p
 
     def value(self, theta: np.ndarray) -> float:
@@ -208,9 +195,8 @@ class MlObjective(Objective):
         """The lowest index k where value(e_k) is highest, found by a
         float32 screen of every vertex.  When the screen's error bound
         (above) leaves more than one vertex in reach of the top score, each
-        of them is valued again as value() computes it.  Memoizes the
-        winner's slab row, which has the bits of e_k . term_columns, as the
-        mixture at e_k."""
+        of them is valued again as value() computes it.  Writes no memo of
+        its own; the value loop's value() calls do."""
         counts = self._counts
         n, c_max = counts.size, float(np.maximum.reduce(counts))
         m = n * _SCREEN_U
@@ -227,9 +213,6 @@ class MlObjective(Objective):
             candidates = np.flatnonzero(in_reach)
             values = [float(counts.dot(np.log(np.array(self.term_columns[k])))) + 0.0 for k in candidates]
             best = int(candidates[np.argmax(values)])
-        # The key is the bytes of e_best, as value(e_best) reads them.
-        key = bytes(8 * best) + _ONE_BYTES + bytes(8 * (self.dim - best - 1))
-        self._remember(key, np.array(self.term_columns[best]))
         return best
 
     def _chord(self, p0, s_ids, s_vals, v, keep):
@@ -272,7 +255,8 @@ class MlObjective(Objective):
 
     def _keep(self, point, p) -> None:
         if point is not None:
-            self._remember(point.tobytes(), p)
+            p.setflags(write=False)
+            self._memo = (point.tobytes(), p)
 
     def line_restriction(self, theta, s_ids, s_vals):
         return self._chord(self._mixture(theta), s_ids, s_vals, np.empty(self._counts.size), self._keep)
@@ -289,12 +273,16 @@ class _Carried:
 
 
 class _CarriedMl(_Carried):
-    """fw_solve's steps on an MlObjective: one scratch vector serves the
+    """fw_solve's steps on an MlObjective from theta, or from e_vertex, whose
+    slab row has the bits of its mixture: one scratch vector serves the
     gradient and every probe."""
 
-    def __init__(self, objective: MlObjective, theta: np.ndarray):
-        self._f, self._state = objective, objective._mixture(theta)
-        self._scratch = np.empty(objective._counts.size)
+    def __init__(self, objective: MlObjective, theta: np.ndarray, vertex: int):
+        self._f, self._scratch = objective, np.empty(objective._counts.size)
+        self._state = np.array(objective.term_columns[vertex]) if vertex >= 0 else theta @ objective.term_columns
+
+    def value(self, theta: np.ndarray) -> float:
+        return float(self._f._counts.dot(np.log(self._state))) + 0.0
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         f = self._f
@@ -530,6 +518,9 @@ class _CarriedPenalty(_Carried):
         self._f, self._state = penalty, penalty._point_state(theta)
         self._scratch = tuple(np.empty(penalty.dim) for _ in range(5))
 
+    def value(self, theta: np.ndarray) -> float:
+        return self._f._phi(*self._state)
+
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return self._state[1] / theta
 
@@ -540,21 +531,22 @@ class _CarriedPenalty(_Carried):
 
 class _CarriedSum:
     """fw_solve's steps on a likelihood plus a log penalty: the sum's own
-    gradient and chord over both parts' carried steps."""
+    value, gradient and chord over both parts' carried steps."""
 
-    gradient, line_restriction = PenalizedObjective.gradient, PenalizedObjective.line_restriction
+    value, gradient = PenalizedObjective.value, PenalizedObjective.gradient
+    line_restriction = PenalizedObjective.line_restriction
 
     def __init__(self, objective: PenalizedObjective, theta: np.ndarray):
-        self.base, self.penalty = _CarriedMl(objective.base, theta), _CarriedPenalty(objective.penalty, theta)
+        self.base, self.penalty = _CarriedMl(objective.base, theta, -1), _CarriedPenalty(objective.penalty, theta)
 
 
-def solve_steps(objective, theta: np.ndarray):
-    """What fw_solve steps on from theta: gradient and line_restriction.
-    Only objectives whose classes are exactly those below get carried
-    steps, which leave no memo behind; a subclass or wrapper may override
-    or intercept the methods, and is stepped through them."""
+def solve_steps(objective, theta: np.ndarray, vertex: int):
+    """What fw_solve values and steps on from theta (e_vertex if vertex >=
+    0).  Only objectives of exactly the classes below get carried steps,
+    which form the start's state and read and write no memo; a subclass or
+    wrapper may override or intercept the methods, and is called through them."""
     if type(objective) is MlObjective:
-        return _CarriedMl(objective, theta)
+        return _CarriedMl(objective, theta, vertex)
     if type(objective) is PenalizedObjective and type(objective.base) is MlObjective and (
         type(objective.penalty) in (GaussianLogPenalty, DirichletLogPenalty)
     ):

@@ -257,7 +257,8 @@ def fw_solve(
             "nonzeros; only the best-vertex start of an uncapped, "
             "full-simplex objective can be capped"
         )
-    f_prev = objective.value(theta)
+    steps = solve_steps(objective, theta, start_vertex)
+    f_prev = steps.value(theta)
     if not math.isfinite(f_prev):
         raise NumericFailureError(f"objective is {f_prev} at the start point")
     records = [TraceRecord(0, f_prev, nnz, start_vertex, 0.0)]
@@ -267,7 +268,6 @@ def fw_solve(
         # most one coordinate.  With max_nnz >= K there is nothing to cap.
         iter_cap = min(iter_cap, config.max_nnz - nnz)
     iterations = 0
-    steps = solve_steps(objective, theta)
     for step in range(1, iter_cap + 1):
         grad = steps.gradient(theta)
         # An infinite gradient entry only picks the target; an overflow that

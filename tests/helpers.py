@@ -2,7 +2,8 @@
 and zoomed grid search over the simplex, a brute-force capped LP, the
 capped linear step as a loop, a bisection line search, the
 likelihood with its chord in the plain six-pass form and the log-normal
-penalty's Hessian; and the objective values of a solver trace.
+penalty's Hessian; the objective values of a solver trace; and two
+wrappers that make fw_solve call an objective's methods.
 
 Nothing in here calls the solvers under test.
 """
@@ -13,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from sparsetopics import Document, TopicMatrix
-from sparsetopics.objectives import MlObjective
+from sparsetopics import CtmPrior, Document, TopicMatrix
+from sparsetopics.objectives import MlObjective, Objective, PenalizedObjective
 
 
 def finite_diff_gradient(f, x, h=1e-6):
@@ -282,14 +283,45 @@ def hooked(f, hook):
 
 class Forwarding:
     """Forwards every attribute read to an objective, so fw_solve calls
-    its gradient, line_restriction and g, as for any class but exactly
-    MlObjective."""
+    its value, gradient, line_restriction and g, as for any object that
+    objectives.solve_steps does not carry."""
 
     def __init__(self, inner):
         self.inner = inner
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
+
+
+class Delegating(Objective):
+    """Runs each method as the wrapped object's class function on this
+    wrapper and forwards attribute reads, as the benchmark's tracing
+    wrapper does; a penalized objective's parts are wrapped too."""
+
+    def __init__(self, inner):
+        self._inner, self._cls = inner, type(inner)
+        self.dim, self.domain = inner.dim, inner.domain
+        if isinstance(inner, PenalizedObjective):
+            self.base, self.penalty = Delegating(inner.base), Delegating(inner.penalty)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def value(self, theta):
+        return self._cls.value(self, theta)
+
+    def gradient(self, theta):
+        return self._cls.gradient(self, theta)
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        return self._cls.line_restriction(self, theta, s_ids, s_vals)
+
+
+def random_prior(rng, k, with_mean):
+    """A CtmPrior with a random non-negative SPD precision, and a random
+    mean when with_mean."""
+    a = rng.random((k, k))
+    return CtmPrior(a @ a.T + np.eye(k), mean=rng.normal(size=k) if with_mean else None)
 
 
 class PlainChordMl(MlObjective):

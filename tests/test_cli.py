@@ -121,7 +121,7 @@ class TestInfer:
             ]
         )
         assert rc == 2
-        assert "max_nnz" in capsys.readouterr().err
+        assert "error: --max-nnz applies to" in capsys.readouterr().err
         assert not out.exists()
 
     def test_lda_map(self, workdir):
@@ -184,10 +184,12 @@ class TestInfer:
             (["--objective", "ctm", "--prior", "no-such-prior.txt", "--alpha", "3"], "--alpha"),
             (["--objective", "ml", "--prior", "no-such-prior.txt"], "--prior"),
             (["--objective", "lda-map", "--alpha", "2", "--prior", "no-such-prior.txt"], "--prior"),
+            (["--objective", "ctm", "--prior", "no-such-prior.txt", "--max-nnz", "2"], "--max-nnz"),
+            (["--objective", "lda-map", "--alpha", "2", "--max-nnz", "2", "--model", "no-such-model.txt"], "--max-nnz"),
         ],
     )
     def test_a_setting_the_objective_cannot_use_is_refused(self, workdir, capsys, flags, flag):
-        # refused before any file is read, so the missing prior is not the error
+        # refused before any file is read, so the missing prior or model is not the error
         out = workdir / "unused.txt"
         assert main(["infer", *corpus_args(workdir), *flags, "--out", str(out)]) == 2
         assert f"error: {flag} applies to" in capsys.readouterr().err

@@ -32,8 +32,8 @@ from sparsetopics.objectives import (
     MlObjective,
     Objective,
     PenalizedObjective,
+    _CarriedMl,
     is_concave,
-    solve_steps,
 )
 
 import sparsetopics.core as core
@@ -47,6 +47,7 @@ from helpers import (
     hooked,
     interior_point,
     random_ml_instance,
+    random_prior,
 )
 
 
@@ -189,9 +190,11 @@ class TestDirichletPenalty:
     @pytest.mark.parametrize("alpha", [1.0, np.ones(12)])
     def test_flat_prior_is_the_likelihood(self, alpha, monkeypatch):
         topics, doc = random_ml_instance(np.random.default_rng(83), k=12, v=40)
+        # both solved on the likelihood's carried steps, whose value is
+        # called once, at the start
         calls = []
-        value = MlObjective.value
-        monkeypatch.setattr(MlObjective, "value", lambda f, theta: calls.append(1) or value(f, theta))
+        value = _CarriedMl.value
+        monkeypatch.setattr(_CarriedMl, "value", lambda steps, theta: calls.append(1) or value(steps, theta))
         runs = []
         for f in (ml_objective(doc, topics), lda_map_objective(doc, topics, alpha)):
             assert type(f) is MlObjective
@@ -200,7 +203,7 @@ class TestDirichletPenalty:
             records = np.array([[r.iteration, r.objective, r.nnz, r.vertex, r.alpha] for r in trace])
             runs.append((report.theta.dense(12).tobytes(), records.tobytes(), len(calls)))
         assert runs[0] == runs[1]
-        assert runs[0][2] > 0
+        assert runs[0][2] == 1
 
     def test_penalty_concave_along_chords(self):
         rng = np.random.default_rng(17)
@@ -557,15 +560,15 @@ class TestMixtureMemo:
         f = MlObjective(doc, topics)
         f.value(a)
         with pytest.raises(ValueError):
-            f._memo.entry[1][0] = 1.0
+            f._memo[1][0] = 1.0
         # and so is a chord's mixture, kept for the chord point
         g, _ = f.line_restriction(a, np.array([0]), np.array([1.0]))
         point = a * 0.25
         point[0] += 0.75
         g(0.75, point)
-        assert f._memo.entry[0] == point.tobytes()
+        assert f._memo[0] == point.tobytes()
         with pytest.raises(ValueError):
-            f._memo.entry[1][0] = 1.0
+            f._memo[1][0] = 1.0
 
     def test_reused_objective_solves_identically(self):
         rng = np.random.default_rng(21)
@@ -637,7 +640,7 @@ class TestMixtureMemo:
 
     def test_one_mixture_per_step(self):
         # A barycenter start forms one product and a vertex start none, as
-        # best_vertex memoizes the winner's row as the mixture at the start.
+        # the steps take the winner's row as the mixture at the start.
         # After that a step's point holds its chord's mixture, and a
         # rolled-back step ends the solve, so no step forms a product.
         rng = np.random.default_rng(23)
@@ -662,14 +665,45 @@ class TestMixtureMemo:
             f = MlObjective(doc, topics)
             # Through the methods: a carried solve writes no memo.
             report, _ = fw_solve(Forwarding(f), config=SolverConfig(rel_tol=1e-12))
-            key, p = f._memo.entry
+            key, p = f._memo
             exact = np.frombuffer(key) @ f.term_columns
             assert report.iterations > 1
             assert np.all(np.abs(p - exact) <= 8 * report.iterations * np.finfo(float).eps * exact)
 
+    @pytest.mark.parametrize("case", ["best vertex", "barycenter", "ctm", "lda-map"])
+    def test_a_carried_solve_neither_reads_nor_writes_the_memo(self, case):
+        # The memo holds a mixture 1e-9 off at the start point: a solve
+        # that read it would not repeat a fresh objective's, and one that
+        # wrote the memo would leave another entry.
+        rng = np.random.default_rng(31)
+        config = SolverConfig(rel_tol=1e-12, start="barycenter" if case == "barycenter" else None)
+        for _ in range(5):
+            k = int(rng.integers(2, 12))
+            topics, doc = random_ml_instance(rng, k=k, v=40)
+            alpha = 1.0 + rng.random(k)
+            prior = CtmPrior(random_prior(rng, k, with_mean=False).precision, mean=np.full(k, math.log(0.6)))
+
+            def make():
+                if case == "ctm":
+                    return ctm_full_objective(doc, topics, prior)
+                return lda_map_objective(doc, topics, alpha) if case == "lda-map" else MlObjective(doc, topics)
+
+            want, want_trace = fw_solve(make(), config)
+            f = make()
+            likelihood = f if case in ("best vertex", "barycenter") else f.base
+            start = np.eye(k)[want_trace[0].vertex] if case == "best vertex" else np.full(k, 1.0 / k)
+            if case == "ctm":
+                start = ctm_caps(prior) / ctm_caps(prior).sum()
+            wrong = (start @ likelihood.term_columns) * (1.0 + 1e-9)
+            likelihood._keep(start, wrong)
+            report, trace = fw_solve(f, config)
+            read = repr(trace) != repr(want_trace) or report.theta.weights.tobytes() != want.theta.weights.tobytes()
+            assert not read, "the solve read the memo"
+            assert likelihood._mixture(start) is wrong, "the solve wrote the memo"
+
     def test_threads_solving_on_one_objective_get_the_bits_of_a_solo_solve(self):
         # Which mixture a point holds depends on the solve that reached it,
-        # so each thread keeps its own memo.
+        # so each solve keeps its state in its own steps, not in the memo.
         self.threads_solve(caps=None)
 
     def test_threads_solving_a_capped_region_get_the_bits_of_a_solo_solve(self):
@@ -714,11 +748,6 @@ def random_target(rng, k, n):
     s_ids = np.sort(rng.choice(k, size=n, replace=False)).astype(np.int64)
     s_vals = np.ones(1) if n == 1 else rng.dirichlet(np.ones(n))
     return s_ids, s_vals
-
-
-def random_prior(rng, k, with_mean):
-    a = rng.random((k, k))
-    return CtmPrior(a @ a.T + np.eye(k), mean=rng.normal(size=k) if with_mean else None)
 
 
 CHORD_PROBES = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9)
@@ -880,35 +909,11 @@ def counted_products(pen, monkeypatch) -> list:
     return products
 
 
-class Delegating(Objective):
-    """Runs each method as the wrapped object's class function on this
-    wrapper and forwards attribute reads, as the benchmark's tracing
-    wrapper does; a penalized objective's parts are wrapped too."""
-
-    def __init__(self, inner):
-        self._inner, self._cls = inner, type(inner)
-        self.dim, self.domain = inner.dim, inner.domain
-        if isinstance(inner, PenalizedObjective):
-            self.base, self.penalty = Delegating(inner.base), Delegating(inner.penalty)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def value(self, theta):
-        return self._cls.value(self, theta)
-
-    def gradient(self, theta):
-        return self._cls.gradient(self, theta)
-
-    def line_restriction(self, theta, s_ids, s_vals):
-        return self._cls.line_restriction(self, theta, s_ids, s_vals)
-
-
-class TestPenaltyMemo:
+class TestPenaltyState:
     """A log-space penalty keeps no memo: value, gradient and the chord's
     probe at 0 each form (y, dphi(y)) at their own theta, and must give
     what the plain expressions give, bit for bit.  The carried steps form
-    it once a step."""
+    it once at the start and once a step."""
 
     @staticmethod
     def ctm(rng, k, with_mean=True):
@@ -981,8 +986,8 @@ class TestPenaltyMemo:
 
     @pytest.mark.parametrize("with_mean", [False, True])
     def test_one_product_per_step(self, with_mean, monkeypatch):
-        # On carried steps: the start's state is formed by value and again
-        # for the steps, then once by each step's g.
+        # On carried steps: the start's state is formed once, for the
+        # steps, whose value reads it, then once by each step's g.
         rng = np.random.default_rng(97 + with_mean)
         for _ in range(5):
             _, _, f = self.ctm(np.random.default_rng(int(rng.integers(2**32))), 12, with_mean)
@@ -991,132 +996,7 @@ class TestPenaltyMemo:
                 report, trace = fw_solve(f, SolverConfig(start="barycenter", rel_tol=1e-12))
             still = sum(1 for r in trace[1:] if r.alpha == 0.0)
             assert report.iterations > 5
-            assert len(products) <= 2 + report.iterations + still
-
-    def test_delegating_wrapper_solves_bitwise(self):
-        rng = np.random.default_rng(101)
-        for _ in range(3):
-            doc, topics, ctm = self.ctm(rng, 8)
-            for f in (ctm, lda_map_objective(doc, topics, 1.0 + rng.random(8)), ml_objective(doc, topics)):
-                bare, bare_trace = fw_solve(f, SolverConfig(start="barycenter"))
-                wrapped, wrapped_trace = fw_solve(Delegating(f), SolverConfig(start="barycenter"))
-                assert wrapped.theta.weights.tobytes() == bare.theta.weights.tobytes()
-                assert wrapped.theta.topic_ids.tobytes() == bare.theta.topic_ids.tobytes()
-                assert wrapped_trace == bare_trace
-
-
-class CountingPenalized(PenalizedObjective):
-    def gradient(self, theta):
-        self.calls = getattr(self, "calls", 0) + 1
-        return super().gradient(theta)
-
-
-class CountingGaussian(GaussianLogPenalty):
-    def line_restriction(self, theta, s_ids, s_vals):
-        self.calls = getattr(self, "calls", 0) + 1
-        return super().line_restriction(theta, s_ids, s_vals)
-
-
-class CountingMl(MlObjective):
-    def gradient(self, theta):
-        self.calls = getattr(self, "calls", 0) + 1
-        return super().gradient(theta)
-
-
-class TestCarriedPenalty:
-    """A likelihood plus a Gaussian or Dirichlet log penalty, each of
-    exactly its class, is solved on carried steps; any other object calls
-    its methods.  Both give the same bits."""
-
-    CASES = ("ctm with a mean", "ctm without a mean", "ctm under caps below its own", "lda-map")
-
-    @staticmethod
-    def instance(rng, case):
-        """(make, caps): make() builds a fresh objective of the case, and
-        caps are the explicit caps to solve under, or None."""
-        k = int(rng.integers(4, 20))
-        topics, doc = random_ml_instance(rng, k=k, v=60)
-        if case == "lda-map":
-            alpha = 1.0 + 3.0 * rng.random(k)
-            return (lambda: lda_map_objective(doc, topics, alpha)), None
-        a = rng.random((k, k))
-        # caps exp(mean) of 0.25 to 0.6, which sum past 1 for k >= 4
-        mean = None if case == "ctm without a mean" else np.log(rng.uniform(0.25, 0.6, size=k))
-        prior = CtmPrior(a @ a.T + k * np.eye(k), mean=mean)
-        caps = np.maximum(0.8 * ctm_caps(prior), 1.0 / k) if case == "ctm under caps below its own" else None
-        return (lambda: ctm_full_objective(doc, topics, prior)), caps
-
-    @staticmethod
-    def both(make, config, caps, before=lambda: None):
-        """(report, trace) of a carried solve, then of a Delegating one;
-        before() runs before each."""
-        out = []
-        for wrap in (lambda f: f, Delegating):
-            before()
-            out.append(fw_solve(wrap(make()), config, caps=caps))
-        return out
-
-    @staticmethod
-    def assert_same(carried, method):
-        (a, a_trace), (b, b_trace) = carried, method
-        assert a.theta.topic_ids.tobytes() == b.theta.topic_ids.tobytes()
-        assert a.theta.weights.tobytes() == b.theta.weights.tobytes()
-        assert (a.iterations, repr(a.objective)) == (b.iterations, repr(b.objective))
-        assert repr(a_trace) == repr(b_trace)
-
-    @pytest.mark.parametrize("case", CASES)
-    def test_carried_and_method_solves_are_bitwise_equal(self, case):
-        rng = np.random.default_rng(157)
-        steps = 0
-        for _ in range(6):
-            make, caps = self.instance(rng, case)
-            f = make()
-            assert solve_steps(f, np.full(f.dim, 1.0 / f.dim)) is not f
-            carried, method = self.both(make, SolverConfig(rel_tol=1e-12), caps)
-            self.assert_same(carried, method)
-            steps += carried[0].iterations
-        assert steps > 60
-
-    def test_a_rolled_back_step_ends_both_solves_alike(self, monkeypatch):
-        # Step 3 is sent next to the target's face, far below the point it
-        # leaves: the step is rolled back, and the solve ends there.
-        real, calls = solver_module.line_search, []
-
-        def downhill_at_three(dg, **kwargs):
-            calls.append(1)
-            return kwargs["upper"] if len(calls) == 3 else real(dg, **kwargs)
-
-        monkeypatch.setattr(solver_module, "line_search", downhill_at_three)
-        rng = np.random.default_rng(158)
-        rolled_back = 0
-        for i in range(12):
-            make, caps = self.instance(rng, self.CASES[i % len(self.CASES)])
-            carried, method = self.both(make, SolverConfig(rel_tol=1e-300, max_iters=40), caps, calls.clear)
-            self.assert_same(carried, method)
-            report, trace = carried
-            if trace[3].alpha == 0.0:
-                assert report.iterations == 3 and repr(trace[3].objective) == repr(trace[2].objective)
-                rolled_back += 1
-        assert rolled_back >= 8
-
-    @pytest.mark.parametrize("part", ["composite", "penalty", "base"])
-    @pytest.mark.parametrize("with_mean", [False, True])
-    def test_a_subclass_has_its_overrides_called(self, part, with_mean):
-        rng = np.random.default_rng(159)
-        topics, doc = random_ml_instance(rng, k=8, v=40)
-        prior = random_prior(rng, 8, with_mean=False)
-        if with_mean:
-            prior = CtmPrior(prior.precision, mean=np.full(8, math.log(0.3)))
-        plain = ctm_full_objective(doc, topics, prior)
-        cls = CountingPenalized if part == "composite" else PenalizedObjective
-        base = (CountingMl if part == "base" else MlObjective)(doc, topics)
-        penalty = (CountingGaussian if part == "penalty" else GaussianLogPenalty)(prior)
-        f = cls(base, penalty)
-        report, trace = fw_solve(f, SolverConfig(rel_tol=1e-12))
-        want, want_trace = fw_solve(plain, SolverConfig(rel_tol=1e-12))
-        assert report.iterations > 1
-        assert {"composite": f, "penalty": penalty, "base": base}[part].calls == report.iterations
-        assert repr(trace) == repr(want_trace)
+            assert len(products) <= 1 + report.iterations + still
 
 
 class TestChordPrecision:

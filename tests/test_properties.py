@@ -33,6 +33,7 @@ from sparsetopics import (
 )
 from sparsetopics.core import EPS_BETA, SIMPLEX_TOL
 from sparsetopics.corpus_io import _ROWS_PER_PARSE, sidecar_path
+from sparsetopics.objectives import MlObjective, solve_steps
 
 from helpers import objectives
 
@@ -160,11 +161,12 @@ class TestBestVertex:
         f = ml_objective(doc, topics)
         winner = f.best_vertex()
         assert winner == int(np.argmax(loop))
-        # and the winner's row is memoized as the mixture value() forms at e_k
-        key, p = f._memo.entry
-        assert key == np.eye(k)[winner].tobytes()
-        assert p.tobytes() == (np.eye(k)[winner] @ f.term_columns).tobytes()
-        assert f.value(np.eye(k)[winner]) == loop[winner]
+        # with no memo written: the carried steps take the winner's row as
+        # the mixture value() forms at e_k, and the start's value from it
+        assert f._memo is MlObjective._memo
+        steps = solve_steps(f, np.eye(k)[winner], winner)
+        assert steps._state.tobytes() == (np.eye(k)[winner] @ f.term_columns).tobytes()
+        assert steps.value(np.eye(k)[winner]) == loop[winner]
 
 
 class TestCtmInvariants:

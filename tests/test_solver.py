@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -28,9 +29,10 @@ from sparsetopics import (
 )
 
 import sparsetopics.solver as solver_module
-from sparsetopics.objectives import best_vertex
+from sparsetopics.objectives import GaussianLogPenalty, PenalizedObjective, best_vertex, solve_steps
 
 from helpers import (
+    Delegating,
     Forwarding,
     PlainChordMl,
     bisection_line_search,
@@ -39,6 +41,7 @@ from helpers import (
     greedy_capped_vectorized,
     objectives,
     random_ml_instance,
+    random_prior,
     replay_trace,
 )
 
@@ -419,7 +422,7 @@ class TestVertexStart:
 
     def test_a_vertex_row_is_its_one_hot_product_bit_for_bit(self):
         # 1.0 * beta + 0.0 * ... is beta in any summation order, so the row
-        # best_vertex memoizes is the mixture value() would form at e_k
+        # a carried solve starts from is the mixture value() would form at e_k
         rng = np.random.default_rng(79)
         for k in (1, 7, 100, 1000):
             topics, doc = random_ml_instance(rng, k=k, v=300)
@@ -687,7 +690,7 @@ class TestChordCarry:
         assert got == a and s_ids.size == n
         assert point.tobytes() == ((1.0 - a) * base + a * target).tobytes()
         # and the likelihood memoizes a mixture for it, within rounding
-        key, p = f.inner._memo.entry
+        key, p = f.inner._memo
         assert key == point.tobytes()
         np.testing.assert_allclose(p, point @ f.inner.term_columns, rtol=8 * np.finfo(float).eps, atol=0)
 
@@ -1034,80 +1037,142 @@ class OwnChord(MlObjective):
         return super().line_restriction(theta, s_ids, s_vals)
 
 
-class TestCarriedMixture:
-    """An MlObjective's solve carries the mixture from step to step; any
-    other object's solve calls its methods.  Both give the same bits."""
+class CountingPenalized(PenalizedObjective):
+    def gradient(self, theta):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().gradient(theta)
 
-    CASES = {
+
+class CountingGaussian(GaussianLogPenalty):
+    def line_restriction(self, theta, s_ids, s_vals):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().line_restriction(theta, s_ids, s_vals)
+
+
+class TestCarriedMixture:
+    """An objective of exactly MlObjective, or a sum of exactly that and a
+    Gaussian or Dirichlet log penalty (ctm, lda-map), is solved on steps
+    that carry the mixture, and the penalty's state, from step to step.
+    Any other object is valued and stepped through its methods: a
+    Forwarding wrapper calls the wrapped object's, and a Delegating one
+    runs its class's functions on the wrapper, as the benchmark's tracing
+    wrapper does.  All three solves give the same bits."""
+
+    LIKELIHOOD = {
         "best vertex": (SolverConfig(rel_tol=1e-12), None),
         "barycenter": (SolverConfig(rel_tol=1e-12, start="barycenter"), None),
         "caps below one": (SolverConfig(rel_tol=1e-12), 0.3),
         "caps of all ones": (SolverConfig(rel_tol=1e-12), 1.0),
         "max_nnz": (SolverConfig(rel_tol=1e-12, max_nnz=3), None),
     }
+    CASES = sorted([*LIKELIHOOD, "ctm with a mean", "ctm without a mean", "ctm under caps below its own", "lda-map"])
+
+    @classmethod
+    def instance(cls, rng, case):
+        """(make, config, caps): make() builds a fresh objective of the
+        case, solved under config and the explicit caps, or None."""
+        if case in cls.LIKELIHOOD:
+            config, cap = cls.LIKELIHOOD[case]
+            k = int(rng.integers(2, 30))
+            topics, doc = random_ml_instance(rng, k=k, v=60)
+            return (lambda: MlObjective(doc, topics)), config, None if cap is None else np.full(k, max(cap, 1.0 / k))
+        k = int(rng.integers(4, 20))
+        topics, doc = random_ml_instance(rng, k=k, v=60)
+        config = SolverConfig(rel_tol=1e-12)
+        if case == "lda-map":
+            alpha = 1.0 + 3.0 * rng.random(k)
+            return (lambda: lda_map_objective(doc, topics, alpha)), config, None
+        a = rng.random((k, k))
+        # caps exp(mean) of 0.25 to 0.6, which sum past 1 for k >= 4
+        mean = None if case == "ctm without a mean" else np.log(rng.uniform(0.25, 0.6, size=k))
+        prior = CtmPrior(a @ a.T + k * np.eye(k), mean=mean)
+        caps = np.maximum(0.8 * ctm_caps(prior), 1.0 / k) if case == "ctm under caps below its own" else None
+        return (lambda: ctm_full_objective(doc, topics, prior)), config, caps
 
     @staticmethod
-    def both(doc, topics, config, caps, before=lambda: None):
-        """(report, trace) of a carried solve, then of a method solve;
-        before() runs before each."""
+    def solves(make, config, caps, before=lambda: None):
+        """(report, trace) of a carried solve, then of a Forwarding and a
+        Delegating one; before() runs before each."""
         out = []
-        for wrap in (lambda f: f, Forwarding):
+        for wrap in (lambda f: f, Forwarding, Delegating):
             before()
-            out.append(fw_solve(wrap(MlObjective(doc, topics)), config, caps=caps))
+            out.append(fw_solve(wrap(make()), config, caps=caps))
         return out
 
     @staticmethod
-    def assert_same(carried, method):
-        (a, a_trace), (b, b_trace) = carried, method
-        assert a.theta.topic_ids.tobytes() == b.theta.topic_ids.tobytes()
-        assert a.theta.weights.tobytes() == b.theta.weights.tobytes()
-        assert (a.iterations, repr(a.objective)) == (b.iterations, repr(b.objective))
-        assert repr(a_trace) == repr(b_trace)
+    def assert_same(carried, *methods):
+        a, a_trace = carried
+        for b, b_trace in methods:
+            assert a.theta.topic_ids.tobytes() == b.theta.topic_ids.tobytes()
+            assert a.theta.weights.tobytes() == b.theta.weights.tobytes()
+            assert (a.iterations, repr(a.objective)) == (b.iterations, repr(b.objective))
+            assert repr(a_trace) == repr(b_trace)
 
-    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("case", CASES)
     def test_carried_and_method_solves_are_bitwise_equal(self, case):
-        config, cap = self.CASES[case]
         rng = np.random.default_rng(151)
         steps = 0
         for _ in range(8):
-            k = int(rng.integers(2, 30))
-            topics, doc = random_ml_instance(rng, k=k, v=60)
-            caps = None if cap is None else np.full(k, max(cap, 1.0 / k))
-            carried, method = self.both(doc, topics, config, caps)
-            self.assert_same(carried, method)
+            make, config, caps = self.instance(rng, case)
+            f = make()
+            assert solve_steps(f, np.full(f.dim, 1.0 / f.dim), -1) is not f
+            carried, *methods = self.solves(make, config, caps)
+            self.assert_same(carried, *methods)
             steps += carried[0].iterations
         assert steps > 40
 
     def test_a_rolled_back_step_ends_both_solves_alike(self, monkeypatch):
-        # Step 3 is sent to the vertex itself, below the start's best vertex
-        # value: the step is rolled back, and the solve ends there.
+        # Step 3 is sent to the far end of its chord, the target's vertex or
+        # face (as near as an interior objective goes), below the point it
+        # leaves: the step is rolled back, and the solve ends there.
         real, calls = solver_module.line_search, []
 
         def downhill_at_three(dg, **kwargs):
             calls.append(1)
-            return 1.0 if len(calls) == 3 else real(dg, **kwargs)
+            return kwargs["upper"] if len(calls) == 3 else real(dg, **kwargs)
 
-        rng = np.random.default_rng(152)
-        instances = [random_ml_instance(rng, k=int(rng.integers(4, 20)), v=60) for _ in range(12)]
-        # only those whose own solve runs past step 3
-        instances = [(t, d) for t, d in instances if fw_solve(MlObjective(d, t), SolverConfig(rel_tol=1e-300))[0].iterations > 3]
-        assert len(instances) >= 6
         monkeypatch.setattr(solver_module, "line_search", downhill_at_three)
-        for topics, doc in instances:
-            carried, method = self.both(doc, topics, SolverConfig(rel_tol=1e-300), None, calls.clear)
-            self.assert_same(carried, method)
+        rng = np.random.default_rng(152)
+        rolled_back = 0
+        for i in range(3 * len(self.CASES)):
+            make, config, caps = self.instance(rng, self.CASES[i % len(self.CASES)])
+            config = dataclasses.replace(config, rel_tol=1e-300, max_iters=40)
+            carried, *methods = self.solves(make, config, caps, calls.clear)
+            self.assert_same(carried, *methods)
             report, trace = carried
-            assert report.iterations == 3
-            assert trace[3].alpha == 0.0 and repr(trace[3].objective) == repr(trace[2].objective)
+            if len(trace) > 3:  # not so under max_nnz = 3, or after an earlier stop
+                assert trace[3].alpha == 0.0 and report.iterations == 3
+                assert repr(trace[3].objective) == repr(trace[2].objective)
+                rolled_back += 1
+        assert rolled_back >= 2 * len(self.CASES)
 
-    @pytest.mark.parametrize("cls", [OwnGradient, OwnChord])
-    @pytest.mark.parametrize("caps", [None, 0.5])
-    def test_a_subclass_has_its_overrides_called(self, cls, caps):
-        topics, doc = random_ml_instance(np.random.default_rng(153), k=8, v=40)
-        f = cls(doc, topics)
-        report, _ = fw_solve(f, SolverConfig(rel_tol=1e-12), caps=None if caps is None else np.full(8, caps))
+    OVERRIDES = ("likelihood gradient", "likelihood chord", "sum gradient", "penalty chord", "base gradient")
+
+    @pytest.mark.parametrize("override", OVERRIDES)
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_a_subclass_has_its_overrides_called(self, override, capped):
+        # Capped: explicit caps of 0.5 on the likelihood, a mean whose own
+        # caps are 0.3 on the sum.
+        rng = np.random.default_rng(153)
+        topics, doc = random_ml_instance(rng, k=8, v=40)
+        caps = np.full(8, 0.5) if capped and override.startswith("likelihood") else None
+        if override.startswith("likelihood"):
+            f = counted = (OwnGradient if override == "likelihood gradient" else OwnChord)(doc, topics)
+            plain = MlObjective(doc, topics)
+        else:
+            prior = random_prior(rng, 8, with_mean=False)
+            if capped:
+                prior = CtmPrior(prior.precision, mean=np.full(8, math.log(0.3)))
+            plain = ctm_full_objective(doc, topics, prior)
+            base = (OwnGradient if override == "base gradient" else MlObjective)(doc, topics)
+            penalty = (CountingGaussian if override == "penalty chord" else GaussianLogPenalty)(prior)
+            f = (CountingPenalized if override == "sum gradient" else PenalizedObjective)(base, penalty)
+            counted = {"sum gradient": f, "penalty chord": penalty, "base gradient": base}[override]
+        report, trace = fw_solve(f, SolverConfig(rel_tol=1e-12), caps=caps)
+        want, want_trace = fw_solve(plain, SolverConfig(rel_tol=1e-12), caps=caps)
         assert report.iterations > 1
-        assert f.calls == report.iterations
+        assert counted.calls == report.iterations
+        assert repr(trace) == repr(want_trace)
 
 
 class TestFwSolveCapped:
