@@ -40,6 +40,7 @@ import sparsetopics.core as core
 import sparsetopics.solver as solver_module
 
 from helpers import (
+    Delegating,
     Forwarding,
     ctm_penalty_hessian,
     finite_diff_gradient,
@@ -997,6 +998,63 @@ class TestPenaltyState:
             still = sum(1 for r in trace[1:] if r.alpha == 0.0)
             assert report.iterations > 5
             assert len(products) <= 1 + report.iterations + still
+
+
+class TestCarriedPenalty:
+    """A Gaussian or Dirichlet log penalty's state is carried from step to
+    step with the likelihood's mixture, and is dropped with it when a step
+    is rolled back."""
+
+    CASES = ("ctm with a mean", "ctm without a mean", "ctm under caps below its own", "lda-map")
+
+    @staticmethod
+    def instance(rng, case):
+        """(make, caps): make() builds a fresh objective of the case, and
+        caps are the explicit caps to solve under, or None."""
+        k = int(rng.integers(4, 20))
+        topics, doc = random_ml_instance(rng, k=k, v=60)
+        if case == "lda-map":
+            alpha = 1.0 + 3.0 * rng.random(k)
+            return (lambda: lda_map_objective(doc, topics, alpha)), None
+        a = rng.random((k, k))
+        # caps exp(mean) of 0.25 to 0.6, which sum past 1 for k >= 4
+        mean = None if case == "ctm without a mean" else np.log(rng.uniform(0.25, 0.6, size=k))
+        prior = CtmPrior(a @ a.T + k * np.eye(k), mean=mean)
+        caps = np.maximum(0.8 * ctm_caps(prior), 1.0 / k) if case == "ctm under caps below its own" else None
+        return (lambda: ctm_full_objective(doc, topics, prior)), caps
+
+    def test_a_rolled_back_step_ends_both_solves_alike(self, monkeypatch):
+        # Step 3 is sent to the far end of its chord, below the point it
+        # leaves: the step is rolled back, and the solve ends there, on the
+        # value a fresh objective gives its point.
+        real, calls = solver_module.line_search, []
+
+        def downhill_at_three(dg, **kwargs):
+            calls.append(1)
+            return kwargs["upper"] if len(calls) == 3 else real(dg, **kwargs)
+
+        monkeypatch.setattr(solver_module, "line_search", downhill_at_three)
+        rng = np.random.default_rng(158)
+        config = SolverConfig(rel_tol=1e-300, max_iters=40)
+        rolled_back = 0
+        for i in range(12):
+            make, caps = self.instance(rng, self.CASES[i % len(self.CASES)])
+            solves = []
+            for wrap in (lambda f: f, Forwarding, Delegating):
+                calls.clear()
+                solves.append(fw_solve(wrap(make()), config, caps=caps))
+            (report, trace), *methods = solves
+            for other, other_trace in methods:
+                assert report.theta.weights.tobytes() == other.theta.weights.tobytes()
+                assert report.theta.topic_ids.tobytes() == other.theta.topic_ids.tobytes()
+                assert (report.iterations, repr(trace)) == (other.iterations, repr(other_trace))
+            if len(trace) > 3:
+                assert trace[3].alpha == 0.0 and report.iterations == 3
+                assert repr(trace[3].objective) == repr(trace[2].objective)
+                f = make()
+                assert report.objective == pytest.approx(f.value(report.theta.dense(f.dim)), rel=1e-12)
+                rolled_back += 1
+        assert rolled_back >= 8
 
 
 class TestChordPrecision:
