@@ -7,12 +7,13 @@ rel_tol) so timing and quality comparisons are apples to apples.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 
 from .core import Document, InferenceReport, SolverConfig, TopicMatrix, TopicProportion, converged
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericFailureError
 from .objectives import MlObjective
 
 
@@ -28,7 +29,9 @@ def folding_in(
         theta_k <- theta_k * sum_j d_j beta_kj / (theta . beta_:j) / |d|
 
     which never revives an exactly-zero coordinate.  Returns the report and
-    the per-iteration log-likelihood trace (non-decreasing).
+    the per-iteration log-likelihood trace (non-decreasing).  A NaN or
+    infinite objective (an overflow) raises NumericFailureError, as in
+    fw_solve.
     """
     config = config or SolverConfig()
     objective = MlObjective(document, topics)
@@ -38,12 +41,16 @@ def folding_in(
     t0 = time.perf_counter()
     theta = np.full(k, 1.0 / k)
     f_prev = objective.value(theta)
+    if not math.isfinite(f_prev):
+        raise NumericFailureError(f"objective is {f_prev} at the start point")
     trace = [f_prev]
     iterations = 0
     for step in range(1, config.max_iters + 1):
         # The gradient reads the mixture value() formed at theta.
         theta_next = theta * objective.gradient(theta) / length
         f_curr = objective.value(theta_next)
+        if not math.isfinite(f_curr):
+            raise NumericFailureError(f"objective is {f_curr}")
         if f_curr < f_prev:
             # EM is monotone; a float dip means we are at the fixed point.
             break

@@ -35,24 +35,33 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _sparse_entries(ids, values, kind: str, what: str, empty: str):
-    """Read-only int64 ids and float64 values of a sparse vector: 1-d, of
-    equal length, nonempty, ids non-negative and strictly increasing, values
-    finite and positive.  kind and what name the ids and the values."""
+    """Read-only int64 ids and float64 values of a sparse vector, copied,
+    with the largest value; _check_entries names what it refuses."""
     ids = np.asarray(ids, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
+    top = _check_entries(ids, values, kind, what, empty)
+    return _as_readonly(ids), _as_readonly(values), top
+
+
+def _check_entries(ids: np.ndarray, values: np.ndarray, kind: str, what: str, empty: str):
+    """The largest of values, once ids and values pass as a sparse vector:
+    1-d, of equal length, nonempty, ids non-negative and strictly
+    increasing, values finite and positive.  kind and what name the ids and
+    the values."""
     if ids.ndim != 1 or values.ndim != 1 or ids.shape != values.shape:
         raise InvalidArgumentError(f"{kind}_ids and {what} must be 1-d and equal length")
     if ids.size == 0:
         raise InvalidArgumentError(empty)
-    # Three passes clear a valid vector (min propagates NaN); one they fail
-    # is checked again one condition at a time.
-    if not (ids[0] >= 0 and (ids[1:] > ids[:-1]).all() and values.min() > 0 and values.max() < np.inf):
+    # Three passes clear a valid vector (min and max propagate NaN); one
+    # they fail is checked again one condition at a time.
+    top = values.max()
+    if not (ids[0] >= 0 and (ids[1:] > ids[:-1]).all() and values.min() > 0 and top < np.inf):
         if ids.min() < 0:
             raise InvalidArgumentError(f"negative {kind} id")
         if np.any(np.diff(ids) <= 0):
             raise InvalidArgumentError(f"{kind} ids must be strictly increasing")
         raise InvalidArgumentError(f"{what} must be finite and positive")
-    return _as_readonly(ids), _as_readonly(values)
+    return top
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,7 +93,7 @@ class Document:
     counts: np.ndarray
 
     def __post_init__(self):
-        ids, cnt = _sparse_entries(self.term_ids, self.counts, "term", "counts", "document has no entries")
+        ids, cnt, _ = _sparse_entries(self.term_ids, self.counts, "term", "counts", "document has no entries")
         with np.errstate(over="ignore"):  # finite counts can sum past the largest float
             if cnt.sum() == np.inf:
                 raise InvalidArgumentError("counts sum to inf")
@@ -229,6 +238,20 @@ def validate_topic_matrix(rows: np.ndarray) -> list[str]:
     return problems
 
 
+_NO_ENTRY = "proportion must have at least one entry"
+
+
+def _check_total(weights: np.ndarray, top: float) -> None:
+    """Refuse weights, with largest entry top, that sum away from one."""
+    if top <= 1.0:  # then the sum is at most the entry count: no overflow
+        total = weights.sum()
+    else:
+        with np.errstate(over="ignore"):  # finite weights can sum past the largest float
+            total = weights.sum()
+    if abs(total - 1.0) > SIMPLEX_TOL:
+        raise InvalidArgumentError(f"weights sum to {total:.12g}, not 1")
+
+
 @dataclasses.dataclass(frozen=True)
 class TopicProportion:
     """Sparse point on the topic simplex: strictly positive weights over a
@@ -238,20 +261,31 @@ class TopicProportion:
     weights: np.ndarray
 
     def __post_init__(self):
-        ids, w = _sparse_entries(
-            self.topic_ids, self.weights, "topic", "weights", "proportion must have at least one entry"
-        )
-        with np.errstate(over="ignore"):  # finite weights can sum past the largest float
-            total = w.sum()
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise InvalidArgumentError(f"weights sum to {total:.12g}, not 1")
+        ids, w, top = _sparse_entries(self.topic_ids, self.weights, "topic", "weights", _NO_ENTRY)
+        _check_total(w, top)
         object.__setattr__(self, "topic_ids", ids)
         object.__setattr__(self, "weights", w)
 
     @classmethod
+    def _adopt(cls, ids: np.ndarray, weights: np.ndarray) -> "TopicProportion":
+        """A TopicProportion that takes over ids and weights without the
+        constructor's copies, after its checks.  For fw_solve's report:
+        ids is int64 and weights float64, both fresh arrays it keeps no
+        other reference to."""
+        _check_total(weights, _check_entries(ids, weights, "topic", "weights", _NO_ENTRY))
+        ids.setflags(write=False)
+        weights.setflags(write=False)
+        point = object.__new__(cls)
+        object.__setattr__(point, "topic_ids", ids)
+        object.__setattr__(point, "weights", weights)
+        return point
+
+    @classmethod
     def from_dense(cls, theta: np.ndarray) -> "TopicProportion":
+        """The nonzero entries of theta; a NaN or negative one is refused,
+        as in the constructor, and only zeros (-0.0 too) are dropped."""
         v = np.asarray(theta, dtype=np.float64)
-        ids = np.flatnonzero(v > 0)
+        ids = np.flatnonzero(v)
         return cls(ids.astype(np.int64), v[ids])
 
     def dense(self, num_topics: int) -> np.ndarray:

@@ -107,9 +107,13 @@ class Objective:
     added on s's support.  The default builds the chord point explicitly
     and reports curvature 0.0, meaning unknown, so the search bisects; the
     likelihood, both priors and their sums override it with exact
-    curvatures.  A dg may own scratch arrays, so one restriction's dg must
-    not be called from two threads at once; each thread takes its own
-    restriction.
+    curvatures.  fw_solve takes g(0, theta) to be the value that reached
+    theta (value at the start, g after a step), as it is bit for bit for
+    every objective here: a step whose line search returns 0 ends the solve
+    on that value without calling g, so an objective whose g(0, theta)
+    differs ends there too.  A dg may own scratch arrays, so one
+    restriction's dg must not be called from two threads at once; each
+    thread takes its own restriction.
 
     An objective may also offer best_vertex(), the vertex where its value
     is highest, as the likelihood does; read it with best_vertex.  Called as

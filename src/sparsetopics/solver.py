@@ -283,12 +283,19 @@ def fw_solve(
             s_ids, s_vals = _greedy_capped(grad, caps)
         g, dg = steps.line_restriction(theta, s_ids, s_vals)
         alpha = line_search(dg, upper=upper)
+        iterations = step
+        if alpha == 0.0:
+            # A zero step keeps theta, which g values at f_prev (the chord
+            # starts from the state that reached theta), and equal values
+            # have converged: the step's record, with no point formed.
+            records.append(TraceRecord(step, f_prev, nnz, lead, 0.0))
+            break
         np.multiply(theta, 1.0 - alpha, spare)
         if caps is None:
             spare[lead] += alpha
         else:
             spare[s_ids] += alpha * s_vals
-        f_curr = g(alpha, spare)  # spare is the chord point at alpha, zero steps too
+        f_curr = g(alpha, spare)  # spare is the chord point at alpha
         if not math.isfinite(f_curr):
             raise NumericFailureError(f"objective is {f_curr}")
         if f_curr < f_prev:
@@ -300,15 +307,14 @@ def fw_solve(
         else:
             theta, spare = spare, theta
             nnz = int(np.count_nonzero(theta))
-        iterations = step
         records.append(TraceRecord(step, f_curr, nnz, lead, alpha))
         done = converged(f_prev, f_curr, config.rel_tol)
         f_prev = f_curr
         if done:
             break
-    ids = np.flatnonzero(theta)  # over the full sum: the bits of theta / theta.sum()
+    ids = theta.nonzero()[0]  # over the full sum: the bits of theta / theta.sum()
     report = InferenceReport(
-        theta=TopicProportion(ids, theta[ids] / theta.sum()),
+        theta=TopicProportion._adopt(ids, theta[ids] / theta.sum()),
         iterations=iterations,
         objective=f_prev,
         seconds=time.perf_counter() - t0,

@@ -3,7 +3,8 @@ and zoomed grid search over the simplex, a brute-force capped LP, the
 capped linear step as a loop, a bisection line search, the
 likelihood with its chord in the plain six-pass form and the log-normal
 penalty's Hessian; the objective values of a solver trace; and two
-wrappers that make fw_solve call an objective's methods.
+wrappers that make fw_solve call an objective's methods; a bitwise
+comparison of two traces.
 
 Nothing in here calls the solvers under test.
 """
@@ -231,6 +232,17 @@ def bisection_line_search(dg, *, tol=1e-10, max_steps=60, upper=1.0):
 def objectives(trace) -> np.ndarray:
     """The objective of each record of a solver trace, in order."""
     return np.array([r.objective for r in trace])
+
+
+def assert_same_records(a, b) -> None:
+    """Two solver traces, record for record, to the bits: repr tells -0.0
+    from 0.0 and each NaN from a number.  A mismatch names the first
+    differing record and both values, so pytest never diffs long reprs."""
+    for i, (x, y) in enumerate(zip(a, b)):
+        if repr(x) != repr(y):
+            raise AssertionError(f"record {i} differs: {x!r} != {y!r}")
+    if len(a) != len(b):
+        raise AssertionError(f"{len(a)} records != {len(b)} records")
 
 
 def replay_trace(k: int, trace) -> list:

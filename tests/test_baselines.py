@@ -12,6 +12,7 @@ import sparsetopics
 from sparsetopics import (
     Document,
     InvalidArgumentError,
+    NumericFailureError,
     SolverConfig,
     TopicMatrix,
     folding_in,
@@ -91,6 +92,26 @@ class TestFoldingIn:
         report, _ = folding_in(doc, topics)
         assert report.iterations > 20
         assert len(products) <= report.iterations + 2
+
+
+    def test_an_overflowing_step_is_a_numeric_failure(self):
+        # counts / p overflows at the barycenter's gradient; the step's
+        # objective is not finite, and fw_solve refuses the document alike.
+        topics = TopicMatrix(np.array([[1e-10, 1.0 - 1e-10], [0.5, 0.5]]))
+        doc = Document(np.array([0]), np.array([1e308]))
+        with np.errstate(all="ignore"):  # the overflow is the point here
+            with pytest.raises(NumericFailureError, match="objective is"):
+                folding_in(doc, topics)
+            with pytest.raises(NumericFailureError):
+                fw_solve(ml_objective(doc, topics))
+
+    def test_a_start_past_the_largest_float_is_a_numeric_failure(self):
+        # Counts near the largest float make the barycenter's value -inf.
+        topics = TopicMatrix(np.array([[1e-10, 1.0 - 1e-10], [1e-10, 1.0 - 1e-10]]))
+        doc = Document(np.array([0]), np.array([1e308]))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericFailureError, match="at the start point"):
+                folding_in(doc, topics)
 
 
 class TestVbInfer:

@@ -229,27 +229,61 @@ class TestTopicProportion:
         with pytest.raises(InvalidArgumentError):
             TopicProportion(np.array([1, 0]), np.array([0.5, 0.5]))
 
-    @pytest.mark.parametrize(
-        "ids, weights, message",
-        [
-            ([0, 1], [0.5, np.nan], "finite and positive"),
-            ([0, 1], [0.5, np.inf], "finite and positive"),
-            ([0, 1], [-np.inf, 0.5], "finite and positive"),
-            ([0, 1], [0.0, 1.0], "finite and positive"),
-            ([0, 1], [1.5, -0.5], "finite and positive"),
-            ([2, 1], [0.5, 0.5], "strictly increasing"),
-            ([1, 1], [0.5, 0.5], "strictly increasing"),
-            ([-1, 1], [0.5, 0.5], "negative topic id"),
-            ([0, 1], [0.5, 0.25], "weights sum to 0.75, not 1"),
-            # the first failing check, in order, names the fault
-            ([3, -1], [np.nan, 0.5], "negative topic id"),
-            ([1, 0], [np.nan, 0.5], "strictly increasing"),
-            ([0, 1], [np.inf, 0.25], "finite and positive"),
-        ],
-    )
+    REJECTED = [
+        ([0, 1], [0.5, np.nan], "finite and positive"),
+        ([0, 1], [0.5, np.inf], "finite and positive"),
+        ([0, 1], [-np.inf, 0.5], "finite and positive"),
+        ([0, 1], [0.0, 1.0], "finite and positive"),
+        ([0, 1], [1.5, -0.5], "finite and positive"),
+        ([2, 1], [0.5, 0.5], "strictly increasing"),
+        ([1, 1], [0.5, 0.5], "strictly increasing"),
+        ([-1, 1], [0.5, 0.5], "negative topic id"),
+        ([0, 1], [0.5, 0.25], "weights sum to 0.75, not 1"),
+        ([0, 1], [2.0, 3.0], "weights sum to 5, not 1"),
+        ([0, 1], [1e308, 1e308], "weights sum to inf, not 1"),
+        ([], [], "at least one entry"),
+        ([0, 1], [1.0], "1-d and equal length"),
+        ([[0, 1]], [[0.5, 0.5]], "1-d and equal length"),
+        # the first failing check, in order, names the fault
+        ([3, -1], [np.nan, 0.5], "negative topic id"),
+        ([1, 0], [np.nan, 0.5], "strictly increasing"),
+        ([0, 1], [np.inf, 0.25], "finite and positive"),
+    ]
+
+    @pytest.mark.parametrize("ids, weights, message", REJECTED)
     def test_rejection_messages(self, ids, weights, message):
         with pytest.raises(InvalidArgumentError, match=message):
             TopicProportion(np.array(ids), np.array(weights))
+
+    @pytest.mark.parametrize("ids, weights, message", REJECTED)
+    def test_the_adopting_constructor_refuses_alike(self, ids, weights, message):
+        # fw_solve's report takes its own fresh arrays without copies, after
+        # the public constructor's checks, in the same order.
+        ids, weights = np.array(ids, dtype=np.int64), np.array(weights, dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError) as public:
+                TopicProportion(ids, weights)
+            with pytest.raises(InvalidArgumentError) as adopted:
+                TopicProportion._adopt(ids, weights)
+        assert str(adopted.value) == str(public.value)
+
+    def test_the_adopting_constructor_keeps_its_arrays(self):
+        ids, weights = np.array([1, 4]), np.array([0.25, 0.75])
+        point = TopicProportion._adopt(ids, weights)
+        assert point.topic_ids is ids and point.weights is weights
+        assert not ids.flags.writeable and not weights.flags.writeable
+        assert point.dense(5).tolist() == [0.0, 0.25, 0.0, 0.0, 0.75]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-12, -5e-324])
+    def test_from_dense_refuses_what_the_constructor_refuses(self, bad):
+        # Only zeros are dropped; anything else reaches the checks.
+        with pytest.raises(InvalidArgumentError, match="weights must be finite and positive"):
+            TopicProportion.from_dense(np.array([0.5, 0.5, bad]))
+
+    def test_from_dense_drops_negative_zero(self):
+        point = TopicProportion.from_dense(np.array([0.5, -0.0, 0.5]))
+        assert point.topic_ids.tolist() == [0, 2] and point.weights.tolist() == [0.5, 0.5]
 
     def test_sum_overflow_is_a_bad_sum_under_warnings_as_errors(self):
         with warnings.catch_warnings():

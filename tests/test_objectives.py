@@ -42,6 +42,7 @@ import sparsetopics.solver as solver_module
 from helpers import (
     Delegating,
     Forwarding,
+    assert_same_records,
     ctm_penalty_hessian,
     finite_diff_gradient,
     finite_diff_hessian,
@@ -1047,7 +1048,8 @@ class TestCarriedPenalty:
             for other, other_trace in methods:
                 assert report.theta.weights.tobytes() == other.theta.weights.tobytes()
                 assert report.theta.topic_ids.tobytes() == other.theta.topic_ids.tobytes()
-                assert (report.iterations, repr(trace)) == (other.iterations, repr(other_trace))
+                assert report.iterations == other.iterations
+                assert_same_records(trace, other_trace)
             if len(trace) > 3:
                 assert trace[3].alpha == 0.0 and report.iterations == 3
                 assert repr(trace[3].objective) == repr(trace[2].objective)

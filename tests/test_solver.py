@@ -35,6 +35,7 @@ from helpers import (
     Delegating,
     Forwarding,
     PlainChordMl,
+    assert_same_records,
     bisection_line_search,
     brute_force_capped_lp,
     greedy_capped_loop,
@@ -645,9 +646,142 @@ class TestZeroGainStep:
         report, trace = fw_solve(f, SolverConfig(rel_tol=1e-300, max_iters=30))
         assert slopes[1] > 0.0
         assert returned[1] == 0.0 and trace[2].alpha == 0.0
-        assert f.points[2] == f.points[1]
-        assert trace[2].objective == trace[1].objective
+        # The zero step calls no g: only the start and step 1 are valued,
+        # and the report holds step 1's point, bit for bit.
+        assert len(f.points) == 2
+        theta = np.frombuffer(f.points[1])
+        ids = np.flatnonzero(theta)
+        assert report.theta.topic_ids.tobytes() == ids.tobytes()
+        assert report.theta.weights.tobytes() == (theta[ids] / theta.sum()).tobytes()
+        assert trace[2].objective == trace[1].objective == report.objective
         assert report.iterations == 2
+
+    CASES = ("vertex start", "barycenter start", "ctm with caps", "lda-map")
+
+    @staticmethod
+    def instance(rng, case):
+        """(objective, config, caps) of one case; ctm solves within its
+        prior's own caps, exp(mean) of 0.25 to 0.6, which sum past 1."""
+        k = int(rng.integers(4, 9))
+        topics, doc = random_ml_instance(rng, k=k, v=40)
+        config = SolverConfig(rel_tol=1e-12, max_iters=60)
+        if case == "vertex start":
+            return ml_objective(doc, topics), config, None
+        if case == "barycenter start":
+            return ml_objective(doc, topics), dataclasses.replace(config, start="barycenter"), None
+        if case == "lda-map":
+            return lda_map_objective(doc, topics, 1.0 + 3.0 * rng.random(k)), config, None
+        a = rng.random((k, k))
+        prior = CtmPrior(a @ a.T + k * np.eye(k), mean=np.log(rng.uniform(0.25, 0.6, size=k)))
+        return ctm_full_objective(doc, topics, prior), config, None
+
+    @staticmethod
+    def assert_prefix(f, config, caps, report, trace):
+        """A solve that ended on a zero step at step s >= 2 has the bits of
+        the same solve capped at s - 1, and then the record (s, f_prev,
+        nnz, lead, 0.0), lead being step s's target in a solve capped at s."""
+        s = len(trace) - 1
+        want, want_trace = fw_solve(f, dataclasses.replace(config, max_iters=s - 1), caps=caps)
+        _, longer = fw_solve(f, dataclasses.replace(config, max_iters=s), caps=caps)
+        assert_same_records(trace[:s], want_trace)
+        last = want_trace[-1]
+        assert_same_records(trace[s:], [TraceRecord(s, last.objective, last.nnz, longer[s].vertex, 0.0)])
+        assert report.theta.topic_ids.tobytes() == want.theta.topic_ids.tobytes()
+        assert report.theta.weights.tobytes() == want.theta.weights.tobytes()
+        assert (report.iterations, repr(report.objective)) == (s, repr(want.objective))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_zero_step_ends_the_solve_on_its_prefix(self, monkeypatch, case):
+        # The line search returns 0 at step s, drawn from 2 to 6.
+        real, calls = solver_module.line_search, []
+
+        def zero_at(s):
+            def search(dg, **kwargs):
+                calls.append(1)
+                return 0.0 if len(calls) == s else real(dg, **kwargs)
+
+            return search
+
+        rng = np.random.default_rng(161)
+        ended = 0
+        for _ in range(6):
+            f, config, caps = self.instance(rng, case)
+            s = int(rng.integers(2, 7))
+            calls.clear()
+            monkeypatch.setattr(solver_module, "line_search", zero_at(s))
+            report, trace = fw_solve(f, config, caps=caps)
+            monkeypatch.setattr(solver_module, "line_search", real)
+            if len(trace) == s + 1:  # else the solve converged before step s
+                self.assert_prefix(f, config, caps, report, trace)
+                ended += 1
+        assert ended >= 4
+
+    def test_a_solve_ending_on_its_own_zero_step_is_its_prefix(self, monkeypatch):
+        # Vertex starts on documents with few terms: the search itself
+        # returns 0 at the last step of many solves.
+        real, returned = solver_module.line_search, []
+
+        def recording(dg, **kwargs):
+            returned.append(real(dg, **kwargs))
+            return returned[-1]
+
+        rng = np.random.default_rng(162)
+        ended = 0
+        for _ in range(60):
+            topics, doc = random_ml_instance(rng, k=int(rng.integers(3, 21)), v=12)
+            f, config = ml_objective(doc, topics), SolverConfig()
+            returned.clear()
+            monkeypatch.setattr(solver_module, "line_search", recording)
+            report, trace = fw_solve(f, config)
+            monkeypatch.setattr(solver_module, "line_search", real)
+            if returned[-1] == 0.0 and len(trace) >= 3:
+                self.assert_prefix(f, config, None, report, trace)
+                ended += 1
+        assert ended >= 5
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_the_report_owns_read_only_arrays(self, capped):
+        # Every array the solve valued or stepped from is one of its two
+        # point buffers; the report's ids and weights share memory with
+        # neither, nor with each other.
+        rng = np.random.default_rng(163)
+        topics, doc = random_ml_instance(rng, k=8, v=40)
+        f = BufferRecorder(ml_objective(doc, topics))
+        caps = np.full(8, 0.3) if capped else None
+        report, trace = fw_solve(f, SolverConfig(rel_tol=1e-12), caps=caps)
+        assert report.iterations >= 2 and len({id(b) for b in f.buffers}) == 2
+        ids, weights = report.theta.topic_ids, report.theta.weights
+        assert not ids.flags.writeable and not weights.flags.writeable
+        assert ids.dtype == np.int64 and weights.dtype == np.float64
+        assert not np.shares_memory(ids, weights)
+        for buffer in f.buffers:
+            assert not np.shares_memory(ids, buffer) and not np.shares_memory(weights, buffer)
+
+
+class BufferRecorder:
+    """Delegates to an objective and keeps every array it is valued at or
+    steps from: the start, each chord's theta and each g's point."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.buffers = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def value(self, theta):
+        self.buffers.append(theta)
+        return self.inner.value(theta)
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        self.buffers.append(theta)
+        g, dg = self.inner.line_restriction(theta, s_ids, s_vals)
+
+        def recorded(a, point):
+            self.buffers.append(point)
+            return g(a, point)
+
+        return recorded, dg
 
 
 class ChordRecorder:
@@ -1106,7 +1240,7 @@ class TestCarriedMixture:
             assert a.theta.topic_ids.tobytes() == b.theta.topic_ids.tobytes()
             assert a.theta.weights.tobytes() == b.theta.weights.tobytes()
             assert (a.iterations, repr(a.objective)) == (b.iterations, repr(b.objective))
-            assert repr(a_trace) == repr(b_trace)
+            assert_same_records(a_trace, b_trace)
 
     @pytest.mark.parametrize("case", CASES)
     def test_carried_and_method_solves_are_bitwise_equal(self, case):
@@ -1172,7 +1306,7 @@ class TestCarriedMixture:
         want, want_trace = fw_solve(plain, SolverConfig(rel_tol=1e-12), caps=caps)
         assert report.iterations > 1
         assert counted.calls == report.iterations
-        assert repr(trace) == repr(want_trace)
+        assert_same_records(trace, want_trace)
 
 
 class TestFwSolveCapped:
