@@ -26,28 +26,15 @@ START_BARYCENTER = "barycenter"
 _STARTS = (START_BEST_VERTEX, START_BARYCENTER)
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a)
-    if out is a:
-        out = out.copy()
-    out.setflags(write=False)
-    return out
-
-
-def _sparse_entries(ids, values, kind: str, what: str, empty: str):
-    """Read-only int64 ids and float64 values of a sparse vector, copied,
-    with the largest value; _check_entries names what it refuses."""
-    ids = np.asarray(ids, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    top = _check_entries(ids, values, kind, what, empty)
-    return _as_readonly(ids), _as_readonly(values), top
-
-
-def _check_entries(ids: np.ndarray, values: np.ndarray, kind: str, what: str, empty: str):
-    """The largest of values, once ids and values pass as a sparse vector:
-    1-d, of equal length, nonempty, ids non-negative and strictly
-    increasing, values finite and positive.  kind and what name the ids and
-    the values."""
+def _sparse_entries(ids, values, kind: str, what: str, empty: str, adopt: bool = False):
+    """Read-only int64 ids and float64 values of a sparse vector: 1-d, of
+    equal length, nonempty, ids non-negative and strictly increasing, values
+    finite and positive; then the largest value.  kind and what name the ids
+    and the values.  The arrays are copies, or with adopt the int64 and
+    float64 arrays given, made read-only in place."""
+    if not adopt:
+        ids = np.array(ids, dtype=np.int64)
+        values = np.array(values, dtype=np.float64)
     if ids.ndim != 1 or values.ndim != 1 or ids.shape != values.shape:
         raise InvalidArgumentError(f"{kind}_ids and {what} must be 1-d and equal length")
     if ids.size == 0:
@@ -61,7 +48,9 @@ def _check_entries(ids: np.ndarray, values: np.ndarray, kind: str, what: str, em
         if np.any(np.diff(ids) <= 0):
             raise InvalidArgumentError(f"{kind} ids must be strictly increasing")
         raise InvalidArgumentError(f"{what} must be finite and positive")
-    return top
+    ids.setflags(write=False)
+    values.setflags(write=False)
+    return ids, values, top
 
 
 @dataclasses.dataclass(frozen=True)
@@ -238,20 +227,6 @@ def validate_topic_matrix(rows: np.ndarray) -> list[str]:
     return problems
 
 
-_NO_ENTRY = "proportion must have at least one entry"
-
-
-def _check_total(weights: np.ndarray, top: float) -> None:
-    """Refuse weights, with largest entry top, that sum away from one."""
-    if top <= 1.0:  # then the sum is at most the entry count: no overflow
-        total = weights.sum()
-    else:
-        with np.errstate(over="ignore"):  # finite weights can sum past the largest float
-            total = weights.sum()
-    if abs(total - 1.0) > SIMPLEX_TOL:
-        raise InvalidArgumentError(f"weights sum to {total:.12g}, not 1")
-
-
 @dataclasses.dataclass(frozen=True)
 class TopicProportion:
     """Sparse point on the topic simplex: strictly positive weights over a
@@ -261,23 +236,30 @@ class TopicProportion:
     weights: np.ndarray
 
     def __post_init__(self):
-        ids, w, top = _sparse_entries(self.topic_ids, self.weights, "topic", "weights", _NO_ENTRY)
-        _check_total(w, top)
+        self._take(self.topic_ids, self.weights)
+
+    def _take(self, ids, weights, adopt: bool = False) -> None:
+        ids, w, top = _sparse_entries(
+            ids, weights, "topic", "weights", "proportion must have at least one entry", adopt
+        )
+        if top <= 1.0:  # then the sum is at most the entry count: no overflow
+            total = w.sum()
+        else:
+            with np.errstate(over="ignore"):  # finite weights can sum past the largest float
+                total = w.sum()
+        if abs(total - 1.0) > SIMPLEX_TOL:
+            raise InvalidArgumentError(f"weights sum to {total:.12g}, not 1")
         object.__setattr__(self, "topic_ids", ids)
         object.__setattr__(self, "weights", w)
 
     @classmethod
     def _adopt(cls, ids: np.ndarray, weights: np.ndarray) -> "TopicProportion":
-        """A TopicProportion that takes over ids and weights without the
-        constructor's copies, after its checks.  For fw_solve's report:
-        ids is int64 and weights float64, both fresh arrays it keeps no
-        other reference to."""
-        _check_total(weights, _check_entries(ids, weights, "topic", "weights", _NO_ENTRY))
-        ids.setflags(write=False)
-        weights.setflags(write=False)
+        """A TopicProportion that takes over ids and weights, after the
+        constructor's checks, without its copies.  For fw_solve's report:
+        ids is int64 and weights float64, fresh arrays it keeps no other
+        reference to."""
         point = object.__new__(cls)
-        object.__setattr__(point, "topic_ids", ids)
-        object.__setattr__(point, "weights", weights)
+        point._take(ids, weights, adopt=True)
         return point
 
     @classmethod
