@@ -239,15 +239,15 @@ class TestTopicProportion:
         ([1, 1], [0.5, 0.5], "strictly increasing"),
         ([-1, 1], [0.5, 0.5], "negative topic id"),
         ([0, 1], [0.5, 0.25], "weights sum to 0.75, not 1"),
+        # the first failing check, in order, names the fault
+        ([3, -1], [np.nan, 0.5], "negative topic id"),
+        ([1, 0], [np.nan, 0.5], "strictly increasing"),
+        ([0, 1], [np.inf, 0.25], "finite and positive"),
         ([0, 1], [2.0, 3.0], "weights sum to 5, not 1"),
         ([0, 1], [1e308, 1e308], "weights sum to inf, not 1"),
         ([], [], "at least one entry"),
         ([0, 1], [1.0], "1-d and equal length"),
         ([[0, 1]], [[0.5, 0.5]], "1-d and equal length"),
-        # the first failing check, in order, names the fault
-        ([3, -1], [np.nan, 0.5], "negative topic id"),
-        ([1, 0], [np.nan, 0.5], "strictly increasing"),
-        ([0, 1], [np.inf, 0.25], "finite and positive"),
     ]
 
     @pytest.mark.parametrize("ids, weights, message", REJECTED)

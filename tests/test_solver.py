@@ -584,24 +584,29 @@ class TestSteppedPoint:
 class PointRecorder:
     """Delegates to an objective and records the bytes of every point it
     is valued at, by value or by a chord's g: the start, then the point
-    after each step."""
+    after each step.  buffers keeps the arrays themselves, each chord's
+    theta among them."""
 
     def __init__(self, inner):
         self.inner = inner
         self.points = []
+        self.buffers = []
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def value(self, theta):
         self.points.append(theta.tobytes())
+        self.buffers.append(theta)
         return self.inner.value(theta)
 
     def line_restriction(self, theta, s_ids, s_vals):
+        self.buffers.append(theta)
         g, dg = self.inner.line_restriction(theta, s_ids, s_vals)
 
         def recorded(a, point):
             self.points.append(point.tobytes())
+            self.buffers.append(point)
             return g(a, point)
 
         return recorded, dg
@@ -656,33 +661,20 @@ class TestZeroGainStep:
         assert trace[2].objective == trace[1].objective == report.objective
         assert report.iterations == 2
 
-    CASES = ("vertex start", "barycenter start", "ctm with caps", "lda-map")
-
-    @staticmethod
-    def instance(rng, case):
-        """(objective, config, caps) of one case; ctm solves within its
-        prior's own caps, exp(mean) of 0.25 to 0.6, which sum past 1."""
-        k = int(rng.integers(4, 9))
-        topics, doc = random_ml_instance(rng, k=k, v=40)
-        config = SolverConfig(rel_tol=1e-12, max_iters=60)
-        if case == "vertex start":
-            return ml_objective(doc, topics), config, None
-        if case == "barycenter start":
-            return ml_objective(doc, topics), dataclasses.replace(config, start="barycenter"), None
-        if case == "lda-map":
-            return lda_map_objective(doc, topics, 1.0 + 3.0 * rng.random(k)), config, None
-        a = rng.random((k, k))
-        prior = CtmPrior(a @ a.T + k * np.eye(k), mean=np.log(rng.uniform(0.25, 0.6, size=k)))
-        return ctm_full_objective(doc, topics, prior), config, None
+    # TestCarriedMixture's instances: ctm solves within its prior's caps.
+    CASES = ("best vertex", "barycenter", "ctm with a mean", "lda-map")
 
     @staticmethod
     def assert_prefix(f, config, caps, report, trace):
         """A solve that ended on a zero step at step s >= 2 has the bits of
         the same solve capped at s - 1, and then the record (s, f_prev,
-        nnz, lead, 0.0), lead being step s's target in a solve capped at s."""
+        nnz, lead, 0.0), lead being step s's target in a solve capped at s
+        whose step s is taken, not ended by a zero."""
         s = len(trace) - 1
         want, want_trace = fw_solve(f, dataclasses.replace(config, max_iters=s - 1), caps=caps)
-        _, longer = fw_solve(f, dataclasses.replace(config, max_iters=s), caps=caps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "line_search", lambda dg, **kwargs: line_search(dg, **kwargs) or 0.5)
+            _, longer = fw_solve(f, dataclasses.replace(config, max_iters=s), caps=caps)
         assert_same_records(trace[:s], want_trace)
         last = want_trace[-1]
         assert_same_records(trace[s:], [TraceRecord(s, last.objective, last.nnz, longer[s].vertex, 0.0)])
@@ -705,8 +697,8 @@ class TestZeroGainStep:
         rng = np.random.default_rng(161)
         ended = 0
         for _ in range(6):
-            f, config, caps = self.instance(rng, case)
-            s = int(rng.integers(2, 7))
+            make, config, caps = TestCarriedMixture.instance(rng, case)
+            f, s = make(), int(rng.integers(2, 7))
             calls.clear()
             monkeypatch.setattr(solver_module, "line_search", zero_at(s))
             report, trace = fw_solve(f, config, caps=caps)
@@ -746,7 +738,7 @@ class TestZeroGainStep:
         # neither, nor with each other.
         rng = np.random.default_rng(163)
         topics, doc = random_ml_instance(rng, k=8, v=40)
-        f = BufferRecorder(ml_objective(doc, topics))
+        f = PointRecorder(ml_objective(doc, topics))
         caps = np.full(8, 0.3) if capped else None
         report, trace = fw_solve(f, SolverConfig(rel_tol=1e-12), caps=caps)
         assert report.iterations >= 2 and len({id(b) for b in f.buffers}) == 2
@@ -756,32 +748,6 @@ class TestZeroGainStep:
         assert not np.shares_memory(ids, weights)
         for buffer in f.buffers:
             assert not np.shares_memory(ids, buffer) and not np.shares_memory(weights, buffer)
-
-
-class BufferRecorder:
-    """Delegates to an objective and keeps every array it is valued at or
-    steps from: the start, each chord's theta and each g's point."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.buffers = []
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def value(self, theta):
-        self.buffers.append(theta)
-        return self.inner.value(theta)
-
-    def line_restriction(self, theta, s_ids, s_vals):
-        self.buffers.append(theta)
-        g, dg = self.inner.line_restriction(theta, s_ids, s_vals)
-
-        def recorded(a, point):
-            self.buffers.append(point)
-            return g(a, point)
-
-        return recorded, dg
 
 
 class ChordRecorder:
