@@ -40,21 +40,23 @@ def folding_in(
 
     t0 = time.perf_counter()
     theta = np.full(k, 1.0 / k)
-    f_prev = objective.value(theta)
+    # Steps at a point form its mixture once, for its value and gradient.
+    steps = objective.steps(theta, -1)
+    f_prev = steps.value(theta)
     if not math.isfinite(f_prev):
         raise NumericFailureError(f"objective is {f_prev} at the start point")
     trace = [f_prev]
     iterations = 0
     for step in range(1, config.max_iters + 1):
-        # The gradient reads the mixture value() formed at theta.
-        theta_next = theta * objective.gradient(theta) / length
-        f_curr = objective.value(theta_next)
+        theta_next = theta * steps.gradient(theta) / length
+        steps_next = objective.steps(theta_next, -1)
+        f_curr = steps_next.value(theta_next)
         if not math.isfinite(f_curr):
             raise NumericFailureError(f"objective is {f_curr}")
         if f_curr < f_prev:
             # EM is monotone; a float dip means we are at the fixed point.
             break
-        theta = theta_next
+        theta, steps = theta_next, steps_next
         iterations = step
         trace.append(f_curr)
         done = converged(f_prev, f_curr, config.rel_tol)
@@ -84,7 +86,8 @@ def vb_infer(
     point estimate is gamma normalized, so the support is always dense.
 
     Returns (InferenceReport, gamma), gamma being the final Dirichlet
-    posterior parameters as a read-only array.
+    posterior parameters as a read-only array.  A NaN or infinite
+    objective at the point estimate raises NumericFailureError.
     """
     # Imported here so that importing the package loads numpy only.
     from scipy.special import digamma
@@ -116,10 +119,13 @@ def vb_infer(
         if change < config.rel_tol:
             break
     theta = gamma / gamma.sum()
+    value = objective.value(theta)
+    if not math.isfinite(value):
+        raise NumericFailureError(f"objective is {value}")
     report = InferenceReport(
         theta=TopicProportion.from_dense(theta),
         iterations=iterations,
-        objective=objective.value(theta),
+        objective=value,
         seconds=time.perf_counter() - t0,
     )
     gamma.setflags(write=False)

@@ -116,9 +116,15 @@ class Objective:
     thread takes its own restriction.
 
     An objective may also offer best_vertex(), the vertex where its value
-    is highest, as the likelihood does; read it with best_vertex.  Called as
-    methods, the likelihood memoizes its mixture at the last point
-    (MlObjective) and the priors form their point state (LogPenalty).
+    is highest, as the likelihood does; read it with best_vertex.  And it
+    may offer steps(theta, vertex), what fw_solve values and steps on from
+    theta (e_vertex when vertex >= 0): an object with value, gradient and
+    line_restriction that forms the point state at theta once and carries
+    the state each g forms to the next gradient and chord, as the
+    likelihood, both priors and their sums do; read it with solve_steps.
+    An object without steps, or with steps = None, is solved through its
+    own methods, so a subclass that overrides value, gradient or
+    line_restriction must override steps too, or set steps = None.
     """
 
     domain: str = FULL_SIMPLEX
@@ -154,19 +160,15 @@ class MlObjective(Objective):
     restricted to the terms present in the document.
 
     Along a chord the mixture is p0 + a * dp; with v = sqrt(d) * dp / (p0
-    + a * dp) the slope is sqrt(d) . v and the curvature -v . v.  g(a, point)
-    memoizes the chord's mixture for point, within a few ulps of point .
-    term_columns, unformed.  Threads share the memo, and only method calls
-    read it: fw_solve's carried steps neither read nor write it (solve_steps).
+    + a * dp) the slope is sqrt(d) . v and the curvature -v . v.  value,
+    gradient and line_restriction each form the mixture theta .
+    term_columns; steps carries it from step to step instead.
     """
 
     domain = FULL_SIMPLEX
     # term_columns in row-major order, read-only, built by the first chord to
     # a fill of several rows (only capped fills), whose strided gather is slow.
     _slab_rows = None
-    # The last mixture p at a point, read-only, keyed by the point's bytes (the
-    # solver reuses its point buffers) in one tuple, never paired with another p.
-    _memo = (None, None)
 
     def __init__(self, document: Document, topics: TopicMatrix):
         if int(document.term_ids[-1]) >= topics.vocab_size:
@@ -181,13 +183,7 @@ class MlObjective(Objective):
         self._sqrt_counts = np.sqrt(document.counts)
 
     def _mixture(self, theta) -> np.ndarray:
-        """The mixture at theta: the memo when theta's bytes match it, else
-        theta . term_columns, formed and memoized; read-only."""
-        theta = np.asarray(theta, dtype=np.float64)
-        key, p = self._memo
-        if theta.tobytes() != key:
-            self._keep(theta, p := theta @ self.term_columns)
-        return p
+        return np.asarray(theta, dtype=np.float64) @ self.term_columns
 
     def value(self, theta: np.ndarray) -> float:
         return float(self._counts.dot(np.log(self._mixture(theta)))) + 0.0
@@ -199,8 +195,7 @@ class MlObjective(Objective):
         """The lowest index k where value(e_k) is highest, found by a
         float32 screen of every vertex.  When the screen's error bound
         (above) leaves more than one vertex in reach of the top score, each
-        of them is valued again as value() computes it.  Writes no memo of
-        its own; the value loop's value() calls do."""
+        of them is valued again as value() computes it."""
         counts = self._counts
         n, c_max = counts.size, float(np.maximum.reduce(counts))
         m = n * _SCREEN_U
@@ -219,28 +214,50 @@ class MlObjective(Objective):
             best = int(candidates[np.argmax(values)])
         return best
 
-    def _chord(self, p0, s_ids, s_vals, v, keep):
-        """(g, dg) along the chord from the mixture p0 toward the target s:
-        g(a, point) hands keep(point, p) the mixture p it values, and dg
-        writes v as scratch."""
+    def steps(self, theta: np.ndarray, vertex: int):
+        return _CarriedMl(self, theta, vertex)
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        return _CarriedMl(self, theta, -1).line_restriction(theta, s_ids, s_vals)
+
+
+class _CarriedMl:
+    """The likelihood's steps from theta, or from e_vertex, whose slab row
+    has the bits of its mixture: g keeps the mixture it values for the next
+    gradient and chord, and one scratch vector serves the gradient and
+    every probe.  The mixture is the current point's only because a
+    rolled-back step ends the solve."""
+
+    def __init__(self, objective: MlObjective, theta: np.ndarray, vertex: int):
+        self._f, self._scratch = objective, np.empty(objective._counts.size)
+        self._state = np.array(objective.term_columns[vertex]) if vertex >= 0 else objective._mixture(theta)
+
+    def value(self, theta: np.ndarray) -> float:
+        return float(self._f._counts.dot(np.log(self._state))) + 0.0
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        f = self._f
+        return f.term_columns.dot(np.divide(f._counts, self._state, self._scratch))
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        f, p0, v = self._f, self._state, self._scratch
         if len(s_ids) == 1 and s_vals[0] == 1.0:
             # A vertex: 1.0 times its one slab row is that row, bit for bit.
-            ps = self.term_columns[s_ids[0]]
+            ps = f.term_columns[s_ids[0]]
         else:
-            rows = self._slab_rows  # threads that build it at once build equal copies
+            rows = f._slab_rows  # threads that build it at once build equal copies
             if rows is None:
-                rows = np.array(self.term_columns, order="C")
+                rows = np.array(f.term_columns, order="C")
                 rows.setflags(write=False)
-                self._slab_rows = rows
+                f._slab_rows = rows
             ps = s_vals.dot(rows.take(s_ids, axis=0))  # the bits of term_columns[s_ids, :]
         dp = ps - p0
-        counts, sqrt_counts = self._counts, self._sqrt_counts
+        counts, sqrt_counts = f._counts, f._sqrt_counts
         scaled = sqrt_counts * dp
 
         def g(a: float, point: np.ndarray | None = None) -> float:
             # The mixture from the nearer end, as dg forms it.
-            p = p0 + a * dp if a <= 0.5 else ps - (1.0 - a) * dp
-            keep(point, p)
+            self._state = p = p0 + a * dp if a <= 0.5 else ps - (1.0 - a) * dp
             return float(counts.dot(np.log(p))) + 0.0
 
         def dg(a: float) -> tuple[float, float]:
@@ -257,44 +274,6 @@ class MlObjective(Objective):
 
         return g, dg
 
-    def _keep(self, point, p) -> None:
-        if point is not None:
-            p.setflags(write=False)
-            self._memo = (point.tobytes(), p)
-
-    def line_restriction(self, theta, s_ids, s_vals):
-        return self._chord(self._mixture(theta), s_ids, s_vals, np.empty(self._counts.size), self._keep)
-
-
-class _Carried:
-    """Steps that carry the point state their g formed last (the mixture,
-    or a penalty's (y, dphi(y))) to the next gradient and chord, with no
-    memo read or written.  It is the current point's only because a
-    rolled-back step ends the solve."""
-
-    def _keep(self, point, state) -> None:
-        self._state = state
-
-
-class _CarriedMl(_Carried):
-    """fw_solve's steps on an MlObjective from theta, or from e_vertex, whose
-    slab row has the bits of its mixture: one scratch vector serves the
-    gradient and every probe."""
-
-    def __init__(self, objective: MlObjective, theta: np.ndarray, vertex: int):
-        self._f, self._scratch = objective, np.empty(objective._counts.size)
-        self._state = np.array(objective.term_columns[vertex]) if vertex >= 0 else theta @ objective.term_columns
-
-    def value(self, theta: np.ndarray) -> float:
-        return float(self._f._counts.dot(np.log(self._state))) + 0.0
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        f = self._f
-        return f.term_columns.dot(np.divide(f._counts, self._state, self._scratch))
-
-    def line_restriction(self, theta, s_ids, s_vals):
-        return self._f._chord(self._state, s_ids, s_vals, self._scratch, self._keep)
-
 
 class LogPenalty(Objective):
     """h(theta) = phi(y) for a concave phi of y = log theta - mean (mean
@@ -302,9 +281,9 @@ class LogPenalty(Objective):
     dphi(y) and the form d2phi(u) = u . phi'' u, phi'' constant for both
     priors.  The gradient is dphi(y) / theta; along a chord with direction
     d, at the point x and with u = d / x, the slope is dphi(y) . u and the
-    curvature d2phi(u) - dphi(y) . (u * u).  value, gradient and the
-    chord's probe at 0 form (y, dphi(y)) at each call; fw_solve carries it
-    from step to step instead (solve_steps).
+    curvature d2phi(u) - dphi(y) . (u * u).  value, gradient and
+    line_restriction each form (y, dphi(y)) at theta; steps carries it
+    from step to step instead.
     """
 
     domain = INTERIOR_ONLY
@@ -323,35 +302,57 @@ class LogPenalty(Objective):
         theta = np.asarray(theta, dtype=np.float64)
         return self._point_state(theta)[1] / theta
 
-    def _chord(self, base, state, s_ids, s_vals, scratch, keep):
-        """(g, dg) along the chord from base toward the target s: state()
-        is (y, dphi(y)) at base, read by the probe at 0 only; g(a, point)
-        hands keep(point, state) the state it values.  The five vectors of
-        scratch hold the target, the direction and dg's three."""
+    def steps(self, theta: np.ndarray, vertex: int):
+        return _CarriedPenalty(self, self._point_state(theta))
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        # With no state at theta the probe at 0 forms it, so a chord from
+        # a face is refused there only.
+        return _CarriedPenalty(self, None).line_restriction(np.asarray(theta, dtype=np.float64), s_ids, s_vals)
+
+
+class _CarriedPenalty:
+    """A log penalty's steps from the point whose (y, dphi(y)) is state: g
+    keeps the state it values for the next gradient and chord, and the
+    chord writes into five vectors owned for the solve.  The state is the
+    current point's only because a rolled-back step ends the solve."""
+
+    def __init__(self, penalty: LogPenalty, state):
+        self._f, self._state = penalty, state
+        self._scratch = tuple(np.empty(penalty.dim) for _ in range(5))
+
+    def value(self, theta: np.ndarray) -> float:
+        return self._f._phi(*self._state)
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        return self._state[1] / theta
+
+    def line_restriction(self, theta, s_ids, s_vals):
         # Scratch arrays, as dphi may return a stored array.  x is formed
-        # from two products: base + a * direction would keep only about
+        # from two products: theta + a * direction would keep only about
         # eps / (1 - a) relative precision where the target is 0.
-        target, direction, x, y, u = scratch
+        f, base, state = self._f, theta, self._state
+        target, direction, x, y, u = self._scratch
         target.fill(0.0)
         target[s_ids] = s_vals
         np.subtract(target, base, direction)
-        mean, dphi, d2phi = self.mean, self._dphi, self._d2phi
+        mean, dphi, d2phi = f.mean, f._dphi, f._d2phi
         lowest = float(np.minimum.reduce(base))
 
         def g(a: float, point: np.ndarray | None = None) -> float:
             point = (1.0 - a) * base + a * target if point is None else point
-            keep(point, point_state := self._point_state(point))
-            return self._phi(*point_state)
+            self._state = point_state = f._point_state(point)
+            return f._phi(*point_state)
 
         def dg(a: float) -> tuple[float, float]:
-            if a == 0.0:  # at base, whose state refuses a face
-                point, dphi_y = base, state()[1]
-            else:
+            if a == 0.0 and state is not None:  # at base, whose state the steps carry
+                point, dphi_y = base, state[1]
+            else:  # at 0 with no state: x = base, and a face is refused here
                 np.multiply(base, 1.0 - a, x)
                 np.multiply(target, a, y)
                 np.add(x, y, x)
                 if not lowest * (1.0 - a) > 0.0:  # else x >= that, as rounding is monotone
-                    _check_interior(x, self.dim)
+                    _check_interior(x, f.dim)
                 np.log(x, y)
                 if mean is not None:
                     np.subtract(y, mean, y)
@@ -361,11 +362,6 @@ class LogPenalty(Objective):
             return float(dphi_y.dot(u)) + 0.0, d2phi(u) - float(dphi_y.dot(x))
 
         return g, dg
-
-    def line_restriction(self, theta, s_ids, s_vals):
-        base = np.asarray(theta, dtype=np.float64)
-        scratch = tuple(np.empty(self.dim) for _ in range(5))
-        return self._chord(base, lambda: self._point_state(base), s_ids, s_vals, scratch, lambda *_: None)
 
 
 class DirichletLogPenalty(LogPenalty):
@@ -513,49 +509,27 @@ class PenalizedObjective(Objective):
 
         return g, dg
 
-
-class _CarriedPenalty(_Carried):
-    """fw_solve's steps on a Gaussian or Dirichlet log penalty: the chord
-    writes into vectors owned for the solve."""
-
-    def __init__(self, penalty: LogPenalty, theta: np.ndarray):
-        self._f, self._state = penalty, penalty._point_state(theta)
-        self._scratch = tuple(np.empty(penalty.dim) for _ in range(5))
-
-    def value(self, theta: np.ndarray) -> float:
-        return self._f._phi(*self._state)
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self._state[1] / theta
-
-    def line_restriction(self, theta, s_ids, s_vals):
-        state = self._state
-        return self._f._chord(theta, lambda: state, s_ids, s_vals, self._scratch, self._keep)
+    def steps(self, theta: np.ndarray, vertex: int):
+        return _CarriedSum(self, theta, vertex)
 
 
 class _CarriedSum:
-    """fw_solve's steps on a likelihood plus a log penalty: the sum's own
-    value, gradient and chord over both parts' carried steps."""
+    """A sum's steps: the sum's own value, gradient and chord over its
+    parts' steps."""
 
     value, gradient = PenalizedObjective.value, PenalizedObjective.gradient
     line_restriction = PenalizedObjective.line_restriction
 
-    def __init__(self, objective: PenalizedObjective, theta: np.ndarray):
-        self.base, self.penalty = _CarriedMl(objective.base, theta, -1), _CarriedPenalty(objective.penalty, theta)
+    def __init__(self, objective: PenalizedObjective, theta: np.ndarray, vertex: int):
+        self.base, self.penalty = (solve_steps(part, theta, vertex) for part in (objective.base, objective.penalty))
 
 
 def solve_steps(objective, theta: np.ndarray, vertex: int):
     """What fw_solve values and steps on from theta (e_vertex if vertex >=
-    0).  Only objectives of exactly the classes below get carried steps,
-    which form the start's state and read and write no memo; a subclass or
-    wrapper may override or intercept the methods, and is called through them."""
-    if type(objective) is MlObjective:
-        return _CarriedMl(objective, theta, vertex)
-    if type(objective) is PenalizedObjective and type(objective.base) is MlObjective and (
-        type(objective.penalty) in (GaussianLogPenalty, DirichletLogPenalty)
-    ):
-        return _CarriedSum(objective, theta)
-    return objective
+    0): the objective's own steps(theta, vertex) when it has them, the
+    objective itself otherwise."""
+    own = getattr(objective, "steps", None)
+    return own(theta, vertex) if own is not None else objective
 
 
 def ml_objective(document: Document, topics: TopicMatrix) -> MlObjective:

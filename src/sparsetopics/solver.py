@@ -300,8 +300,8 @@ def fw_solve(
             raise NumericFailureError(f"objective is {f_curr}")
         if f_curr < f_prev:
             # Float jitter produced a downhill step; keep the old point.  Equal
-            # values have converged, so this ends the solve (solve_steps
-            # relies on that).
+            # values have converged, so this ends the solve (carried steps
+            # rely on that).
             f_curr = f_prev
             alpha = 0.0
         else:

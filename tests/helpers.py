@@ -2,9 +2,11 @@
 and zoomed grid search over the simplex, a brute-force capped LP, the
 capped linear step as a loop, a bisection line search, the
 likelihood with its chord in the plain six-pass form and the log-normal
-penalty's Hessian; the objective values of a solver trace; and two
-wrappers that make fw_solve call an objective's methods; a bitwise
-comparison of two traces.
+penalty's Hessian; the objective values of a solver trace; two wrappers
+that forward an objective's attributes, its steps included, as the
+benchmark's tracing wrapper does, and a base for wrappers that intercept
+a solve's calls on an objective's steps; a bitwise comparison of two
+traces.
 
 Nothing in here calls the solvers under test.
 """
@@ -16,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from sparsetopics import CtmPrior, Document, TopicMatrix
-from sparsetopics.objectives import MlObjective, Objective, PenalizedObjective
+from sparsetopics.objectives import MlObjective, Objective, PenalizedObjective, solve_steps
 
 
 def finite_diff_gradient(f, x, h=1e-6):
@@ -294,9 +296,8 @@ def hooked(f, hook):
 
 
 class Forwarding:
-    """Forwards every attribute read to an objective, so fw_solve calls
-    its value, gradient, line_restriction and g, as for any object that
-    objectives.solve_steps does not carry."""
+    """Forwards every attribute read to an objective, steps included, so
+    fw_solve solves on the wrapped objective's own steps."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -308,7 +309,9 @@ class Forwarding:
 class Delegating(Objective):
     """Runs each method as the wrapped object's class function on this
     wrapper and forwards attribute reads, as the benchmark's tracing
-    wrapper does; a penalized objective's parts are wrapped too."""
+    wrapper does; a penalized objective's parts are wrapped too.  Objective
+    defines no steps, so the read of steps is forwarded too, and fw_solve
+    solves on the wrapped objective's own steps."""
 
     def __init__(self, inner):
         self._inner, self._cls = inner, type(inner)
@@ -329,6 +332,24 @@ class Delegating(Objective):
         return self._cls.line_restriction(self, theta, s_ids, s_vals)
 
 
+class Intercepting:
+    """Base of a test wrapper that intercepts some of an objective's
+    value, gradient and line_restriction, calling them on self.inner, and
+    forwards every other attribute read to it.  Its steps() is a copy of
+    the wrapper whose inner is the objective's own steps (the objective
+    itself when it has none), so each call of a carried solve passes
+    through the interceptions.  The copy starts with the wrapper's
+    attributes: lists are shared, and numbers it rebinds are its own."""
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def steps(self, theta, vertex):
+        on_steps = object.__new__(type(self))
+        on_steps.__dict__.update(self.__dict__, inner=solve_steps(self.inner, theta, vertex))
+        return on_steps
+
+
 def random_prior(rng, k, with_mean):
     """A CtmPrior with a random non-negative SPD precision, and a random
     mean when with_mean."""
@@ -339,7 +360,10 @@ def random_prior(rng, k, with_mean):
 class PlainChordMl(MlObjective):
     """The likelihood with its chord in the plain form, six passes a probe:
     w = dp / (p0 + a * dp), slope counts . w and curvature -counts . w**2.
-    A reference for the rearranged chord of MlObjective."""
+    A reference for the rearranged chord of MlObjective, which fw_solve
+    calls through the methods, as it has no steps."""
+
+    steps = None
 
     def line_restriction(self, theta, s_ids, s_vals):
         g, _ = super().line_restriction(theta, s_ids, s_vals)

@@ -115,6 +115,15 @@ class TestFoldingIn:
 
 
 class TestVbInfer:
+    def test_an_objective_past_the_largest_float_is_a_numeric_failure(self):
+        # The point estimate [0.5, 0.5] values to -inf: refused, as
+        # folding_in and fw_solve refuse a non-finite objective.
+        topics = TopicMatrix(np.array([[1e-10, 1.0 - 1e-10], [1e-10, 1.0 - 1e-10]]))
+        doc = Document(np.array([0]), np.array([1e308]))
+        with np.errstate(all="ignore"):  # the overflow is the point here
+            with pytest.raises(NumericFailureError, match="objective is -inf"):
+                vb_infer(doc, topics, alpha=1.0)
+
     def test_symmetric_document_fixed_point(self):
         # identical columns keep phi uniform, so gamma stays at
         # alpha + |d| / K = (3, 3) and the loop stops immediately

@@ -290,6 +290,18 @@ class TestEval:
         assert f"error: {message.removeprefix('--')}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_vb_objective_past_the_largest_float_is_an_error(self, tmp_path, capsys):
+        # Both topics put 1e-10 on the one term, counted 1e308 times, so vb's
+        # point estimate values to -inf: exit status 2, no perplexity.
+        model, corpus = tmp_path / "vb.model.txt", tmp_path / "big.docword.txt"
+        model.write_text("sparsetopics-model 1\n2 2\n1e-10 0.9999999999\n1e-10 0.9999999999\n")
+        corpus.write_text("1\n2\n1\n1 1 1e308\n")
+        with np.errstate(all="ignore"):
+            rc = main(["eval", "--corpus", str(corpus), "--model", str(model), "--methods", "vb"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "error: objective is -inf" in err and out == ""
+
     def test_alpha_with_vb_is_used(self, workdir, capsys):
         rc = main(["eval", *corpus_args(workdir), "--methods", "vb", "--alpha", "2"])
         assert rc == 0

@@ -50,6 +50,7 @@ from helpers import (
     interior_point,
     random_ml_instance,
     random_prior,
+    replay_trace,
 )
 
 
@@ -480,8 +481,10 @@ def evaluations(f, theta, s_ids, s_vals):
 
 
 class TestMixtureMemo:
-    """MlObjective remembers its last theta . term_columns; every result
-    must be the one a fresh objective gives."""
+    """The likelihood's mixture theta . term_columns: MlObjective forms it
+    at each call and keeps none between calls, and a solve's steps carry
+    it from step to step; every result must be the one a fresh objective
+    gives."""
 
     def instance(self, seed):
         rng = np.random.default_rng(seed)
@@ -497,7 +500,7 @@ class TestMixtureMemo:
             for theta in thetas + thetas[::-1]:
                 cold = evaluations(MlObjective(doc, topics), theta, s_ids, s_vals)
                 assert evaluations(warm, theta, s_ids, s_vals) == cold
-                # and again with the memo holding exactly this theta
+                # and again right after a call at exactly this theta
                 assert evaluations(warm, theta.copy(), s_ids, s_vals) == cold
 
     def test_in_place_mutation_is_seen(self):
@@ -557,21 +560,6 @@ class TestMixtureMemo:
         curvature = dg(0.0)[1]
         assert curvature == 0.0 and math.copysign(1.0, curvature) == 1.0
 
-    def test_cached_mixture_is_read_only(self):
-        doc, topics, (a, _, _) = self.instance(4)
-        f = MlObjective(doc, topics)
-        f.value(a)
-        with pytest.raises(ValueError):
-            f._memo[1][0] = 1.0
-        # and so is a chord's mixture, kept for the chord point
-        g, _ = f.line_restriction(a, np.array([0]), np.array([1.0]))
-        point = a * 0.25
-        point[0] += 0.75
-        g(0.75, point)
-        assert f._memo[0] == point.tobytes()
-        with pytest.raises(ValueError):
-            f._memo[1][0] = 1.0
-
     def test_reused_objective_solves_identically(self):
         rng = np.random.default_rng(21)
         config = SolverConfig(rel_tol=1e-12)
@@ -610,7 +598,7 @@ class TestMixtureMemo:
             worker.join(10)
         assert not worker.is_alive()
         assert seen == {"a": MlObjective(doc, topics).value(a), "b": fresh_b}
-        # the memo the two threads left behind answers for both points
+        # and the shared objective still answers for both points
         assert evaluations(shared, b, s_ids, s_vals) == fresh_b
         assert evaluations(shared, a, s_ids, s_vals) == fresh_a
 
@@ -664,44 +652,13 @@ class TestMixtureMemo:
         rng = np.random.default_rng(k)
         for _ in range(3):
             topics, doc = random_ml_instance(rng, k=k, v=300)
-            f = MlObjective(doc, topics)
-            # Through the methods: a carried solve writes no memo.
-            report, _ = fw_solve(Forwarding(f), config=SolverConfig(rel_tol=1e-12))
-            key, p = f._memo
-            exact = np.frombuffer(key) @ f.term_columns
+            f, made = MlObjective(doc, topics), []
+            f.steps = lambda theta, vertex: made.append(MlObjective.steps(f, theta, vertex)) or made[-1]
+            report, trace = fw_solve(f, config=SolverConfig(rel_tol=1e-12))
+            [steps] = made
+            exact = replay_trace(k, trace)[-1] @ f.term_columns
             assert report.iterations > 1
-            assert np.all(np.abs(p - exact) <= 8 * report.iterations * np.finfo(float).eps * exact)
-
-    @pytest.mark.parametrize("case", ["best vertex", "barycenter", "ctm", "lda-map"])
-    def test_a_carried_solve_neither_reads_nor_writes_the_memo(self, case):
-        # The memo holds a mixture 1e-9 off at the start point: a solve
-        # that read it would not repeat a fresh objective's, and one that
-        # wrote the memo would leave another entry.
-        rng = np.random.default_rng(31)
-        config = SolverConfig(rel_tol=1e-12, start="barycenter" if case == "barycenter" else None)
-        for _ in range(5):
-            k = int(rng.integers(2, 12))
-            topics, doc = random_ml_instance(rng, k=k, v=40)
-            alpha = 1.0 + rng.random(k)
-            prior = CtmPrior(random_prior(rng, k, with_mean=False).precision, mean=np.full(k, math.log(0.6)))
-
-            def make():
-                if case == "ctm":
-                    return ctm_full_objective(doc, topics, prior)
-                return lda_map_objective(doc, topics, alpha) if case == "lda-map" else MlObjective(doc, topics)
-
-            want, want_trace = fw_solve(make(), config)
-            f = make()
-            likelihood = f if case in ("best vertex", "barycenter") else f.base
-            start = np.eye(k)[want_trace[0].vertex] if case == "best vertex" else np.full(k, 1.0 / k)
-            if case == "ctm":
-                start = ctm_caps(prior) / ctm_caps(prior).sum()
-            wrong = (start @ likelihood.term_columns) * (1.0 + 1e-9)
-            likelihood._keep(start, wrong)
-            report, trace = fw_solve(f, config)
-            read = repr(trace) != repr(want_trace) or report.theta.weights.tobytes() != want.theta.weights.tobytes()
-            assert not read, "the solve read the memo"
-            assert likelihood._mixture(start) is wrong, "the solve wrote the memo"
+            assert np.all(np.abs(steps._state - exact) <= 8 * report.iterations * np.finfo(float).eps * exact)
 
     def test_threads_solving_on_one_objective_get_the_bits_of_a_solo_solve(self):
         # Which mixture a point holds depends on the solve that reached it,
@@ -738,6 +695,50 @@ class TestMixtureMemo:
         assert not any(t.is_alive() for t in workers)
         assert solo.iterations > 10
         assert got == {i: expected for i in range(4)}
+
+
+class TestNoPointState:
+    """No objective holds per-point state: value, gradient, a chord's g and
+    dg, and solves leave every attribute of it, and of a sum's parts, as
+    it was (the likelihood's read-only row-major slab, built once by a
+    capped chord, aside), and warm calls then give a fresh objective's
+    bits."""
+
+    @staticmethod
+    def snapshot(f):
+        parts = [f] + [getattr(f, name) for name in ("base", "penalty") if hasattr(f, name)]
+        return [
+            {name: (id(v), v.tobytes() if isinstance(v, np.ndarray) else None)
+             for name, v in vars(part).items() if name != "_slab_rows"}
+            for part in parts
+        ]
+
+    @pytest.mark.parametrize("family", ["likelihood", "dirichlet", "gaussian", "ctm", "lda-map"])
+    def test_calls_and_solves_write_nothing(self, family):
+        rng = np.random.default_rng(171)
+        k = 8
+        topics, doc = random_ml_instance(rng, k=k, v=40)
+        prior = CtmPrior(random_prior(rng, k, with_mean=False).precision, mean=np.full(k, math.log(0.3)))
+        alpha = 1.0 + rng.random(k)
+        make = {
+            "likelihood": lambda: MlObjective(doc, topics),
+            "dirichlet": lambda: DirichletLogPenalty(alpha),
+            "gaussian": lambda: GaussianLogPenalty(prior),
+            "ctm": lambda: ctm_full_objective(doc, topics, prior),
+            "lda-map": lambda: lda_map_objective(doc, topics, alpha),
+        }[family]
+        f = make()
+        before = self.snapshot(f)
+        thetas = [interior_point(rng, k) for _ in range(3)]
+        # a dense target, so that the interior-only families take g(1.0)
+        s_ids, s_vals = np.arange(k), rng.dirichlet(np.ones(k))
+        for theta in thetas:
+            evaluations(f, theta, s_ids, s_vals)
+        for caps in (None, np.full(k, 0.3)):
+            assert fw_solve(f, SolverConfig(rel_tol=1e-12), caps=caps)[0].iterations > 1
+        assert self.snapshot(f) == before
+        for theta in thetas:
+            assert evaluations(f, theta, s_ids, s_vals) == evaluations(make(), theta, s_ids, s_vals)
 
 
 

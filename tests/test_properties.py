@@ -33,7 +33,7 @@ from sparsetopics import (
 )
 from sparsetopics.core import EPS_BETA, SIMPLEX_TOL
 from sparsetopics.corpus_io import _ROWS_PER_PARSE, sidecar_path
-from sparsetopics.objectives import MlObjective, solve_steps
+from sparsetopics.objectives import solve_steps
 
 from helpers import objectives
 
@@ -159,11 +159,13 @@ class TestBestVertex:
         k = topics.num_topics
         loop = [ml_objective(doc, topics).value(np.eye(k)[i]) for i in range(k)]
         f = ml_objective(doc, topics)
+        attributes = {name: id(v) for name, v in vars(f).items()}
         winner = f.best_vertex()
         assert winner == int(np.argmax(loop))
-        # with no memo written: the carried steps take the winner's row as
-        # the mixture value() forms at e_k, and the start's value from it
-        assert f._memo is MlObjective._memo
+        # with nothing written on the objective: the carried steps take the
+        # winner's row as the mixture value() forms at e_k, and the start's
+        # value from it
+        assert {name: id(v) for name, v in vars(f).items()} == attributes
         steps = solve_steps(f, np.eye(k)[winner], winner)
         assert steps._state.tobytes() == (np.eye(k)[winner] @ f.term_columns).tobytes()
         assert steps.value(np.eye(k)[winner]) == loop[winner]
