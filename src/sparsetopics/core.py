@@ -55,13 +55,20 @@ def _sparse_entries(ids, values, kind: str, what: str, empty: str, adopt: bool =
 
 @dataclasses.dataclass(frozen=True)
 class Vocabulary:
-    """Ordered collection of distinct term strings; ids are positions."""
+    """Ordered collection of distinct term strings; ids are positions.  A
+    term is what a vocabulary file's line reads back as: non-empty, with
+    no leading or trailing whitespace and no line break."""
 
     terms: tuple[str, ...]
 
     def __post_init__(self):
         if not self.terms:
             raise InvalidArgumentError("vocabulary must contain at least one term")
+        for i, term in enumerate(self.terms):
+            if not term or term != term.strip() or "\n" in term or "\r" in term:
+                raise InvalidArgumentError(
+                    f"vocabulary term {i} is empty, has leading or trailing whitespace or a line break: {term!r}"
+                )
         if len(set(self.terms)) != len(self.terms):
             raise InvalidArgumentError("vocabulary terms must be distinct")
 

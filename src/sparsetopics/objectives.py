@@ -4,7 +4,7 @@ Three families share one interface: plain document log-likelihood, the
 same likelihood with a Dirichlet log-prior (alpha >= 1 only), and the
 log-normal penalty used for correlated-topic inference (entrywise
 non-negative precisions only).  Both priors are a concave function of
-log theta, interior only, with one value, gradient and chord
+log theta, interior only, with one value, gradient and steps
 (LogPenalty); alpha = 1 is no prior, so lda-map is then the likelihood.
 Values are maximized; every objective reports whether it is defined on
 the whole simplex or only on its interior.  A step's products use
@@ -94,37 +94,22 @@ def _value_argmax(objective) -> int:
 class Objective:
     """Interface: concave scalar function on the simplex with a gradient.
 
-    An objective that cannot certify concavity sets the attribute
-    concave = False, and fw_solve refuses it; read the flag with
-    is_concave.  One certified only on a capped simplex {theta <= caps}
-    sets the attribute caps, and fw_solve solves over that region.
+    One that cannot certify concavity sets concave = False, and fw_solve
+    refuses it (read the flag with is_concave); one certified only on a
+    capped simplex {theta <= caps} sets caps, and fw_solve solves there.
+    It may offer best_vertex(), read with best_vertex.
 
-    line_restriction returns (g, dg) for a |-> f((1-a) * theta + a * s), s a
-    sparse target point: its value g(a, point) and dg(a) = (slope,
-    curvature), its first two derivatives, from which the solver's line
-    search takes Newton steps.  point, when given, is the chord point at a
-    as the solver's step forms it: theta * (1 - a), then a * s
-    added on s's support.  The default builds the chord point explicitly
-    and reports curvature 0.0, meaning unknown, so the search bisects; the
-    likelihood, both priors and their sums override it with exact
-    curvatures.  fw_solve takes g(0, theta) to be the value that reached
-    theta (value at the start, g after a step), as it is bit for bit for
-    every objective here: a step whose line search returns 0 ends the solve
-    on that value without calling g, so an objective whose g(0, theta)
-    differs ends there too.  A dg may own scratch arrays, so one
-    restriction's dg must not be called from two threads at once; each
-    thread takes its own restriction.
-
-    An objective may also offer best_vertex(), the vertex where its value
-    is highest, as the likelihood does; read it with best_vertex.  And it
-    may offer steps(theta, vertex), what fw_solve values and steps on from
-    theta (e_vertex when vertex >= 0): an object with value, gradient and
-    line_restriction that forms the point state at theta once and carries
-    the state each g forms to the next gradient and chord, as the
-    likelihood, both priors and their sums do; read it with solve_steps.
-    An object without steps, or with steps = None, is solved through its
-    own methods, so a subclass that overrides value, gradient or
-    line_restriction must override steps too, or set steps = None.
+    A family is solved on its steps(theta, vertex), which form the point
+    state at theta (e_vertex when vertex >= 0) once; a subclass changes
+    the family's math by overriding steps.  The steps' value, gradient and
+    line_restriction(theta, s_ids, s_vals) -> (g, dg) carry the state each
+    g forms to the next gradient and chord.  g(a, point) is the value at
+    the point a along the chord from theta to the sparse target s, formed
+    by the solver's step, and g(0, theta) is the value that reached theta:
+    a zero step ends the solve there without calling g.  dg(a) is (slope, curvature), the
+    curvature 0.0 when unknown (the line search then bisects).  A dg owns
+    scratch arrays, so each thread takes its own steps.  An object without
+    steps is solved through its own value, gradient and line_restriction.
     """
 
     domain: str = FULL_SIMPLEX
@@ -136,33 +121,15 @@ class Objective:
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def line_restriction(self, theta, s_ids, s_vals):
-        base = np.asarray(theta, dtype=np.float64)
-        direction = -base.copy()
-        direction[s_ids] += s_vals
-
-        def chord_point(a: float) -> np.ndarray:
-            x = (1.0 - a) * base
-            x[s_ids] += a * s_vals
-            return x
-
-        def g(a: float, point: np.ndarray | None = None) -> float:
-            return self.value(chord_point(a) if point is None else point)
-
-        def dg(a: float) -> tuple[float, float]:
-            return float(direction.dot(self.gradient(chord_point(a)))) + 0.0, 0.0
-
-        return g, dg
-
 
 class MlObjective(Objective):
     """Document log-likelihood f(theta) = sum_j d_j log(theta . beta_:j),
     restricted to the terms present in the document.
 
     Along a chord the mixture is p0 + a * dp; with v = sqrt(d) * dp / (p0
-    + a * dp) the slope is sqrt(d) . v and the curvature -v . v.  value,
-    gradient and line_restriction each form the mixture theta .
-    term_columns; steps carries it from step to step instead.
+    + a * dp) the slope is sqrt(d) . v and the curvature -v . v.  value
+    and gradient each run on fresh steps, which form the mixture theta .
+    term_columns; a solve's steps carry it from step to step.
     """
 
     domain = FULL_SIMPLEX
@@ -182,14 +149,11 @@ class MlObjective(Objective):
         self._counts = document.counts
         self._sqrt_counts = np.sqrt(document.counts)
 
-    def _mixture(self, theta) -> np.ndarray:
-        return np.asarray(theta, dtype=np.float64) @ self.term_columns
-
     def value(self, theta: np.ndarray) -> float:
-        return float(self._counts.dot(np.log(self._mixture(theta)))) + 0.0
+        return _CarriedMl(self, theta, -1).value(theta)
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self.term_columns.dot(self._counts / self._mixture(theta))
+        return _CarriedMl(self, theta, -1).gradient(theta)
 
     def best_vertex(self) -> int:
         """The lowest index k where value(e_k) is highest, found by a
@@ -217,9 +181,6 @@ class MlObjective(Objective):
     def steps(self, theta: np.ndarray, vertex: int):
         return _CarriedMl(self, theta, vertex)
 
-    def line_restriction(self, theta, s_ids, s_vals):
-        return _CarriedMl(self, theta, -1).line_restriction(theta, s_ids, s_vals)
-
 
 class _CarriedMl:
     """The likelihood's steps from theta, or from e_vertex, whose slab row
@@ -230,7 +191,10 @@ class _CarriedMl:
 
     def __init__(self, objective: MlObjective, theta: np.ndarray, vertex: int):
         self._f, self._scratch = objective, np.empty(objective._counts.size)
-        self._state = np.array(objective.term_columns[vertex]) if vertex >= 0 else objective._mixture(theta)
+        if vertex >= 0:
+            self._state = np.array(objective.term_columns[vertex])
+        else:
+            self._state = np.asarray(theta, dtype=np.float64) @ objective.term_columns
 
     def value(self, theta: np.ndarray) -> float:
         return float(self._f._counts.dot(np.log(self._state))) + 0.0
@@ -255,7 +219,7 @@ class _CarriedMl:
         counts, sqrt_counts = f._counts, f._sqrt_counts
         scaled = sqrt_counts * dp
 
-        def g(a: float, point: np.ndarray | None = None) -> float:
+        def g(a: float, point: np.ndarray) -> float:
             # The mixture from the nearer end, as dg forms it.
             self._state = p = p0 + a * dp if a <= 0.5 else ps - (1.0 - a) * dp
             return float(counts.dot(np.log(p))) + 0.0
@@ -281,9 +245,8 @@ class LogPenalty(Objective):
     dphi(y) and the form d2phi(u) = u . phi'' u, phi'' constant for both
     priors.  The gradient is dphi(y) / theta; along a chord with direction
     d, at the point x and with u = d / x, the slope is dphi(y) . u and the
-    curvature d2phi(u) - dphi(y) . (u * u).  value, gradient and
-    line_restriction each form (y, dphi(y)) at theta; steps carries it
-    from step to step instead.
+    curvature d2phi(u) - dphi(y) . (u * u).  value and gradient each form
+    (y, dphi(y)) at theta; a solve's steps carry it from step to step.
     """
 
     domain = INTERIOR_ONLY
@@ -303,22 +266,18 @@ class LogPenalty(Objective):
         return self._point_state(theta)[1] / theta
 
     def steps(self, theta: np.ndarray, vertex: int):
-        return _CarriedPenalty(self, self._point_state(theta))
-
-    def line_restriction(self, theta, s_ids, s_vals):
-        # With no state at theta the probe at 0 forms it, so a chord from
-        # a face is refused there only.
-        return _CarriedPenalty(self, None).line_restriction(np.asarray(theta, dtype=np.float64), s_ids, s_vals)
+        return _CarriedPenalty(self, theta)
 
 
 class _CarriedPenalty:
-    """A log penalty's steps from the point whose (y, dphi(y)) is state: g
-    keeps the state it values for the next gradient and chord, and the
-    chord writes into five vectors owned for the solve.  The state is the
-    current point's only because a rolled-back step ends the solve."""
+    """A log penalty's steps from theta, whose (y, dphi(y)) is formed, so a
+    point off the interior is refused: g keeps the state it values for the
+    next gradient and chord, and the chord writes into five vectors owned
+    for the solve.  The state is the current point's only because a
+    rolled-back step ends the solve."""
 
-    def __init__(self, penalty: LogPenalty, state):
-        self._f, self._state = penalty, state
+    def __init__(self, penalty: LogPenalty, theta: np.ndarray):
+        self._f, self._state = penalty, penalty._point_state(theta)
         self._scratch = tuple(np.empty(penalty.dim) for _ in range(5))
 
     def value(self, theta: np.ndarray) -> float:
@@ -339,15 +298,14 @@ class _CarriedPenalty:
         mean, dphi, d2phi = f.mean, f._dphi, f._d2phi
         lowest = float(np.minimum.reduce(base))
 
-        def g(a: float, point: np.ndarray | None = None) -> float:
-            point = (1.0 - a) * base + a * target if point is None else point
+        def g(a: float, point: np.ndarray) -> float:
             self._state = point_state = f._point_state(point)
             return f._phi(*point_state)
 
         def dg(a: float) -> tuple[float, float]:
-            if a == 0.0 and state is not None:  # at base, whose state the steps carry
+            if a == 0.0:  # at base, whose state the steps carry
                 point, dphi_y = base, state[1]
-            else:  # at 0 with no state: x = base, and a face is refused here
+            else:
                 np.multiply(base, 1.0 - a, x)
                 np.multiply(target, a, y)
                 np.add(x, y, x)
@@ -496,11 +454,24 @@ class PenalizedObjective(Objective):
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return self.base.gradient(theta) + self.penalty.gradient(theta)
 
+    def steps(self, theta: np.ndarray, vertex: int):
+        return _CarriedSum(self, theta, vertex)
+
+
+class _CarriedSum:
+    """A sum's steps: the sum's value, gradient and chord over its parts'
+    steps (a part without steps is used as it is)."""
+
+    value, gradient = PenalizedObjective.value, PenalizedObjective.gradient
+
+    def __init__(self, objective: PenalizedObjective, theta: np.ndarray, vertex: int):
+        self.base, self.penalty = (solve_steps(part, theta, vertex) for part in (objective.base, objective.penalty))
+
     def line_restriction(self, theta, s_ids, s_vals):
         g1, dg1 = self.base.line_restriction(theta, s_ids, s_vals)
         g2, dg2 = self.penalty.line_restriction(theta, s_ids, s_vals)
 
-        def g(a: float, point: np.ndarray | None = None) -> float:
+        def g(a: float, point: np.ndarray) -> float:
             return g1(a, point) + g2(a, point)
 
         def dg(a: float) -> tuple[float, float]:
@@ -508,20 +479,6 @@ class PenalizedObjective(Objective):
             return slope1 + slope2, curvature1 + curvature2
 
         return g, dg
-
-    def steps(self, theta: np.ndarray, vertex: int):
-        return _CarriedSum(self, theta, vertex)
-
-
-class _CarriedSum:
-    """A sum's steps: the sum's own value, gradient and chord over its
-    parts' steps."""
-
-    value, gradient = PenalizedObjective.value, PenalizedObjective.gradient
-    line_restriction = PenalizedObjective.line_restriction
-
-    def __init__(self, objective: PenalizedObjective, theta: np.ndarray, vertex: int):
-        self.base, self.penalty = (solve_steps(part, theta, vertex) for part in (objective.base, objective.penalty))
 
 
 def solve_steps(objective, theta: np.ndarray, vertex: int):

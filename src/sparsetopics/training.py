@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import Corpus, Document, SolverConfig, TopicMatrix, Vocabulary, converged, sum_left_to_right
+from .core import SIMPLEX_TOL, Corpus, Document, SolverConfig, TopicMatrix, Vocabulary, converged, sum_left_to_right
 from .errors import InvalidArgumentError, InvalidConfigError
 from .objectives import MlObjective
 from .solver import fw_solve
@@ -114,6 +114,14 @@ class SyntheticData:
     proportions: np.ndarray
 
 
+def _dirichlet(rng, concentration: float, dim: int, rows: int, name: str) -> np.ndarray:
+    # Gamma draws that overflow leave a row of zeros, or NaN, off the simplex.
+    draws = rng.dirichlet(np.full(dim, concentration), size=rows)
+    if not np.all(np.abs(draws.sum(axis=1) - 1.0) <= SIMPLEX_TOL):
+        raise InvalidArgumentError(f"{name} = {concentration:g} is too large: a Dirichlet draw overflows")
+    return draws
+
+
 def generate_synthetic_corpus(
     num_topics: int,
     vocab_size: int,
@@ -133,10 +141,8 @@ def generate_synthetic_corpus(
     if not (0 < doc_alpha < np.inf) or not (0 < topic_concentration < np.inf):
         raise InvalidArgumentError("Dirichlet concentrations must be finite and positive")
     rng = np.random.default_rng(seed)
-    beta = TopicMatrix.normalized(
-        rng.dirichlet(np.full(vocab_size, topic_concentration), size=num_topics)
-    )
-    proportions = rng.dirichlet(np.full(num_topics, doc_alpha), size=num_docs)
+    beta = TopicMatrix.normalized(_dirichlet(rng, topic_concentration, vocab_size, num_topics, "topic_concentration"))
+    proportions = _dirichlet(rng, doc_alpha, num_topics, num_docs, "doc_alpha")
     docs = []
     for m in range(num_docs):
         mixture = proportions[m] @ beta.rows

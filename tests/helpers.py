@@ -1,12 +1,13 @@
 """Independent oracles used by the tests: finite differences, exhaustive
 and zoomed grid search over the simplex, a brute-force capped LP, the
 capped linear step as a loop, a bisection line search, the
-likelihood with its chord in the plain six-pass form and the log-normal
-penalty's Hessian; the objective values of a solver trace; two wrappers
-that forward an objective's attributes, its steps included, as the
-benchmark's tracing wrapper does, and a base for wrappers that intercept
-a solve's calls on an objective's steps; a bitwise comparison of two
-traces.
+likelihood with its chord in the plain six-pass form, the dense default
+chord and the log-normal penalty's Hessian; the objective values of a
+solver trace; two wrappers that forward an objective's attributes, its
+steps included, as the benchmark's tracing wrapper does, one that solves
+an objective through its methods, with no steps, and a base for wrappers
+that intercept a solve's calls on an objective's steps; a bitwise
+comparison of two traces.
 
 Nothing in here calls the solvers under test.
 """
@@ -311,7 +312,8 @@ class Delegating(Objective):
     wrapper and forwards attribute reads, as the benchmark's tracing
     wrapper does; a penalized objective's parts are wrapped too.  Objective
     defines no steps, so the read of steps is forwarded too, and fw_solve
-    solves on the wrapped objective's own steps."""
+    solves on the wrapped objective's own steps; line_restriction serves
+    a wrapped object without steps."""
 
     def __init__(self, inner):
         self._inner, self._cls = inner, type(inner)
@@ -332,6 +334,31 @@ class Delegating(Objective):
         return self._cls.line_restriction(self, theta, s_ids, s_vals)
 
 
+class Stateless:
+    """An objective with no steps: its value, gradient and chord each come
+    from the objective's steps(theta, -1) at the theta they are called
+    on, which form the point state afresh, and every other attribute read
+    is forwarded.  fw_solve solves it through these methods, as any object
+    without steps."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        if name == "steps":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+    def value(self, theta):
+        return self.inner.steps(theta, -1).value(theta)
+
+    def gradient(self, theta):
+        return self.inner.steps(theta, -1).gradient(theta)
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        return self.inner.steps(theta, -1).line_restriction(theta, s_ids, s_vals)
+
+
 class Intercepting:
     """Base of a test wrapper that intercepts some of an objective's
     value, gradient and line_restriction, calling them on self.inner, and
@@ -350,6 +377,29 @@ class Intercepting:
         return on_steps
 
 
+def dense_chord(f, theta, s_ids, s_vals):
+    """(g, dg) of f along the chord from theta to the sparse target s, from
+    f's value and gradient at the chord point, formed densely: theta *
+    (1 - a), then a * s added on s's support.  g(a) forms that point when
+    it is not handed one; dg reports curvature 0.0, unknown."""
+    base = np.asarray(theta, dtype=np.float64)
+    direction = -base.copy()
+    direction[s_ids] += s_vals
+
+    def chord_point(a: float) -> np.ndarray:
+        x = (1.0 - a) * base
+        x[s_ids] += a * s_vals
+        return x
+
+    def g(a: float, point: np.ndarray | None = None) -> float:
+        return f.value(chord_point(a) if point is None else point)
+
+    def dg(a: float) -> tuple[float, float]:
+        return float(direction.dot(f.gradient(chord_point(a)))) + 0.0, 0.0
+
+    return g, dg
+
+
 def random_prior(rng, k, with_mean):
     """A CtmPrior with a random non-negative SPD precision, and a random
     mean when with_mean."""
@@ -357,17 +407,18 @@ def random_prior(rng, k, with_mean):
     return CtmPrior(a @ a.T + np.eye(k), mean=rng.normal(size=k) if with_mean else None)
 
 
-class PlainChordMl(MlObjective):
+class PlainChordMl(Stateless):
     """The likelihood with its chord in the plain form, six passes a probe:
     w = dp / (p0 + a * dp), slope counts . w and curvature -counts . w**2.
-    A reference for the rearranged chord of MlObjective, which fw_solve
-    calls through the methods, as it has no steps."""
+    A reference for the rearranged chord of the likelihood's steps; it has
+    no steps, so fw_solve calls its methods."""
 
-    steps = None
+    def __init__(self, document, topics):
+        super().__init__(MlObjective(document, topics))
 
     def line_restriction(self, theta, s_ids, s_vals):
         g, _ = super().line_restriction(theta, s_ids, s_vals)
-        p0 = self._mixture(theta)
+        p0 = theta @ self.term_columns
         dp = s_vals @ self.term_columns[s_ids, :] - p0
         counts = self._counts
         w = np.empty_like(dp)

@@ -32,6 +32,18 @@ class TestVocabulary:
         with pytest.raises(InvalidArgumentError):
             Vocabulary(())
 
+    @pytest.mark.parametrize("terms, index", [
+        (("a", ""), 1),
+        (("a", "b ", " b"), 1),
+        (("\tb", "a"), 0),
+        (("a", "x\ny"), 1),
+        (("a", "b", "x\ry"), 2),
+    ])
+    def test_rejects_a_term_a_vocabulary_file_cannot_hold(self, terms, index):
+        # a file's lines read back stripped, and end at \n, \r\n or \r
+        with pytest.raises(InvalidArgumentError, match=f"^vocabulary term {index} "):
+            Vocabulary(terms)
+
 
 class TestDocument:
     def test_from_pairs_sorts(self):

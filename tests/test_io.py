@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sparsetopics import (
     Corpus,
@@ -410,6 +413,28 @@ def test_save_uci_bow_round_trip(tmp_path):
     for a, b in zip(loaded.documents, docs):
         assert np.array_equal(a.term_ids, b.term_ids)
         assert np.array_equal(a.counts, b.counts)
+
+
+# A letter, up to three characters of any kind, then a letter or nothing.
+VOCAB_TERMS = st.tuples(
+    st.sampled_from("ab"),
+    st.text(st.sampled_from(["a", " ", "\t", "\n", "\r", *LINE_BREAKS_OF_SPLITLINES]), max_size=3),
+    st.sampled_from(["", "a", "b"]),
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(VOCAB_TERMS, min_size=1, max_size=4, unique=True))
+def test_an_accepted_vocabulary_reads_back_equal(terms):
+    try:
+        vocab = Vocabulary(tuple(terms))
+    except InvalidArgumentError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        vpath = Path(tmp) / "vocab.txt"
+        save_vocab(vpath, vocab)
+        bow = write(Path(tmp) / "bow.txt", f"1\n{vocab.size}\n1\n1 1 1\n")
+        assert load_uci_bow(bow, vpath).vocabulary == vocab
 
 
 def count_parses(monkeypatch):

@@ -30,7 +30,6 @@ from sparsetopics.objectives import (
     DirichletLogPenalty,
     GaussianLogPenalty,
     MlObjective,
-    Objective,
     PenalizedObjective,
     _CarriedMl,
     is_concave,
@@ -44,6 +43,7 @@ from helpers import (
     Forwarding,
     assert_same_records,
     ctm_penalty_hessian,
+    dense_chord,
     finite_diff_gradient,
     finite_diff_hessian,
     hooked,
@@ -52,6 +52,11 @@ from helpers import (
     random_prior,
     replay_trace,
 )
+
+
+def own_chord(f, theta, s_ids, s_vals):
+    """(g, dg) of f's own chord from theta: the chord of its steps there."""
+    return f.steps(theta, -1).line_restriction(theta, s_ids, s_vals)
 
 
 def two_topic_instance():
@@ -343,9 +348,9 @@ class TestCtmObjectives:
         theta = np.array([0.3, 0.7])
         assert f.value(theta) == base.value(theta) + penalty.value(theta)
         assert np.array_equal(f.gradient(theta), base.gradient(theta) + penalty.gradient(theta))
-        _, dg = f.line_restriction(theta, np.array([0]), np.array([1.0]))
-        _, dg1 = base.line_restriction(theta, np.array([0]), np.array([1.0]))
-        _, dg2 = penalty.line_restriction(theta, np.array([0]), np.array([1.0]))
+        _, dg = own_chord(f, theta, np.array([0]), np.array([1.0]))
+        _, dg1 = own_chord(base, theta, np.array([0]), np.array([1.0]))
+        _, dg2 = own_chord(penalty, theta, np.array([0]), np.array([1.0]))
         (s1, c1), (s2, c2) = dg1(0.25), dg2(0.25)
         assert dg(0.25) == (s1 + s2, c1 + c2)
 
@@ -446,11 +451,11 @@ def test_line_restriction_matches_direct_evaluation():
     theta = np.array([0.6, 0.4])
     vertex_ids = np.array([1])
     vertex_vals = np.array([1.0])
-    g, dg = f.line_restriction(theta, vertex_ids, vertex_vals)
+    g, dg = own_chord(f, theta, vertex_ids, vertex_vals)
     for alpha in (0.0, 0.1, 0.5, 0.9):
         point = (1.0 - alpha) * theta
         point[vertex_ids] = point[vertex_ids] + alpha * vertex_vals
-        assert g(alpha) == pytest.approx(f.value(point), abs=1e-10)
+        assert g(alpha, point) == pytest.approx(f.value(point), abs=1e-10)
         point = (1.0 - alpha) * theta.copy()
         point[vertex_ids] += alpha * vertex_vals
         direction = -theta.copy()
@@ -462,25 +467,29 @@ def test_ml_line_restriction_uses_cached_columns():
     doc, topics = two_topic_instance()
     f = MlObjective(doc, topics)
     theta = np.array([0.5, 0.5])
-    g, dg = f.line_restriction(theta, np.array([0]), np.array([1.0]))
+    g, dg = own_chord(f, theta, np.array([0]), np.array([1.0]))
     probe = np.array([0.75, 0.25])
-    assert g(0.5) == pytest.approx(f.value(probe), abs=1e-12)
+    assert g(0.5, probe) == pytest.approx(f.value(probe), abs=1e-12)
     assert dg is not None
 
 
 def evaluations(f, theta, s_ids, s_vals):
-    """Everything the solver reads from f at theta, as bytes."""
-    g, dg = f.line_restriction(theta, s_ids, s_vals)
+    """Everything the solver reads from f at theta, as bytes; g's point is
+    formed as a step forms it."""
+    g, dg = own_chord(f, theta, s_ids, s_vals)
     probes = (0.0, 0.25, 0.5, 1.0)
+    points = [theta * (1.0 - a) for a in probes]
+    for a, point in zip(probes, points):
+        point[s_ids] += a * s_vals
     return (
         np.float64(f.value(theta)).tobytes(),
         f.gradient(theta).tobytes(),
-        np.array([g(a) for a in probes]).tobytes(),
+        np.array([g(a, point) for a, point in zip(probes, points)]).tobytes(),
         np.array([dg(a) for a in probes]).tobytes(),
     )
 
 
-class TestMixtureMemo:
+class TestMixtureFormedPerCall:
     """The likelihood's mixture theta . term_columns: MlObjective forms it
     at each call and keeps none between calls, and a solve's steps carry
     it from step to step; every result must be the one a fresh objective
@@ -523,8 +532,8 @@ class TestMixtureMemo:
         topics = TopicMatrix(np.array([[0.75, 0.25], [0.9, 0.1]]))
         f = MlObjective(Document(np.array([0]), np.array([5e-324])), topics)
         theta = np.array([0.0, 1.0])
-        g, dg = f.line_restriction(theta, np.array([0]), np.array([1.0]))
-        for value in (f.value(theta), g(0.0), dg(0.0)[0]):
+        g, dg = own_chord(f, theta, np.array([0]), np.array([1.0]))
+        for value in (f.value(theta), g(0.0, theta), dg(0.0)[0]):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     @pytest.mark.parametrize("family", ["likelihood", "dirichlet", "gaussian", "likelihood-plus-dirichlet"])
@@ -533,7 +542,7 @@ class TestMixtureMemo:
         # product is -0.0: an underflowed count * log p or slope term, or a
         # zero lambda or dphi(y) times a negative or zero factor.  As @
         # would, value, g and the slope of the objective's own chord and of
-        # the default chord return +0.0; ndarray.dot alone keeps the -0.0.
+        # the dense chord return +0.0; ndarray.dot alone keeps the -0.0.
         topics = TopicMatrix(np.array([[0.75, 0.25]]))
         ml = MlObjective(Document(np.array([0]), np.array([5e-324])), topics)
         theta, s_vals = np.array([0.9]), np.array([0.75])
@@ -547,16 +556,16 @@ class TestMixtureMemo:
         else:
             f = PenalizedObjective(ml, DirichletLogPenalty(np.ones(1)))
         values = [f.value(theta)]
-        for restriction in (f.line_restriction, lambda *a: Objective.line_restriction(f, *a)):
-            g, dg = restriction(theta, np.array([0]), s_vals)
-            values += [g(0.0), dg(0.0)[0]]
+        for restriction in (own_chord, dense_chord):
+            g, dg = restriction(f, theta, np.array([0]), s_vals)
+            values += [g(0.0, theta), dg(0.0)[0]]
         assert [(v, math.copysign(1.0, v)) for v in values] == [(0.0, 1.0)] * 5
 
     def test_gaussian_curvature_of_an_underflowed_form_reads_plus_zero(self):
         # u . (phi'' u) underflows to -0.0 and dphi(y) . (u * u) to +0.0, so
         # the curvature is +0.0 only when d2phi reads -0.0 as +0.0, as @ does
         pen = GaussianLogPenalty(CtmPrior(np.array([[1e-300]]), mean=np.zeros(1)))
-        _, dg = pen.line_restriction(np.array([0.5]), np.array([0]), np.array([0.5 + 5e-14]))
+        _, dg = own_chord(pen, np.array([0.5]), np.array([0]), np.array([0.5 + 5e-14]))
         curvature = dg(0.0)[1]
         assert curvature == 0.0 and math.copysign(1.0, curvature) == 1.0
 
@@ -785,7 +794,7 @@ def plain_penalty_chord(pen, theta, s_ids, s_vals, a):
 class TestChordBitwise:
     """The line-search chords work in scratch arrays on rearranged
     formulas; each gives the plain formula's slope and curvature to
-    rounding and the default chord's value bit for bit."""
+    rounding and the dense chord's value bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_ml_dg_matches_plain_formula(self, n):
@@ -798,7 +807,7 @@ class TestChordBitwise:
             p0 = theta @ f.term_columns
             ps = s_vals @ f.term_columns[s_ids, :]
             dp = ps - p0
-            _, dg = f.line_restriction(theta, s_ids, s_vals)
+            _, dg = own_chord(f, theta, s_ids, s_vals)
             for a in CHORD_PROBES + (1.0,) + tuple(rng.random(5)):
                 w = dp / (p0 + a * dp)
                 slope, curvature = dg(a)
@@ -807,17 +816,19 @@ class TestChordBitwise:
 
     @pytest.mark.parametrize("with_mean", [False, True])
     @pytest.mark.parametrize("n", [1, 3])
-    def test_gaussian_chord_matches_default(self, with_mean, n):
+    def test_gaussian_chord_matches_dense(self, with_mean, n):
         rng = np.random.default_rng(47 + n + 10 * with_mean)
         for _ in range(20):
             k = int(rng.integers(n + 1, 9))
             pen = GaussianLogPenalty(random_prior(rng, k, with_mean))
             theta = interior_point(rng, k)
             s_ids, s_vals = random_target(rng, k, n)
-            g, dg = pen.line_restriction(theta, s_ids, s_vals)
-            g0, dg0 = Objective.line_restriction(pen, theta, s_ids, s_vals)
+            g, dg = own_chord(pen, theta, s_ids, s_vals)
+            g0, dg0 = dense_chord(pen, theta, s_ids, s_vals)
+            target = np.zeros(k)
+            target[s_ids] = s_vals
             for a in CHORD_PROBES + tuple(rng.random(5)):
-                assert bits(g(a)) == bits(g0(a))
+                assert bits(g(a, (1.0 - a) * theta + a * target)) == bits(g0(a))
                 slope_terms, curvature_terms = plain_penalty_chord(pen, theta, s_ids, s_vals, a)
                 slope, curvature = dg(a)
                 assert_sum_close(slope, slope_terms, dg0(a)[0])
@@ -828,12 +839,14 @@ class TestChordBitwise:
                     chord(1.0)
 
     def test_gaussian_chord_refuses_a_zero_start_coordinate(self):
+        # the steps form the state at theta, so they refuse it at once
         pen = GaussianLogPenalty(CtmPrior(np.eye(3), mean=np.zeros(3)))
         theta = np.array([0.5, 0.5, 0.0])
-        for restriction in (pen.line_restriction, lambda *a: Objective.line_restriction(pen, *a)):
-            _, dg = restriction(theta, np.array([1]), np.ones(1))
-            with pytest.raises(DomainViolationError):
-                dg(0.0)
+        with pytest.raises(DomainViolationError):
+            pen.steps(theta, -1)
+        _, dg = dense_chord(pen, theta, np.array([1]), np.ones(1))
+        with pytest.raises(DomainViolationError):
+            dg(0.0)
 
     def objectives(self, rng):
         topics, doc = random_ml_instance(rng, k=6, v=30)
@@ -848,9 +861,9 @@ class TestChordBitwise:
         for name, make in self.objectives(rng).items():
             chords = [(interior_point(rng, 6), *random_target(rng, 6, n)) for n in (1, 3)]
             expected = [[dg(a) for a in CHORD_PROBES] for dg in
-                        (make().line_restriction(*c)[1] for c in chords)]
+                        (own_chord(make(), *c)[1] for c in chords)]
             shared = make()
-            live = [shared.line_restriction(*c)[1] for c in chords]
+            live = [own_chord(shared, *c)[1] for c in chords]
             got = [[], []]
             for a in CHORD_PROBES:
                 for i, dg in enumerate(live):
@@ -862,14 +875,14 @@ class TestChordBitwise:
         for name, make in self.objectives(rng).items():
             chords = [(interior_point(rng, 6), *random_target(rng, 6, 1 + i % 3)) for i in range(4)]
             probes = rng.random(50)
-            expected = [np.array([make().line_restriction(*c)[1](a) for a in probes]).tobytes() for c in chords]
+            expected = [np.array([own_chord(make(), *c)[1](a) for a in probes]).tobytes() for c in chords]
             shared = make()
             got = {}
 
             def work(i):
                 out = []
                 for _ in range(20):
-                    dg = shared.line_restriction(*chords[i])[1]
+                    dg = own_chord(shared, *chords[i])[1]
                     out.append(np.array([dg(a) for a in probes]).tobytes())
                 got[i] = out
 
@@ -890,8 +903,8 @@ class TestChordBitwise:
 def counted_products(pen, monkeypatch) -> list:
     """Counts pen's dphi(y) products at a point of its own, leaving out
     those at the line search's probes past 0, which form their own point.
-    fw_solve's line_search is patched to tell the probes apart, as a
-    carried solve never calls pen's line_restriction."""
+    fw_solve's line_search is patched to tell the probes apart, as they
+    reach pen only through its steps' chord."""
     products, probing = [], [False]
     dphi, search = pen._dphi, solver_module.line_search
 
@@ -913,10 +926,10 @@ def counted_products(pen, monkeypatch) -> list:
 
 
 class TestPenaltyState:
-    """A log-space penalty keeps no memo: value, gradient and the chord's
-    probe at 0 each form (y, dphi(y)) at their own theta, and must give
-    what the plain expressions give, bit for bit.  The carried steps form
-    it once at the start and once a step."""
+    """A log-space penalty keeps no memo: value, gradient and steps each
+    form (y, dphi(y)) at their own theta, the steps' chord reads it at 0,
+    and all must give what the plain expressions give, bit for bit.  The
+    carried steps form it once at the start and once a step."""
 
     @staticmethod
     def ctm(rng, k, with_mean=True):
@@ -949,7 +962,7 @@ class TestPenaltyState:
                     (dphi_y / theta).tobytes(),
                     np.array([float(dphi_y.dot(u)) + 0.0, pen._d2phi(u) - float(dphi_y.dot(u * u))]).tobytes(),
                 ]
-                _, dg = pen.line_restriction(theta, s_ids, s_vals)
+                _, dg = own_chord(pen, theta, s_ids, s_vals)
                 # the chord at 0 first, then value and gradient, then the chord again
                 assert np.array(dg(0.0)).tobytes() == expected[2]
                 got = [bits(pen.value(theta)), pen.gradient(theta).tobytes(), np.array(dg(0.0)).tobytes()]
@@ -963,7 +976,7 @@ class TestPenaltyState:
 
         def at(f, theta):
             return (bits(f.value(theta)), f.gradient(theta).tobytes(),
-                    np.array(f.line_restriction(theta, s_ids, s_vals)[1](0.0)).tobytes())
+                    np.array(own_chord(f, theta, s_ids, s_vals)[1](0.0)).tobytes())
 
         expected = [at(GaussianLogPenalty(pen.prior), t) for t in thetas]
         mismatches = []
@@ -1096,8 +1109,8 @@ class TestChordPrecision:
             (tiny, 0, (1e-12, 1e-9, 1e-6, 1e-3, 0.25, 0.5)),
         ]
         for theta, target, probes in chords:
-            p0, ps = f._mixture(theta), f.term_columns[target]
-            _, dg = f.line_restriction(theta, np.array([target]), np.ones(1))
+            p0, ps = theta @ f.term_columns, f.term_columns[target]
+            _, dg = own_chord(f, theta, np.array([target]), np.ones(1))
             for a in probes:
                 for got, terms in zip(dg(a), self.exact(doc.counts, p0, ps, a)):
                     error = abs(Fraction(got) - sum(terms)) / sum(map(abs, terms))
@@ -1125,7 +1138,7 @@ class TestChordCurvature:
         for _ in range(20):
             topics, doc = random_ml_instance(rng, k=int(rng.integers(max(n, 2), 9)), v=30)
             f = MlObjective(doc, topics)
-            self.check(f.line_restriction(interior_point(rng, f.dim), *random_target(rng, f.dim, n))[1], rng)
+            self.check(own_chord(f, interior_point(rng, f.dim), *random_target(rng, f.dim, n))[1], rng)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_dirichlet(self, n):
@@ -1135,10 +1148,10 @@ class TestChordCurvature:
             pen = DirichletLogPenalty(np.full(k, 2.0))
             theta = interior_point(rng, k)
             s_ids, s_vals = random_target(rng, k, n)
-            dg = pen.line_restriction(theta, s_ids, s_vals)[1]
+            dg = own_chord(pen, theta, s_ids, s_vals)[1]
             self.check(dg, rng)
-            # the slope is the default chord's, to rounding
-            _, dg0 = Objective.line_restriction(pen, theta, s_ids, s_vals)
+            # the slope is the dense chord's, to rounding
+            _, dg0 = dense_chord(pen, theta, s_ids, s_vals)
             for a in CHORD_PROBES:
                 slope_terms, _ = plain_penalty_chord(pen, theta, s_ids, s_vals, a)
                 assert_sum_close(dg(a)[0], slope_terms, dg0(a)[0])
@@ -1151,8 +1164,7 @@ class TestChordCurvature:
         pen = DirichletLogPenalty(np.ones(3))
         assert pen.domain == INTERIOR_ONLY
         face = np.array([0.5, 0.5, 0.0])
-        chord = pen.line_restriction(face, np.array([2]), np.ones(1))[1]
-        for call in (pen.value, pen.gradient, lambda theta: chord(0.0)):
+        for call in (pen.value, pen.gradient, lambda theta: pen.steps(theta, -1)):
             with pytest.raises(DomainViolationError):
                 call(face)
 
@@ -1167,15 +1179,15 @@ class TestChordCurvature:
             # where the penalty is concave
             prior = CtmPrior(a @ a.T + np.eye(k), mean=rng.random(k) if with_mean else None)
             pen = GaussianLogPenalty(prior)
-            self.check(pen.line_restriction(interior_point(rng, k), *random_target(rng, k, n))[1], rng)
+            self.check(own_chord(pen, interior_point(rng, k), *random_target(rng, k, n))[1], rng)
 
-    def test_default_reports_unknown_curvature(self):
+    def test_dense_chord_reports_unknown_curvature(self):
         rng = np.random.default_rng(73)
         topics, doc = random_ml_instance(rng, k=5, v=20)
         f = MlObjective(doc, topics)
         theta = interior_point(rng, 5)
-        _, dg = Objective.line_restriction(f, theta, np.array([1, 3]), np.array([0.25, 0.75]))
-        _, own = f.line_restriction(theta, np.array([1, 3]), np.array([0.25, 0.75]))
+        _, dg = dense_chord(f, theta, np.array([1, 3]), np.array([0.25, 0.75]))
+        _, own = own_chord(f, theta, np.array([1, 3]), np.array([0.25, 0.75]))
         for a in CHORD_PROBES:
             assert dg(a)[1] == 0.0
             assert dg(a)[0] == pytest.approx(own(a)[0], rel=1e-12)
@@ -1192,7 +1204,7 @@ class TestChordCurvature:
             for base, penalty in parts:
                 f = PenalizedObjective(base, penalty)
                 chord = (interior_point(rng, 6), *random_target(rng, 6, 2))
-                dg, dg1, dg2 = (part.line_restriction(*chord)[1] for part in (f, base, penalty))
+                dg, dg1, dg2 = (own_chord(part, *chord)[1] for part in (f, base, penalty))
                 for a in CHORD_PROBES:
                     (s1, c1), (s2, c2) = dg1(a), dg2(a)
                     slope, curvature = dg(a)
@@ -1218,7 +1230,7 @@ class TestChordCurvature:
             prior = CtmPrior(m @ m.T + np.eye(k), mean=rng.random(k) if family == "ctm-mean" else None)
             f = ctm_full_objective(doc, topics, prior)
         s_ids, s_vals = random_target(rng, k, min(n, k))
-        slope, curvature = f.line_restriction(interior_point(rng, k), s_ids, s_vals)[1](a)
+        slope, curvature = own_chord(f, interior_point(rng, k), s_ids, s_vals)[1](a)
         assert math.isfinite(slope)
         assert curvature <= 0.0
 
@@ -1237,21 +1249,23 @@ class TestCappedGather:
         ids = np.sort(rng.choice(40, size=int(rng.integers(1, 41)), replace=False)).astype(np.int64)
         f = MlObjective(Document(ids, rng.integers(1, 10, size=ids.size).astype(np.float64)), topics)
         s_ids, s_vals = random_target(rng, k, 2 + int(share * (k - 2)))
-        g, _ = f.line_restriction(interior_point(rng, k), s_ids, s_vals)
+        g, _ = own_chord(f, interior_point(rng, k), s_ids, s_vals)
         column_major = s_vals.dot(f.term_columns[s_ids, :])
         assert s_vals.dot(f._slab_rows.take(s_ids, axis=0)).tobytes() == column_major.tobytes()
         # g at 1 reads the target's mixture unchanged
-        assert bits(g(1.0)) == bits(float(f._counts.dot(np.log(column_major))) + 0.0)
+        target = np.zeros(k)
+        target[s_ids] = s_vals
+        assert bits(g(1.0, target)) == bits(float(f._counts.dot(np.log(column_major))) + 0.0)
 
     def test_built_once_read_only_and_equal_to_the_slab(self):
         rng = np.random.default_rng(61)
         topics, doc = random_ml_instance(rng, k=12, v=50)
         f = MlObjective(doc, topics)
-        f.line_restriction(interior_point(rng, 12), *random_target(rng, 12, 3))
+        own_chord(f, interior_point(rng, 12), *random_target(rng, 12, 3))
         rows = f._slab_rows
         assert rows.flags.c_contiguous and not rows.flags.writeable
         assert rows.tobytes() == np.ascontiguousarray(f.term_columns).tobytes()
-        f.line_restriction(interior_point(rng, 12), *random_target(rng, 12, 5))
+        own_chord(f, interior_point(rng, 12), *random_target(rng, 12, 5))
         assert f._slab_rows is rows
 
     def test_only_capped_fills_build_it(self):
@@ -1260,7 +1274,7 @@ class TestCappedGather:
         uncapped, cap_one, vertex = (MlObjective(doc, topics) for _ in range(3))
         fw_solve(uncapped)
         fw_solve(cap_one, caps=np.ones(8))
-        vertex.line_restriction(interior_point(rng, 8), np.array([3]), np.ones(1))
+        own_chord(vertex, interior_point(rng, 8), np.array([3]), np.ones(1))
         assert [f._slab_rows for f in (uncapped, cap_one, vertex)] == [None] * 3
         prior = CtmPrior(np.eye(8), mean=np.full(8, math.log(0.3)))
         capped = ctm_full_objective(doc, topics, prior)
@@ -1271,7 +1285,8 @@ class TestCappedGather:
 class TestInteriorShortcut:
     """A log-space chord skips a probe's interior check when lowest(theta)
     * (1 - a) is positive; it refuses exactly the probes whose chord point
-    has a coordinate that is not positive, as the full check does."""
+    has a coordinate that is not positive, as the full check does.  Steps
+    from a face are refused before any chord."""
 
     PROBES = (1e-300, 1e-9, 0.5, 1.0 - 1e-9, 1.0)
 
@@ -1280,11 +1295,12 @@ class TestInteriorShortcut:
         GaussianLogPenalty(CtmPrior(np.eye(4) + 0.5, mean=np.full(4, -1.0))),
     ], ids=["dirichlet", "gaussian"])
     def test_refuses_where_the_full_check_does(self, penalty):
+        with pytest.raises(DomainViolationError):
+            penalty.steps(np.array([0.0, 0.5, 0.25, 0.25]), -1)  # on a face
         bases = [
             np.array([5e-324, 0.4, 0.3, 0.3]),  # the smallest weight subnormal
             np.array([1e-310, 0.5, 0.25, 0.25]),
             np.array([0.1, 0.2, 0.3, 0.4]),
-            np.array([0.0, 0.5, 0.25, 0.25]),  # on a face
         ]
         targets = [(np.array([1]), np.ones(1)), (np.array([0, 2]), np.array([0.5, 0.5]))]
         refusals = 0
@@ -1292,7 +1308,7 @@ class TestInteriorShortcut:
             for s_ids, s_vals in targets:
                 target = np.zeros(4)
                 target[s_ids] = s_vals
-                _, dg = penalty.line_restriction(base, s_ids, s_vals)
+                _, dg = own_chord(penalty, base, s_ids, s_vals)
                 for a in self.PROBES:
                     point = base * (1.0 - a) + target * a
                     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -1302,7 +1318,7 @@ class TestInteriorShortcut:
                             refusals += 1
                             with pytest.raises(DomainViolationError):
                                 dg(a)
-        assert refusals > 8
+        assert refusals == 8
 
 
 class TestNanRefused:
@@ -1313,13 +1329,12 @@ class TestNanRefused:
         DirichletLogPenalty(np.full(3, 2.0)),
         GaussianLogPenalty(CtmPrior(np.eye(3))),
     ], ids=["dirichlet", "gaussian"])
-    def test_value_gradient_and_chord(self, penalty):
+    def test_value_gradient_and_steps(self, penalty):
         point = np.array([np.nan, 0.5, 0.5])
         calls = [
             lambda: penalty.value(point),
             lambda: penalty.gradient(point),
-            lambda: penalty.line_restriction(point, np.array([1]), np.ones(1))[1](0.5),
-            lambda: penalty.line_restriction(point, np.array([1]), np.ones(1))[1](0.0),
+            lambda: penalty.steps(point, -1),
         ]
         for call in calls:
             with pytest.raises(DomainViolationError, match="NaN"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,15 @@ class TestGenerateSyntheticCorpus:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidArgumentError):
             generate_synthetic_corpus(**kwargs)
+
+    @pytest.mark.parametrize("name", ["doc_alpha", "topic_concentration"])
+    def test_refuses_a_concentration_whose_draw_overflows(self, name):
+        # numpy's gamma draws overflow and leave a row of zeros (NaN on some
+        # versions); the refusal names the parameter, with no warning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidArgumentError, match=f"^{name} = 1e\\+308 is too large"):
+                generate_synthetic_corpus(2, 3, 1, 5, **{name: 1e308})
 
     def test_true_model_beats_uniform(self):
         from sparsetopics import evaluate_inference
