@@ -306,14 +306,21 @@ class SolverConfig:
     start: str | None = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if _integer(self.max_iters, "max_iters") < 1:
             raise InvalidConfigError("max_iters must be at least 1")
         if not (0 < self.rel_tol < np.inf):
             raise InvalidConfigError("rel_tol must be finite and positive")
-        if self.max_nnz is not None and self.max_nnz < 1:
+        if self.max_nnz is not None and _integer(self.max_nnz, "max_nnz") < 1:
             raise InvalidConfigError("max_nnz must be at least 1 when set")
         if self.start is not None and self.start not in _STARTS:
             raise InvalidConfigError(f"start must be None or one of {_STARTS}")
+
+
+def _integer(value, what: str, error=InvalidConfigError) -> int:
+    try:
+        return operator.index(value)  # ints, numpy's too, and nothing else
+    except TypeError:
+        raise error(f"{what} must be an integer, not {value!r}") from None
 
 
 def converged(previous: float, current: float, tol: float) -> bool:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import folding_in, vb_infer
-from .core import Corpus, Document, InferenceReport, SolverConfig, TopicMatrix, sum_left_to_right
+from .core import Corpus, Document, InferenceReport, SolverConfig, TopicMatrix, _integer, sum_left_to_right
 from .errors import InvalidArgumentError
 from .objectives import MlObjective
 from .solver import fw_solve
@@ -139,9 +139,9 @@ def compare_methods(
 
 
 def check_caps(caps: Sequence[int]) -> list[int]:
-    """The caps as ints; refuses (InvalidArgumentError) none, one below 1,
-    and a series that is not strictly increasing."""
-    caps = [int(c) for c in caps]
+    """The caps as ints; refuses (InvalidArgumentError) none, a non-integer,
+    one below 1, and a series that is not strictly increasing."""
+    caps = [_integer(c, "each cap", InvalidArgumentError) for c in caps]
     if not caps or any(c < 1 for c in caps):
         raise InvalidArgumentError("caps must be positive integers")
     if any(b <= a for a, b in zip(caps, caps[1:])):

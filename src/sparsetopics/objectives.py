@@ -4,8 +4,8 @@ Three families share one interface: plain document log-likelihood, the
 same likelihood with a Dirichlet log-prior (alpha >= 1 only), and the
 log-normal penalty used for correlated-topic inference (entrywise
 non-negative precisions only).  Both priors are a concave function of
-log theta, interior only, with one value, gradient and steps
-(LogPenalty); alpha = 1 is no prior, so lda-map is then the likelihood.
+log theta, interior only, with one set of steps (LogPenalty); alpha = 1
+is no prior, so lda-map is then the likelihood.
 Values are maximized; every objective reports whether it is defined on
 the whole simplex or only on its interior.  A step's products use
 ndarray.dot, cheaper than @; a scalar one adds + 0.0, as dot keeps a lone
@@ -71,9 +71,9 @@ _SCREEN_L = -math.log(EPS_BETA)
 
 def best_vertex(objective) -> int:
     """The lowest index k at which the objective's value at the vertex e_k
-    is highest: its own best_vertex() when it has one, the argmax of one
-    value() call per vertex otherwise.  Both refuse an objective that is
-    NaN or infinite at a vertex with NumericFailureError."""
+    is highest: its own best_vertex() when it has one, the argmax of the
+    value of each vertex's steps otherwise.  Both refuse an objective that
+    is NaN or infinite at a vertex with NumericFailureError."""
     own = getattr(objective, "best_vertex", None)
     return own() if own is not None else _value_argmax(objective)
 
@@ -84,7 +84,7 @@ def _value_argmax(objective) -> int:
     with np.errstate(over="ignore"):  # an overflow is refused below
         for i in range(objective.dim):
             basis[i] = 1.0
-            values[i] = objective.value(basis)
+            values[i] = solve_steps(objective, basis, i).value(basis)
             basis[i] = 0.0
     if not np.all(np.isfinite(values)):
         raise NumericFailureError("objective is NaN or infinite at a vertex")
@@ -99,27 +99,32 @@ class Objective:
     capped simplex {theta <= caps} sets caps, and fw_solve solves there.
     It may offer best_vertex(), read with best_vertex.
 
-    A family is solved on its steps(theta, vertex), which form the point
-    state at theta (e_vertex when vertex >= 0) once; a subclass changes
-    the family's math by overriding steps.  The steps' value, gradient and
-    line_restriction(theta, s_ids, s_vals) -> (g, dg) carry the state each
-    g forms to the next gradient and chord.  g(a, point) is the value at
-    the point a along the chord from theta to the sparse target s, formed
-    by the solver's step, and g(0, theta) is the value that reached theta:
-    a zero step ends the solve there without calling g.  dg(a) is (slope, curvature), the
-    curvature 0.0 when unknown (the line search then bisects).  A dg owns
-    scratch arrays, so each thread takes its own steps.  An object without
-    steps is solved through its own value, gradient and line_restriction.
+    A family's formulas live in its steps(theta, vertex), which form the
+    point state at theta (e_vertex when vertex >= 0) once: fw_solve steps
+    on them and value and gradient run on fresh steps(theta, -1), so a
+    subclass changes the family's math by overriding steps.  The steps'
+    value, gradient and line_restriction(theta, s_ids, s_vals) -> (g, dg)
+    carry the state each g forms to the next gradient and chord.  g(a,
+    point) is the value at the point a along the chord from theta to the
+    sparse target s, formed by the solver's step, and g(0, theta) is the
+    value that reached theta: a zero step ends the solve there without
+    calling g.  dg(a) is (slope, curvature), the curvature 0.0 when unknown
+    (the line search then bisects).  A dg owns scratch arrays, so each
+    thread takes its own steps; nothing is written on an objective after
+    construction, so threads may share one.  An object without steps is
+    solved through its own value, gradient and line_restriction.
     """
 
     domain: str = FULL_SIMPLEX
     dim: int = 0
 
     def value(self, theta: np.ndarray) -> float:
-        raise NotImplementedError
+        theta = np.asarray(theta, dtype=np.float64)
+        return self.steps(theta, -1).value(theta)
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        theta = np.asarray(theta, dtype=np.float64)
+        return self.steps(theta, -1).gradient(theta)
 
 
 class MlObjective(Objective):
@@ -127,15 +132,11 @@ class MlObjective(Objective):
     restricted to the terms present in the document.
 
     Along a chord the mixture is p0 + a * dp; with v = sqrt(d) * dp / (p0
-    + a * dp) the slope is sqrt(d) . v and the curvature -v . v.  value
-    and gradient each run on fresh steps, which form the mixture theta .
-    term_columns; a solve's steps carry it from step to step.
+    + a * dp) the slope is sqrt(d) . v and the curvature -v . v.  Steps
+    form the mixture theta . term_columns and carry it from step to step.
     """
 
     domain = FULL_SIMPLEX
-    # term_columns in row-major order, read-only, built by the first chord to
-    # a fill of several rows (only capped fills), whose strided gather is slow.
-    _slab_rows = None
 
     def __init__(self, document: Document, topics: TopicMatrix):
         if int(document.term_ids[-1]) >= topics.vocab_size:
@@ -149,17 +150,11 @@ class MlObjective(Objective):
         self._counts = document.counts
         self._sqrt_counts = np.sqrt(document.counts)
 
-    def value(self, theta: np.ndarray) -> float:
-        return _CarriedMl(self, theta, -1).value(theta)
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return _CarriedMl(self, theta, -1).gradient(theta)
-
     def best_vertex(self) -> int:
         """The lowest index k where value(e_k) is highest, found by a
         float32 screen of every vertex.  When the screen's error bound
         (above) leaves more than one vertex in reach of the top score, each
-        of them is valued again as value() computes it."""
+        of them is valued again on its vertex steps."""
         counts = self._counts
         n, c_max = counts.size, float(np.maximum.reduce(counts))
         m = n * _SCREEN_U
@@ -174,7 +169,7 @@ class MlObjective(Objective):
         in_reach = scores >= scores[best] - slack
         if np.count_nonzero(in_reach) > 1:
             candidates = np.flatnonzero(in_reach)
-            values = [float(counts.dot(np.log(np.array(self.term_columns[k])))) + 0.0 for k in candidates]
+            values = [_CarriedMl(self, None, k).value(None) for k in candidates]
             best = int(candidates[np.argmax(values)])
         return best
 
@@ -190,7 +185,7 @@ class _CarriedMl:
     rolled-back step ends the solve."""
 
     def __init__(self, objective: MlObjective, theta: np.ndarray, vertex: int):
-        self._f, self._scratch = objective, np.empty(objective._counts.size)
+        self._f, self._scratch, self._rows = objective, np.empty(objective._counts.size), None
         if vertex >= 0:
             self._state = np.array(objective.term_columns[vertex])
         else:
@@ -209,12 +204,9 @@ class _CarriedMl:
             # A vertex: 1.0 times its one slab row is that row, bit for bit.
             ps = f.term_columns[s_ids[0]]
         else:
-            rows = f._slab_rows  # threads that build it at once build equal copies
-            if rows is None:
-                rows = np.array(f.term_columns, order="C")
-                rows.setflags(write=False)
-                f._slab_rows = rows
-            ps = s_vals.dot(rows.take(s_ids, axis=0))  # the bits of term_columns[s_ids, :]
+            if self._rows is None:  # term_columns row-major, for the capped fills' gather
+                self._rows = np.array(f.term_columns, order="C")
+            ps = s_vals.dot(self._rows.take(s_ids, axis=0))  # the bits of term_columns[s_ids, :]
         dp = ps - p0
         counts, sqrt_counts = f._counts, f._sqrt_counts
         scaled = sqrt_counts * dp
@@ -245,8 +237,8 @@ class LogPenalty(Objective):
     dphi(y) and the form d2phi(u) = u . phi'' u, phi'' constant for both
     priors.  The gradient is dphi(y) / theta; along a chord with direction
     d, at the point x and with u = d / x, the slope is dphi(y) . u and the
-    curvature d2phi(u) - dphi(y) . (u * u).  value and gradient each form
-    (y, dphi(y)) at theta; a solve's steps carry it from step to step.
+    curvature d2phi(u) - dphi(y) . (u * u).  Steps form (y, dphi(y)) at
+    theta and carry it from step to step.
     """
 
     domain = INTERIOR_ONLY
@@ -257,13 +249,6 @@ class LogPenalty(Objective):
         _check_interior(theta, self.dim)
         y = np.log(theta) if self.mean is None else np.log(theta) - self.mean
         return y, self._dphi(y)
-
-    def value(self, theta: np.ndarray) -> float:
-        return self._phi(*self._point_state(np.asarray(theta, dtype=np.float64)))
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        return self._point_state(theta)[1] / theta
 
     def steps(self, theta: np.ndarray, vertex: int):
         return _CarriedPenalty(self, theta)
@@ -448,12 +433,6 @@ class PenalizedObjective(Objective):
             else FULL_SIMPLEX
         )
 
-    def value(self, theta: np.ndarray) -> float:
-        return self.base.value(theta) + self.penalty.value(theta)
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self.base.gradient(theta) + self.penalty.gradient(theta)
-
     def steps(self, theta: np.ndarray, vertex: int):
         return _CarriedSum(self, theta, vertex)
 
@@ -462,10 +441,14 @@ class _CarriedSum:
     """A sum's steps: the sum's value, gradient and chord over its parts'
     steps (a part without steps is used as it is)."""
 
-    value, gradient = PenalizedObjective.value, PenalizedObjective.gradient
-
     def __init__(self, objective: PenalizedObjective, theta: np.ndarray, vertex: int):
         self.base, self.penalty = (solve_steps(part, theta, vertex) for part in (objective.base, objective.penalty))
+
+    def value(self, theta: np.ndarray) -> float:
+        return self.base.value(theta) + self.penalty.value(theta)
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        return self.base.gradient(theta) + self.penalty.gradient(theta)
 
     def line_restriction(self, theta, s_ids, s_vals):
         g1, dg1 = self.base.line_restriction(theta, s_ids, s_vals)

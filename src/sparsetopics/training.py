@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import SIMPLEX_TOL, Corpus, Document, SolverConfig, TopicMatrix, Vocabulary, converged, sum_left_to_right
+from .core import SIMPLEX_TOL, Corpus, Document, SolverConfig, TopicMatrix, Vocabulary, _integer, converged, sum_left_to_right
 from .errors import InvalidArgumentError, InvalidConfigError
 from .objectives import MlObjective
 from .solver import fw_solve
@@ -41,9 +41,9 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.topics < 1:
+        if _integer(self.topics, "topics") < 1:
             raise InvalidConfigError("need at least one topic")
-        if self.em_iters < 1:
+        if _integer(self.em_iters, "em_iters") < 1:
             raise InvalidConfigError("em_iters must be at least 1")
         if not (0 < self.em_rel_tol < np.inf):
             raise InvalidConfigError("em_rel_tol must be finite and positive")

@@ -208,9 +208,16 @@ class TestTradeoffSweep:
         assert results[0].report.mean_nnz <= results[1].report.mean_nnz
         assert results[0].report.mean_nnz <= 2.0
 
-    @pytest.mark.parametrize("caps", [[], [0, 1], [2, 2], [4, 2]])
+    @pytest.mark.parametrize("caps", [[], [0, 1], [2, 2], [4, 2], [1.5, 2.7], [1, 2.0]])
     def test_rejects_bad_caps(self, caps):
         topics = TopicMatrix.normalized(np.ones((2, 5)))
         docs = [Document(np.array([0]), np.array([1.0]))]
         with pytest.raises(InvalidArgumentError):
             tradeoff_sweep(docs, topics, caps)
+
+    def test_integer_caps_are_kept_as_ints(self):
+        # A fractional cap is refused rather than truncated; numpy's integers are caps.
+        with pytest.raises(InvalidArgumentError, match="must be an integer, not 1.5"):
+            evaluation.check_caps([1.5, 2.7])
+        caps = evaluation.check_caps(np.array([1, 4], dtype=np.int32))
+        assert caps == [1, 4] and all(type(c) is int for c in caps)

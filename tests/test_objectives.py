@@ -32,6 +32,8 @@ from sparsetopics.objectives import (
     MlObjective,
     PenalizedObjective,
     _CarriedMl,
+    _value_argmax,
+    best_vertex,
     is_concave,
 )
 
@@ -707,18 +709,17 @@ class TestMixtureFormedPerCall:
 
 
 class TestNoPointState:
-    """No objective holds per-point state: value, gradient, a chord's g and
-    dg, and solves leave every attribute of it, and of a sum's parts, as
-    it was (the likelihood's read-only row-major slab, built once by a
-    capped chord, aside), and warm calls then give a fresh objective's
-    bits."""
+    """Nothing is written on an objective after construction: value,
+    gradient, a chord's g and dg, and solves leave every attribute of it,
+    and of a sum's parts, as it was, and warm calls then give a fresh
+    objective's bits."""
 
     @staticmethod
     def snapshot(f):
         parts = [f] + [getattr(f, name) for name in ("base", "penalty") if hasattr(f, name)]
         return [
             {name: (id(v), v.tobytes() if isinstance(v, np.ndarray) else None)
-             for name, v in vars(part).items() if name != "_slab_rows"}
+             for name, v in vars(part).items()}
             for part in parts
         ]
 
@@ -743,12 +744,113 @@ class TestNoPointState:
         s_ids, s_vals = np.arange(k), rng.dirichlet(np.ones(k))
         for theta in thetas:
             evaluations(f, theta, s_ids, s_vals)
+        # Under caps 0.3 every target is a fill of at least four rows, so the
+        # likelihood's chords build their row-major copy of the slab.
         for caps in (None, np.full(k, 0.3)):
             assert fw_solve(f, SolverConfig(rel_tol=1e-12), caps=caps)[0].iterations > 1
         assert self.snapshot(f) == before
         for theta in thetas:
             assert evaluations(f, theta, s_ids, s_vals) == evaluations(make(), theta, s_ids, s_vals)
 
+
+class TiltedSteps:
+    """A family's steps plus the linear term tilt . theta: their value,
+    gradient and chord, each with the term's share added."""
+
+    def __init__(self, inner, tilt):
+        self.inner, self.tilt = inner, tilt
+
+    def value(self, theta):
+        return self.inner.value(theta) + float(self.tilt.dot(theta))
+
+    def gradient(self, theta):
+        return self.inner.gradient(theta) + self.tilt
+
+    def line_restriction(self, theta, s_ids, s_vals):
+        g, dg = self.inner.line_restriction(theta, s_ids, s_vals)
+        tilt = self.tilt
+        slope = float(tilt[s_ids].dot(s_vals)) - float(tilt.dot(theta))
+
+        def tilted_g(a, point):
+            return g(a, point) + float(tilt.dot(point))
+
+        def tilted_dg(a):
+            own_slope, curvature = dg(a)
+            return own_slope + slope, curvature
+
+        return tilted_g, tilted_dg
+
+
+def tilted(family, tilt):
+    """A subclass of family whose one override, steps, adds tilt . theta."""
+
+    class Tilted(family):
+        def steps(self, theta, vertex):
+            return TiltedSteps(super().steps(theta, vertex), tilt)
+
+    return Tilted
+
+
+class TestSubclassContract:
+    """A subclass that overrides only steps changes its family's math
+    everywhere: value, gradient, the vertex value loop and the objective
+    fw_solve reports all follow the override.  The steps' carried mixture
+    is not bitwise theta . beta, so a solve's report is compared with a
+    tolerance."""
+
+    K = 6
+
+    def instance(self, family, rng):
+        """The family's objective, its tilted subclass, and the tilt."""
+        k = self.K
+        topics, doc = random_ml_instance(rng, k=k, v=30)
+        prior = CtmPrior(random_prior(rng, k, with_mean=False).precision, mean=np.full(k, math.log(0.4)))
+        cls, args = {
+            "likelihood": (MlObjective, (doc, topics)),
+            "gaussian": (GaussianLogPenalty, (prior,)),
+            "ctm": (PenalizedObjective, (MlObjective(doc, topics), GaussianLogPenalty(prior))),
+        }[family]
+        tilt = rng.uniform(1.0, 2.0, k)
+        return cls(*args), tilted(cls, tilt)(*args), tilt
+
+    @pytest.mark.parametrize("family", ["likelihood", "gaussian", "ctm"])
+    def test_value_and_gradient_run_on_the_steps(self, family):
+        rng = np.random.default_rng(331)
+        plain, sub, tilt = self.instance(family, rng)
+        for _ in range(3):
+            theta = interior_point(rng, self.K)
+            assert bits(sub.value(theta)) == bits(plain.value(theta) + float(tilt.dot(theta)))
+            assert sub.gradient(theta).tobytes() == (plain.gradient(theta) + tilt).tobytes()
+
+    @pytest.mark.parametrize("family", ["likelihood", "gaussian", "ctm"])
+    def test_reported_objective_is_the_value_at_the_point(self, family):
+        _, sub, _ = self.instance(family, np.random.default_rng(337))
+        report, _ = fw_solve(sub, SolverConfig(rel_tol=1e-12))
+        assert report.iterations > 1
+        assert report.objective == pytest.approx(sub.value(report.theta.dense(self.K)), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["likelihood", "sum"])
+    def test_the_vertex_value_loop_runs_on_the_steps(self, family):
+        # The sum of two likelihoods is defined on the whole simplex and has
+        # no best_vertex of its own, so best_vertex runs the value loop.
+        rng = np.random.default_rng(347)
+        k = self.K
+        topics, doc = random_ml_instance(rng, k=k, v=30)
+        other = MlObjective(Document(np.array([0, 3, 7]), np.array([2.0, 1.0, 4.0])), topics)
+        cls, args = {
+            "likelihood": (MlObjective, (doc, topics)),
+            "sum": (PenalizedObjective, (MlObjective(doc, topics), other)),
+        }[family]
+        plain = cls(*args)
+        values = [plain.value(np.eye(k)[i]) for i in range(k)]
+        # The tilt lifts the lowest vertex above every other one.
+        low, tilt = int(np.argmin(values)), np.zeros(k)
+        tilt[low] = max(values) - values[low] + 1.0
+        sub = tilted(cls, tilt)(*args)
+        assert _value_argmax(plain) != low
+        assert _value_argmax(sub) == low
+        if family == "sum":
+            assert best_vertex(sub) == low
 
 
 def bits(x) -> bytes:
@@ -1235,10 +1337,23 @@ class TestChordCurvature:
         assert curvature <= 0.0
 
 
+class SolvedSteps(Forwarding):
+    """Forwards to an objective and keeps each steps it hands out, so a
+    test can read the steps that fw_solve solved on."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.made = []
+
+    def steps(self, theta, vertex):
+        self.made.append(self.inner.steps(theta, vertex))
+        return self.made[-1]
+
+
 class TestCappedGather:
-    """A chord toward a fill of several rows gathers them from a read-only
-    row-major copy of the slab, built on the first such chord; the product
-    keeps the bits of the column-major gather."""
+    """A chord toward a fill of several rows gathers them from a row-major
+    copy of the slab that its steps build on their first such chord; the
+    product keeps the bits of the column-major gather."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 120), share=st.floats(0.0, 1.0))
@@ -1249,37 +1364,46 @@ class TestCappedGather:
         ids = np.sort(rng.choice(40, size=int(rng.integers(1, 41)), replace=False)).astype(np.int64)
         f = MlObjective(Document(ids, rng.integers(1, 10, size=ids.size).astype(np.float64)), topics)
         s_ids, s_vals = random_target(rng, k, 2 + int(share * (k - 2)))
-        g, _ = own_chord(f, interior_point(rng, k), s_ids, s_vals)
+        theta = interior_point(rng, k)
+        steps = f.steps(theta, -1)
+        g, _ = steps.line_restriction(theta, s_ids, s_vals)
         column_major = s_vals.dot(f.term_columns[s_ids, :])
-        assert s_vals.dot(f._slab_rows.take(s_ids, axis=0)).tobytes() == column_major.tobytes()
+        assert s_vals.dot(steps._rows.take(s_ids, axis=0)).tobytes() == column_major.tobytes()
         # g at 1 reads the target's mixture unchanged
         target = np.zeros(k)
         target[s_ids] = s_vals
         assert bits(g(1.0, target)) == bits(float(f._counts.dot(np.log(column_major))) + 0.0)
 
-    def test_built_once_read_only_and_equal_to_the_slab(self):
+    def test_built_once_per_steps_and_equal_to_the_slab(self):
         rng = np.random.default_rng(61)
         topics, doc = random_ml_instance(rng, k=12, v=50)
         f = MlObjective(doc, topics)
-        own_chord(f, interior_point(rng, 12), *random_target(rng, 12, 3))
-        rows = f._slab_rows
-        assert rows.flags.c_contiguous and not rows.flags.writeable
+        theta = interior_point(rng, 12)
+        steps = f.steps(theta, -1)
+        steps.line_restriction(theta, *random_target(rng, 12, 3))
+        rows = steps._rows
+        assert rows.flags.c_contiguous
         assert rows.tobytes() == np.ascontiguousarray(f.term_columns).tobytes()
-        own_chord(f, interior_point(rng, 12), *random_target(rng, 12, 5))
-        assert f._slab_rows is rows
+        steps.line_restriction(theta, *random_target(rng, 12, 5))
+        assert steps._rows is rows
+        assert f.steps(theta, -1)._rows is None  # fresh steps have none yet
 
     def test_only_capped_fills_build_it(self):
         rng = np.random.default_rng(67)
         topics, doc = random_ml_instance(rng, k=8, v=40)
-        uncapped, cap_one, vertex = (MlObjective(doc, topics) for _ in range(3))
+        f = MlObjective(doc, topics)
+        uncapped, cap_one = SolvedSteps(f), SolvedSteps(f)
         fw_solve(uncapped)
         fw_solve(cap_one, caps=np.ones(8))
-        own_chord(vertex, interior_point(rng, 8), np.array([3]), np.ones(1))
-        assert [f._slab_rows for f in (uncapped, cap_one, vertex)] == [None] * 3
+        theta = interior_point(rng, 8)
+        vertex = f.steps(theta, -1)
+        vertex.line_restriction(theta, np.array([3]), np.ones(1))
+        assert [steps._rows for steps in uncapped.made + cap_one.made + [vertex]] == [None] * 3
         prior = CtmPrior(np.eye(8), mean=np.full(8, math.log(0.3)))
-        capped = ctm_full_objective(doc, topics, prior)
+        capped = SolvedSteps(ctm_full_objective(doc, topics, prior))
         fw_solve(capped, SolverConfig(max_iters=3))
-        assert not capped.base._slab_rows.flags.writeable
+        [steps] = capped.made
+        assert steps.base._rows.flags.c_contiguous
 
 
 class TestInteriorShortcut:

@@ -144,6 +144,19 @@ class TestTrainConfig:
         with pytest.raises(InvalidConfigError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["max_iters", "max_nnz", "topics", "em_iters"])
+    def test_count_settings_are_integers(self, field):
+        # Refused when built, naming the field, not by a TypeError in a solve.
+        def make(value):
+            if field in ("max_iters", "max_nnz"):
+                return SolverConfig(**{field: value})
+            return TrainConfig(**{"topics": 2, field: value})
+
+        for bad in (2.5, 3.0, "3"):
+            with pytest.raises(InvalidConfigError, match=f"^{field} must be an integer"):
+                make(bad)
+        assert getattr(make(np.int32(3)), field) == 3
+
     def test_inner_config_is_used(self):
         corpus = tiny_corpus()
         inner = SolverConfig(max_iters=2, rel_tol=1e-3)
